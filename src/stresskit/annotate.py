@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Hashable, Mapping, Sequence
 
@@ -78,7 +78,8 @@ class ConsensusResult:
     means: tuple[float, ...]
     labels: tuple[int, ...]       # 1 = stressed (weighted mean < 0)
     n_scores: tuple[int, ...]
-    excluded: tuple[tuple[str, float], ...]  # (annotator id, outlier rate)
+    kept: AnnotationMatrix  # the annotators whose scores formed the consensus
+    excluded: tuple[tuple[str, float], ...] = ()  # (annotator id, outlier rate)
 
 
 def detect_outliers(matrix: AnnotationMatrix) -> list[list[bool]]:
@@ -160,7 +161,7 @@ def weighted_consensus(matrix: AnnotationMatrix) -> ConsensusResult:
         means=tuple(means),
         labels=tuple(labels),
         n_scores=tuple(counts),
-        excluded=(),
+        kept=matrix,
     )
 
 
@@ -172,14 +173,7 @@ def aggregate(matrix: AnnotationMatrix, threshold: float = 0.40) -> ConsensusRes
     removed = tuple(
         (a, rates[a]) for a in matrix.annotator_ids if a not in surviving.annotator_ids
     )
-    result = weighted_consensus(surviving)
-    return ConsensusResult(
-        item_ids=result.item_ids,
-        means=result.means,
-        labels=result.labels,
-        n_scores=result.n_scores,
-        excluded=removed,
-    )
+    return replace(weighted_consensus(surviving), excluded=removed)
 
 
 def fleiss_kappa(
@@ -314,7 +308,7 @@ def load_weights(path: str | Path) -> dict[str, float]:
     weights = {}
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames is None or set(reader.fieldnames) < {"annotator_id", "weight"}:
+        if reader.fieldnames is None or not {"annotator_id", "weight"} <= set(reader.fieldnames):
             raise BadScore(f"{path}: weights file needs header annotator_id,weight")
         for rownum, row in enumerate(reader, start=2):
             try:

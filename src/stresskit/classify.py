@@ -1,17 +1,18 @@
 """From-scratch classifiers over sparse feature vectors: logistic regression
 (full-batch gradient descent), multinomial Naive Bayes with Laplace
 smoothing, and a linear SVM trained by pegasos-style stochastic subgradient
-descent. All trainers are deterministic given their seeds.
+descent. All trainers are deterministic given their seeds, and all three
+return one LinearModel that decides on bias + weights . x.
 
-Models persist as single self-describing JSON documents; load(save(m))
-reproduces predictions bit-identically.
+Models persist as single self-describing JSON documents (format 2; format 1
+files still load); load(save(m)) reproduces predictions bit-identically.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -21,7 +22,7 @@ from scipy.sparse import csr_matrix
 from .errors import StressKitError
 from .features import FeatureVector, Vocabulary
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 class SingleClassCorpus(StressKitError):
@@ -65,51 +66,29 @@ class SvmHyper:
 
 
 @dataclass(frozen=True)
-class LogisticModel:
-    bias: float
-    coef: np.ndarray  # shape (V,)
-    vocabulary: Vocabulary
-    pipeline_fingerprint: str
-    hyper: LogisticHyper
-    feature_kind: str = "bow"
-    effective_learning_rate: float | None = None
+class LinearModel:
+    """Every classifier decides on bias + weights . x; `kind` says which
+    trainer made it and whether the score is a probability or a margin."""
 
-    kind = "logistic"
-
-    def __post_init__(self):
-        if len(self.coef) != self.vocabulary.size:
-            raise DimensionMismatch(
-                f"{len(self.coef)} coefficients for vocabulary of {self.vocabulary.size}"
-            )
-        if not np.all(np.isfinite(self.coef)) or not math.isfinite(self.bias):
-            raise ValueError("non-finite model parameters")
-
-
-@dataclass(frozen=True)
-class NaiveBayesModel:
-    log_prior: np.ndarray       # shape (2,)
-    log_likelihood: np.ndarray  # shape (2, V)
-    vocabulary: Vocabulary
-    pipeline_fingerprint: str
-    hyper: NaiveBayesHyper
-    feature_kind: str = "bow"
-
-    kind = "naive_bayes"
-
-
-@dataclass(frozen=True)
-class SvmModel:
+    kind: str  # "logistic", "naive_bayes" or "svm"
     weights: np.ndarray  # shape (V,)
     bias: float
     vocabulary: Vocabulary
     pipeline_fingerprint: str
-    hyper: SvmHyper
+    hyper: LogisticHyper | NaiveBayesHyper | SvmHyper
     feature_kind: str = "bow"
+    effective_learning_rate: float | None = None  # logistic only
 
-    kind = "svm"
+    def __post_init__(self):
+        if len(self.weights) != self.vocabulary.size:
+            raise DimensionMismatch(
+                f"{len(self.weights)} weights for vocabulary of {self.vocabulary.size}"
+            )
+        if not np.all(np.isfinite(self.weights)) or not math.isfinite(self.bias):
+            raise ValueError("non-finite model parameters")
 
 
-Model = LogisticModel | NaiveBayesModel | SvmModel
+HYPERS = {"logistic": LogisticHyper, "naive_bayes": NaiveBayesHyper, "svm": SvmHyper}
 
 
 @dataclass(frozen=True)
@@ -177,7 +156,7 @@ def train_logistic(
     vocabulary: Vocabulary,
     fingerprint: str = "",
     feature_kind: str = "bow",
-) -> LogisticModel:
+) -> LinearModel:
     """Full-batch gradient descent from zero initialization.
 
     The training-loss trajectory must be non-increasing; if an epoch raises
@@ -202,9 +181,10 @@ def train_logistic(
                 break
             previous = loss
         if not diverged:
-            return LogisticModel(
+            return LinearModel(
+                kind="logistic",
+                weights=coef,
                 bias=bias,
-                coef=coef,
                 vocabulary=vocabulary,
                 pipeline_fingerprint=fingerprint,
                 hyper=hyper,
@@ -215,26 +195,13 @@ def train_logistic(
     raise TrainingDiverged("loss still increasing after 8 learning-rate halvings")
 
 
-def predict_proba(model: LogisticModel, x: FeatureVector) -> float:
-    z = model.bias
-    coef = model.coef
-    size = model.vocabulary.size
-    for i, v in x.items():
-        if not 0 <= i < size:
-            raise DimensionMismatch(f"feature index {i} outside vocabulary of {size}")
-        z += coef[i] * v
-    return sigmoid(z)
-
-
-def train_naive_bayes(
+def naive_bayes_estimate(
     examples: Sequence[tuple[FeatureVector, int]],
-    alpha: float = 1.0,
-    *,
+    alpha: float,
     vocabulary: Vocabulary,
-    fingerprint: str = "",
-    feature_kind: str = "bow",
-) -> NaiveBayesModel:
-    """Multinomial model over token counts with Laplace smoothing alpha."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Multinomial estimate over token counts with Laplace smoothing alpha:
+    log_prior of shape (2,) and log_likelihood of shape (2, V)."""
     if alpha <= 0:
         raise ValueError("smoothing alpha must be positive")
     X, y = _assemble(examples, vocabulary.size)
@@ -247,31 +214,29 @@ def train_naive_bayes(
         log_prior[c] = math.log(mask.sum() / len(y))
         counts = np.asarray(X[mask].sum(axis=0)).ravel()
         log_likelihood[c] = np.log(counts + alpha) - math.log(counts.sum() + alpha * V)
-    return NaiveBayesModel(
-        log_prior=log_prior,
-        log_likelihood=log_likelihood,
+    return log_prior, log_likelihood
+
+
+def train_naive_bayes(
+    examples: Sequence[tuple[FeatureVector, int]],
+    alpha: float = 1.0,
+    *,
+    vocabulary: Vocabulary,
+    fingerprint: str = "",
+    feature_kind: str = "bow",
+) -> LinearModel:
+    """Naive Bayes as its log-odds log P(1|x) - log P(0|x): log-likelihood
+    differences as weights, the log-prior difference as bias."""
+    log_prior, log_likelihood = naive_bayes_estimate(examples, alpha, vocabulary)
+    return LinearModel(
+        kind="naive_bayes",
+        weights=log_likelihood[1] - log_likelihood[0],
+        bias=float(log_prior[1] - log_prior[0]),
         vocabulary=vocabulary,
         pipeline_fingerprint=fingerprint,
         hyper=NaiveBayesHyper(alpha=alpha),
         feature_kind=feature_kind,
     )
-
-
-def _nb_log_odds(model: NaiveBayesModel, x: FeatureVector) -> float:
-    """log P(1|x) - log P(0|x), accumulated as a single sum of per-token
-    differences so mirrored inputs cancel exactly."""
-    size = model.vocabulary.size
-    delta = float(model.log_prior[1] - model.log_prior[0])
-    for i, v in x.items():
-        if not 0 <= i < size:
-            raise DimensionMismatch(f"feature index {i} outside vocabulary of {size}")
-        delta += v * float(model.log_likelihood[1, i] - model.log_likelihood[0, i])
-    return delta
-
-
-def predict_nb(model: NaiveBayesModel, x: FeatureVector) -> Prediction:
-    delta = _nb_log_odds(model, x)
-    return Prediction(score=sigmoid(delta), label=1 if delta >= 0 else 0)
 
 
 def train_svm(
@@ -281,7 +246,7 @@ def train_svm(
     vocabulary: Vocabulary,
     fingerprint: str = "",
     feature_kind: str = "bow",
-) -> SvmModel:
+) -> LinearModel:
     """Pegasos-style stochastic subgradient descent on the hinge loss.
 
     Labels are remapped to {-1,+1}; the learning rate at update t is
@@ -310,7 +275,8 @@ def train_svm(
             norm = float(np.linalg.norm(w))
             if norm > radius:
                 w *= radius / norm
-    return SvmModel(
+    return LinearModel(
+        kind="svm",
         weights=w,
         bias=b,
         vocabulary=vocabulary,
@@ -320,136 +286,95 @@ def train_svm(
     )
 
 
-def decision_value(model: SvmModel, x: FeatureVector) -> float:
+def decision_value(model: LinearModel, x: FeatureVector) -> float:
+    """bias + weights . x, summed bias first and then in the vector's item
+    order, so mirrored naive Bayes inputs cancel exactly."""
     z = model.bias
+    weights = model.weights
     size = model.vocabulary.size
     for i, v in x.items():
         if not 0 <= i < size:
             raise DimensionMismatch(f"feature index {i} outside vocabulary of {size}")
-        z += model.weights[i] * v
-    return z
+        z += weights[i] * v
+    return float(z)
 
 
-def predict(model: Model, x: FeatureVector) -> Prediction:
-    """Uniform decision rule: label 1 iff probability >= 0.5 (logistic,
-    naive bayes) or margin >= 0 (svm); ties go to the stressed class."""
-    if isinstance(model, LogisticModel):
-        p = predict_proba(model, x)
-        return Prediction(score=p, label=1 if p >= 0.5 else 0)
-    if isinstance(model, NaiveBayesModel):
-        return predict_nb(model, x)
-    if isinstance(model, SvmModel):
-        z = decision_value(model, x)
-        return Prediction(score=z, label=1 if z >= 0.0 else 0)
-    raise TypeError(f"unknown model type: {type(model)!r}")
+def predict(model: LinearModel, x: FeatureVector) -> Prediction:
+    """Label 1 iff the decision value is >= 0 (ties go to the stressed class);
+    the score is its sigmoid for logistic and naive Bayes, the margin for svm."""
+    z = decision_value(model, x)
+    return Prediction(score=z if model.kind == "svm" else sigmoid(z), label=1 if z >= 0 else 0)
 
 
-def _vocab_to_json(vocab: Vocabulary) -> dict:
-    return {
-        "tokens": list(vocab.tokens),
-        "df": list(vocab.doc_freq),
-        "n_docs": vocab.n_docs,
-    }
-
-
-def _vocab_from_json(obj: dict) -> Vocabulary:
-    return Vocabulary(
-        tokens=tuple(obj["tokens"]),
-        doc_freq=tuple(int(d) for d in obj["df"]),
-        n_docs=int(obj["n_docs"]),
-    )
-
-
-def save_model(model: Model, path: str | Path) -> None:
-    if isinstance(model, LogisticModel):
-        hyper = {
-            "learning_rate": model.hyper.learning_rate,
-            "epochs": model.hyper.epochs,
-            "l2": model.hyper.l2,
-            "seed": model.hyper.seed,
-            "effective_learning_rate": model.effective_learning_rate,
-            "features": model.feature_kind,
-        }
-        params = {"bias": model.bias, "coef": model.coef.tolist()}
-    elif isinstance(model, NaiveBayesModel):
-        hyper = {"alpha": model.hyper.alpha, "features": model.feature_kind}
-        params = {
-            "log_prior": model.log_prior.tolist(),
-            "log_likelihood": [row.tolist() for row in model.log_likelihood],
-        }
-    elif isinstance(model, SvmModel):
-        hyper = {
-            "lam": model.hyper.lam,
-            "epochs": model.hyper.epochs,
-            "seed": model.hyper.seed,
-            "features": model.feature_kind,
-        }
-        params = {"weights": model.weights.tolist(), "bias": model.bias}
-    else:
-        raise TypeError(f"unknown model type: {type(model)!r}")
+def save_model(model: LinearModel, path: str | Path) -> None:
+    hyper = asdict(model.hyper)
+    if model.effective_learning_rate is not None:
+        hyper["effective_learning_rate"] = model.effective_learning_rate
+    hyper["features"] = model.feature_kind
     document = {
         "format_version": MODEL_FORMAT_VERSION,
         "kind": model.kind,
         "hyperparameters": hyper,
         "pipeline_fingerprint": model.pipeline_fingerprint,
-        "vocabulary": _vocab_to_json(model.vocabulary),
-        "parameters": params,
+        "vocabulary": {
+            "tokens": list(model.vocabulary.tokens),
+            "df": list(model.vocabulary.doc_freq),
+            "n_docs": model.vocabulary.n_docs,
+        },
+        "parameters": {"weights": model.weights.tolist(), "bias": model.bias},
     }
     Path(path).write_text(json.dumps(document), encoding="utf-8")
 
 
-def load_model(path: str | Path) -> Model:
+def _format_1_parameters(kind: str, params: dict) -> dict:
+    """Format 1 kept logistic weights as `coef` and naive Bayes as its
+    log_prior/log_likelihood estimate; svm already used weights/bias."""
+    if kind == "logistic":
+        return {"weights": params["coef"], "bias": params["bias"]}
+    if kind == "naive_bayes":
+        log_prior = np.asarray(params["log_prior"], dtype=float)
+        log_likelihood = np.asarray(params["log_likelihood"], dtype=float)
+        return {"weights": log_likelihood[1] - log_likelihood[0],
+                "bias": log_prior[1] - log_prior[0]}
+    return params
+
+
+def load_model(path: str | Path) -> LinearModel:
+    """Read a model file of the current format, or of format 1."""
     try:
         document = json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CorruptFile(f"{path}: not a valid model file: {exc}") from None
     if not isinstance(document, dict) or "format_version" not in document:
         raise CorruptFile(f"{path}: not a model document")
-    if document["format_version"] != MODEL_FORMAT_VERSION:
+    version = document["format_version"]
+    if version not in (1, MODEL_FORMAT_VERSION):
         raise VersionMismatch(
-            f"{path}: format version {document['format_version']} "
-            f"(this reader supports {MODEL_FORMAT_VERSION})"
+            f"{path}: format version {version} "
+            f"(this reader supports 1 and {MODEL_FORMAT_VERSION})"
         )
+    kind = document.get("kind")
+    if kind not in tuple(HYPERS):  # not a dict test, so an unhashable kind is just unknown
+        raise CorruptFile(f"{path}: unknown classifier kind {kind!r}")
     try:
-        kind = document["kind"]
-        vocab = _vocab_from_json(document["vocabulary"])
         hyper = document["hyperparameters"]
         params = document["parameters"]
-        fingerprint = document["pipeline_fingerprint"]
-        feature_kind = hyper.get("features", "bow")
-        if kind == "logistic":
-            return LogisticModel(
-                bias=float(params["bias"]),
-                coef=np.asarray(params["coef"], dtype=float),
-                vocabulary=vocab,
-                pipeline_fingerprint=fingerprint,
-                hyper=LogisticHyper(
-                    learning_rate=hyper["learning_rate"],
-                    epochs=hyper["epochs"],
-                    l2=hyper["l2"],
-                    seed=hyper["seed"],
-                ),
-                feature_kind=feature_kind,
-                effective_learning_rate=hyper.get("effective_learning_rate"),
-            )
-        if kind == "naive_bayes":
-            return NaiveBayesModel(
-                log_prior=np.asarray(params["log_prior"], dtype=float),
-                log_likelihood=np.asarray(params["log_likelihood"], dtype=float),
-                vocabulary=vocab,
-                pipeline_fingerprint=fingerprint,
-                hyper=NaiveBayesHyper(alpha=hyper["alpha"]),
-                feature_kind=feature_kind,
-            )
-        if kind == "svm":
-            return SvmModel(
-                weights=np.asarray(params["weights"], dtype=float),
-                bias=float(params["bias"]),
-                vocabulary=vocab,
-                pipeline_fingerprint=fingerprint,
-                hyper=SvmHyper(lam=hyper["lam"], epochs=hyper["epochs"], seed=hyper["seed"]),
-                feature_kind=feature_kind,
-            )
-    except (KeyError, TypeError, ValueError) as exc:
+        vocab = document["vocabulary"]
+        if version == 1:
+            params = _format_1_parameters(kind, params)
+        return LinearModel(
+            kind=kind,
+            weights=np.asarray(params["weights"], dtype=float),
+            bias=float(params["bias"]),
+            vocabulary=Vocabulary(
+                tokens=tuple(vocab["tokens"]),
+                doc_freq=tuple(int(d) for d in vocab["df"]),
+                n_docs=int(vocab["n_docs"]),
+            ),
+            pipeline_fingerprint=document["pipeline_fingerprint"],
+            hyper=HYPERS[kind](**{f.name: hyper[f.name] for f in fields(HYPERS[kind])}),
+            feature_kind=hyper.get("features", "bow"),
+            effective_learning_rate=hyper.get("effective_learning_rate"),
+        )
+    except (LookupError, TypeError, ValueError) as exc:
         raise CorruptFile(f"{path}: malformed model document: {exc}") from None
-    raise CorruptFile(f"{path}: unknown classifier kind {kind!r}")

@@ -13,6 +13,7 @@ import json
 import logging
 import sys
 import time
+import warnings
 from pathlib import Path
 
 from . import annotate, classify, corpus, emotion, evaluate, features, report, textprep
@@ -52,20 +53,19 @@ def _positive_int(text: str) -> int:
 
 def build_parser() -> Parser:
     parser = Parser(prog="stresskit", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
-    common.add_argument("--jobs", type=_positive_int, default=1,
-                        help="parallel workers for corpus classification")
-    common.add_argument("--stopwords", metavar="FILE",
-                        help="stopword list (default: vendored 179-word English list)")
-    common.add_argument("--format", choices=("json", "csv", "both"), default="both",
-                        help="report output format (analyze)")
-    common.add_argument("--summary", action="store_true",
-                        help="print the load summary as a JSON object")
+    # Each subcommand takes only the shared options its handler reads.
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
+    loading = argparse.ArgumentParser(add_help=False)
+    loading.add_argument("--stopwords", metavar="FILE",
+                         help="stopword list (default: vendored 179-word English list)")
+    loading.add_argument("--summary", action="store_true",
+                         help="print the load summary as a JSON object")
 
     sub = parser.add_subparsers(dest="command", required=True, parser_class=Parser)
 
-    p = sub.add_parser("train", parents=[common], help="train a classifier on a labeled CSV")
+    p = sub.add_parser("train", parents=[seeded, loading],
+                       help="train a classifier on a labeled CSV")
     p.add_argument("train_csv")
     p.add_argument("--classifier", choices=("logistic", "nb", "svm"), default="logistic")
     p.add_argument("--features", choices=("bow", "tfidf"), default="bow")
@@ -81,23 +81,25 @@ def build_parser() -> Parser:
     p.add_argument("--max-vocab", type=int, default=None)
     p.set_defaults(handler=cmd_train)
 
-    p = sub.add_parser("predict", parents=[common], help="classify a posts CSV")
+    p = sub.add_parser("predict", parents=[loading], help="classify a posts CSV")
     p.add_argument("model")
     p.add_argument("posts_csv")
     p.add_argument("--out", default="predictions.csv")
     p.set_defaults(handler=cmd_predict)
 
-    p = sub.add_parser("analyze", parents=[common],
+    p = sub.add_parser("analyze", parents=[seeded, loading],
                        help="classify a posts CSV and emit the stress report")
     p.add_argument("model")
     p.add_argument("posts_csv")
+    p.add_argument("--format", choices=("json", "csv", "both"), default="both",
+                   help="report output format")
     p.add_argument("--mapping", help="community,group CSV (default: built-in academic mapping)")
     p.add_argument("--lexicon", help="emotion lexicon TSV (default: vendored)")
     p.add_argument("--out-dir", default="reports")
     p.add_argument("--top-n", type=_positive_int, default=10)
     p.set_defaults(handler=cmd_analyze)
 
-    p = sub.add_parser("annotate", parents=[common],
+    p = sub.add_parser("annotate",
                        help="aggregate an annotation sheet into consensus labels")
     p.add_argument("annotations_csv")
     p.add_argument("--weights", help="annotator_id,weight CSV (default: all 1.0)")
@@ -106,14 +108,14 @@ def build_parser() -> Parser:
     p.add_argument("--out-dir", default=".")
     p.set_defaults(handler=cmd_annotate)
 
-    p = sub.add_parser("emotions", parents=[common],
+    p = sub.add_parser("emotions",
                        help="emotion-profile a CSV of texts or posts")
     p.add_argument("input_csv")
     p.add_argument("--lexicon", help="emotion lexicon TSV (default: vendored)")
     p.add_argument("--out", default="emotions.csv")
     p.set_defaults(handler=cmd_emotions)
 
-    p = sub.add_parser("stats", parents=[common], help="corpus statistics for a posts CSV")
+    p = sub.add_parser("stats", parents=[loading], help="corpus statistics for a posts CSV")
     p.add_argument("posts_csv")
     p.set_defaults(handler=cmd_stats)
 
@@ -210,21 +212,18 @@ def cmd_predict(args) -> int:
     _require(args.posts_csv, "posts file")
     model = classify.load_model(args.model)
     config = _pipeline_config(args)
-    if model.pipeline_fingerprint and model.pipeline_fingerprint != config.fingerprint():
-        print("warning: model preprocessing fingerprint does not match current "
-              "configuration", file=sys.stderr)
-    rows_read = kept = skipped = 0
-    skip_reasons: list[str] = []
+    report.check_fingerprint(model, config)
+    summary = corpus.LoadSummary()
     with open(args.out, "w", newline="", encoding="utf-8") as handle:
         writer = None
         for fieldnames, raw, record, reason in corpus.iter_post_rows(args.posts_csv):
             if writer is None:
                 writer = csv.writer(handle)
                 writer.writerow([*fieldnames, "label", "probability"])
-            rows_read += 1
+            summary.rows_read += 1
             if record is None:
-                skipped += 1
-                skip_reasons.append(reason)
+                summary.rows_skipped += 1
+                summary.errors.append(reason)
                 writer.writerow([*(raw.get(f, "") for f in fieldnames), "", ""])
                 continue
             doc = textprep.preprocess(record.text, config)
@@ -232,19 +231,14 @@ def cmd_predict(args) -> int:
                 model, features.vectorize(doc, model.vocabulary, model.feature_kind)
             )
             writer.writerow([*(raw.get(f, "") for f in fieldnames), pred.label, repr(pred.score)])
-            kept += 1
+            summary.rows_kept += 1
         if writer is None:  # empty input: still emit a header
             with open(args.posts_csv, newline="", encoding="utf-8") as src:
                 header = next(csv.reader(src), [])
             csv.writer(handle).writerow([*header, "label", "probability"])
     if args.summary:
-        print(json.dumps({
-            "rows_read": rows_read,
-            "rows_kept": kept,
-            "rows_skipped": skipped,
-            "errors": skip_reasons,
-        }))
-    print(f"wrote {args.out} ({kept} classified, {skipped} skipped)")
+        print(summary.to_json())
+    print(f"wrote {args.out} ({summary.rows_kept} classified, {summary.rows_skipped} skipped)")
     return EXIT_OK
 
 
@@ -262,9 +256,7 @@ def cmd_analyze(args) -> int:
     posts, summary = corpus.load_posts_with_summary(args.posts_csv)
     if args.summary:
         print(summary.to_json())
-    classified = report.classify_corpus(
-        model, posts, config, lexicon=lexicon, jobs=args.jobs
-    )
+    classified = report.classify_corpus(model, posts, config, lexicon=lexicon)
     result = report.build_report(
         classified,
         group_map,
@@ -297,16 +289,9 @@ def cmd_annotate(args) -> int:
         _require(args.weights, "weights file")
         weights = annotate.load_weights(args.weights)
     matrix = annotate.load_annotations(args.annotations_csv, weights)
-    flags = annotate.detect_outliers(matrix)
-    rates = annotate.outlier_rates(matrix, flags)
-    surviving = annotate.exclude_annotators(matrix, flags, args.threshold)
-    consensus = annotate.weighted_consensus(surviving)
-    excluded = [
-        {"annotator": a, "rate": rates[a]}
-        for a in matrix.annotator_ids
-        if a not in surviving.annotator_ids
-    ]
-    kappa = annotate.fleiss_kappa(annotate.binarize_scores(surviving), categories=(0, 1))
+    consensus = annotate.aggregate(matrix, args.threshold)
+    excluded = [{"annotator": a, "rate": rate} for a, rate in consensus.excluded]
+    kappa = annotate.fleiss_kappa(annotate.binarize_scores(consensus.kept), categories=(0, 1))
     correlations = annotate.annotator_correlation(matrix)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -335,7 +320,7 @@ def cmd_annotate(args) -> int:
         },
     }
     summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    print(f"items: {matrix.n_items}, annotators kept: {surviving.n_annotators}/"
+    print(f"items: {matrix.n_items}, annotators kept: {consensus.kept.n_annotators}/"
           f"{matrix.n_annotators}, kappa: {kappa:.4f}")
     for entry in excluded:
         print(f"excluded: {entry['annotator']} (outlier rate {entry['rate']:.0%})")
@@ -395,18 +380,21 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.handler(args)
-    except StressKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.handler(args)
+        except (StressKitError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DATA
 
 
 if __name__ == "__main__":

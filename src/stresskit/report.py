@@ -15,7 +15,6 @@ import json
 import logging
 import statistics
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -113,38 +112,39 @@ def month_index(when: datetime) -> int:
     return (when.month - 9) % 12
 
 
+def check_fingerprint(model: classify.LinearModel, config: textprep.PipelineConfig) -> None:
+    """Warn when the model was trained under another preprocessing configuration."""
+    if model.pipeline_fingerprint and model.pipeline_fingerprint != config.fingerprint():
+        warnings.warn(
+            "model preprocessing fingerprint does not match current configuration",
+            FingerprintMismatchWarning,
+            stacklevel=3,
+        )
+
+
 def classify_corpus(
-    model: classify.Model,
+    model: classify.LinearModel,
     posts: Sequence[PostRecord],
     config: textprep.PipelineConfig,
     *,
     lexicon: emotion.EmotionLexicon | None = None,
     emotions_for_all: bool = False,
-    jobs: int = 1,
 ) -> list[ClassifiedPost]:
     """One ClassifiedPost per input, in order. Classification input text is
     the title and body joined with one space. Emotion profiles are computed
     for stressed posts only unless emotions_for_all is set."""
-    if model.pipeline_fingerprint and model.pipeline_fingerprint != config.fingerprint():
-        warnings.warn(
-            "model was trained under a different preprocessing configuration",
-            FingerprintMismatchWarning,
-            stacklevel=2,
-        )
-
-    def one(post: PostRecord) -> ClassifiedPost:
+    check_fingerprint(model, config)
+    classified = []
+    for post in posts:
         doc = textprep.preprocess(post.text, config)
-        vec = vectorize(doc, model.vocabulary, model.feature_kind)
-        pred = classify.predict(model, vec)
+        pred = classify.predict(model, vectorize(doc, model.vocabulary, model.feature_kind))
         profile = None
         if lexicon is not None and (pred.label == 1 or emotions_for_all):
             profile = emotion.score_emotions(post.text, lexicon)
-        return ClassifiedPost(post=post, label=pred.label, score=pred.score, emotions=profile)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, posts))
-    return [one(post) for post in posts]
+        classified.append(
+            ClassifiedPost(post=post, label=pred.label, score=pred.score, emotions=profile)
+        )
+    return classified
 
 
 def group_of(post: PostRecord, group_map: Mapping[str, str]) -> str:
@@ -471,7 +471,7 @@ def load_group_map(path: str | Path) -> dict[str, str]:
     mapping = {}
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames is None or set(reader.fieldnames) < {"community", "group"}:
+        if reader.fieldnames is None or not {"community", "group"} <= set(reader.fieldnames):
             raise StressKitError(f"{path}: group map needs header community,group")
         for row in reader:
             mapping[row["community"]] = row["group"]

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from stresskit import classify
 from stresskit.classify import (
+    MODEL_FORMAT_VERSION,
     CorruptFile,
     DimensionMismatch,
+    LinearModel,
     LogisticHyper,
-    LogisticModel,
     SingleClassCorpus,
     SvmHyper,
     VersionMismatch,
@@ -19,9 +20,8 @@ from stresskit.classify import (
     load_model,
     logistic_gradient,
     logistic_objective,
+    naive_bayes_estimate,
     predict,
-    predict_nb,
-    predict_proba,
     save_model,
     sigmoid,
     train_logistic,
@@ -36,6 +36,11 @@ def small_vocab(n=2) -> Vocabulary:
     return Vocabulary(tokens=tuple(letters), doc_freq=(1,) * n, n_docs=1)
 
 
+def logistic(bias, weights, vocab) -> LinearModel:
+    return LinearModel("logistic", np.asarray(weights, dtype=float), bias, vocab, "",
+                       LogisticHyper())
+
+
 SEPARABLE = [({0: 1.0}, 1), ({1: 1.0}, 0), ({0: 2.0}, 1), ({1: 2.0}, 0)]
 
 
@@ -44,9 +49,9 @@ SEPARABLE = [({0: 1.0}, 1), ({1: 1.0}, 0), ({0: 2.0}, 1), ({1: 2.0}, 0)]
 def test_zero_epochs_gives_uninformative_model():
     model = train_logistic(SEPARABLE, LogisticHyper(epochs=0), vocabulary=small_vocab())
     assert model.bias == 0.0
-    assert not model.coef.any()
+    assert not model.weights.any()
     for x in ({}, {0: 3.0}, {1: 100.0}):
-        assert predict_proba(model, x) == 0.5
+        assert predict(model, x).score == 0.5
 
 
 def test_separable_toy_reaches_perfect_training_accuracy():
@@ -62,28 +67,36 @@ def test_single_class_rejected():
 
 def test_predict_proba_analytic_points():
     vocab = small_vocab(1)
-    zero = LogisticModel(0.0, np.zeros(1), vocab, "", LogisticHyper())
-    assert predict_proba(zero, {0: 123.0}) == 0.5
-    unit = LogisticModel(0.0, np.array([1.0]), vocab, "", LogisticHyper())
-    assert math.isclose(predict_proba(unit, {0: math.log(3)}), 0.75, abs_tol=1e-12)
-    saturated = LogisticModel(50.0, np.zeros(1), vocab, "", LogisticHyper())
-    assert predict_proba(saturated, {}) >= 1 - 1e-9
+    zero = logistic(0.0, [0.0], vocab)
+    assert predict(zero, {0: 123.0}).score == 0.5
+    unit = logistic(0.0, [1.0], vocab)
+    assert math.isclose(predict(unit, {0: math.log(3)}).score, 0.75, abs_tol=1e-12)
+    saturated = logistic(50.0, [0.0], vocab)
+    assert predict(saturated, {}).score >= 1 - 1e-9
 
 
 def test_decision_rule_tie_goes_to_stressed():
     vocab = small_vocab(1)
-    model = LogisticModel(0.0, np.zeros(1), vocab, "", LogisticHyper())
+    model = logistic(0.0, [0.0], vocab)
     assert predict(model, {}).label == 1  # probability exactly 0.5
-    low = LogisticModel(-0.1, np.zeros(1), vocab, "", LogisticHyper())
+    low = logistic(-0.1, [0.0], vocab)
     assert predict(low, {}).label == 0
-    high = LogisticModel(0.1, np.zeros(1), vocab, "", LogisticHyper())
+    high = logistic(0.1, [0.0], vocab)
     assert predict(high, {}).label == 1
+
+
+def test_decision_rule_uses_the_sign_of_the_decision_value():
+    # The sigmoid of -2**-60 rounds to exactly 0.5; the label follows z < 0.
+    model = logistic(-(2.0 ** -60), [0.0], small_vocab(1))
+    pred = predict(model, {})
+    assert pred.score == 0.5
+    assert pred.label == 0
 
 
 def test_dimension_mismatch():
     model = train_logistic(SEPARABLE, LogisticHyper(epochs=1), vocabulary=small_vocab())
     with pytest.raises(DimensionMismatch):
-        predict_proba(model, {7: 1.0})
+        predict(model, {7: 1.0})
     with pytest.raises(DimensionMismatch):
         train_logistic([({5: 1.0}, 1), ({0: 1.0}, 0)], vocabulary=small_vocab())
 
@@ -145,15 +158,15 @@ def test_training_deterministic():
     a = train_logistic(SEPARABLE, vocabulary=small_vocab())
     b = train_logistic(SEPARABLE, vocabulary=small_vocab())
     assert a.bias == b.bias
-    assert np.array_equal(a.coef, b.coef)
+    assert np.array_equal(a.weights, b.weights)
 
 
 @given(st.floats(min_value=-30, max_value=30), st.floats(min_value=-3, max_value=3))
 def test_probability_complement_under_negated_parameters(bias, x):
     vocab = small_vocab(1)
-    model = LogisticModel(bias, np.array([1.3]), vocab, "", LogisticHyper())
-    negated = LogisticModel(-bias, np.array([-1.3]), vocab, "", LogisticHyper())
-    assert abs(predict_proba(model, {0: x}) + predict_proba(negated, {0: x}) - 1.0) < 1e-12
+    model = logistic(bias, [1.3], vocab)
+    negated = logistic(-bias, [-1.3], vocab)
+    assert abs(predict(model, {0: x}).score + predict(negated, {0: x}).score - 1.0) < 1e-12
 
 
 @given(st.floats(min_value=-700, max_value=700))
@@ -167,21 +180,27 @@ HAND_CORPUS = ["a a", "a b", "a", "b b", "b a", "b"]
 HAND_LABELS = [0, 0, 0, 1, 1, 1]
 
 
-def hand_nb():
+def hand_pairs():
     vocab = fit_vocabulary(HAND_CORPUS)
     pairs = [(vectorize_bow(d, vocab), y) for d, y in zip(HAND_CORPUS, HAND_LABELS)]
+    return pairs, vocab
+
+
+def hand_nb():
+    pairs, vocab = hand_pairs()
     return train_naive_bayes(pairs, 1.0, vocabulary=vocab), vocab
 
 
 def test_nb_hand_corpus_parameters():
-    model, vocab = hand_nb()
+    pairs, vocab = hand_pairs()
+    log_prior, log_likelihood = naive_bayes_estimate(pairs, 1.0, vocab)
     a, b = vocab.index["a"], vocab.index["b"]
     # class 0 token counts: a=4, b=1; alpha=1, V=2 -> P(a|0)=5/7, P(b|0)=2/7
-    assert math.isclose(math.exp(model.log_likelihood[0, a]), 5 / 7, abs_tol=1e-12)
-    assert math.isclose(math.exp(model.log_likelihood[0, b]), 2 / 7, abs_tol=1e-12)
-    assert math.isclose(math.exp(model.log_likelihood[1, a]), 2 / 7, abs_tol=1e-12)
-    assert math.isclose(math.exp(model.log_likelihood[1, b]), 5 / 7, abs_tol=1e-12)
-    assert math.isclose(math.exp(model.log_prior[0]), 0.5, abs_tol=1e-12)
+    assert math.isclose(math.exp(log_likelihood[0, a]), 5 / 7, abs_tol=1e-12)
+    assert math.isclose(math.exp(log_likelihood[0, b]), 2 / 7, abs_tol=1e-12)
+    assert math.isclose(math.exp(log_likelihood[1, a]), 2 / 7, abs_tol=1e-12)
+    assert math.isclose(math.exp(log_likelihood[1, b]), 5 / 7, abs_tol=1e-12)
+    assert math.isclose(math.exp(log_prior[0]), 0.5, abs_tol=1e-12)
 
 
 def test_nb_hand_corpus_posteriors():
@@ -194,7 +213,7 @@ def test_nb_hand_corpus_posteriors():
         ({a: 2.0, b: 1.0}, 2 / 7, 0),
     ]
     for x, p_expected, label in cases:
-        pred = predict_nb(model, x)
+        pred = predict(model, x)
         assert math.isclose(pred.score, p_expected, abs_tol=1e-12)
         assert pred.label == label
 
@@ -203,32 +222,33 @@ def test_nb_empty_vector_uses_priors():
     vocab = small_vocab(1)
     pairs = [({0: 1.0}, 1), ({0: 1.0}, 1), ({0: 1.0}, 0)]
     model = train_naive_bayes(pairs, vocabulary=vocab)
-    assert predict_nb(model, {}).label == 1  # majority prior
+    assert predict(model, {}).label == 1  # majority prior
 
 
 def test_nb_smoothing_keeps_unseen_tokens_positive():
     vocab = fit_vocabulary(["t u", "u"])
     pairs = [(vectorize_bow("t u", vocab), 1), (vectorize_bow("u", vocab), 0)]
-    model = train_naive_bayes(pairs, 1.0, vocabulary=vocab)
+    _, log_likelihood = naive_bayes_estimate(pairs, 1.0, vocab)
     t = vocab.index["t"]
-    p1, p0 = math.exp(model.log_likelihood[1, t]), math.exp(model.log_likelihood[0, t])
+    p1, p0 = math.exp(log_likelihood[1, t]), math.exp(log_likelihood[0, t])
     assert p1 > p0 > 0
 
 
 def test_nb_mirrored_corpus_is_symmetric():
     vocab = fit_vocabulary(["a a b", "b b a"])
     pairs = [(vectorize_bow("a a b", vocab), 0), (vectorize_bow("b b a", vocab), 1)]
-    model = train_naive_bayes(pairs, vocabulary=vocab)
+    log_prior, log_likelihood = naive_bayes_estimate(pairs, 1.0, vocab)
     a, b = vocab.index["a"], vocab.index["b"]
-    assert math.isclose(model.log_prior[0], model.log_prior[1])
-    assert math.isclose(model.log_likelihood[0, a], model.log_likelihood[1, b])
-    assert math.isclose(model.log_likelihood[0, b], model.log_likelihood[1, a])
+    assert math.isclose(log_prior[0], log_prior[1])
+    assert math.isclose(log_likelihood[0, a], log_likelihood[1, b])
+    assert math.isclose(log_likelihood[0, b], log_likelihood[1, a])
 
 
 def test_nb_likelihoods_are_distributions():
-    model, _ = hand_nb()
+    pairs, vocab = hand_pairs()
+    _, log_likelihood = naive_bayes_estimate(pairs, 1.0, vocab)
     for c in (0, 1):
-        assert abs(np.exp(model.log_likelihood[c]).sum() - 1.0) < 1e-9
+        assert abs(np.exp(log_likelihood[c]).sum() - 1.0) < 1e-9
 
 
 @given(
@@ -237,10 +257,10 @@ def test_nb_likelihoods_are_distributions():
 )
 def test_nb_scaling_counts_preserves_argmax_with_equal_priors(x, scale):
     model, _ = hand_nb()  # equal priors by construction
-    delta = classify._nb_log_odds(model, x)
+    delta = decision_value(model, x)
     assume(delta == 0.0 or abs(delta) > 1e-9)  # away from float-blurred ties
     scaled = {i: v * scale for i, v in x.items()}
-    assert predict_nb(model, x).label == predict_nb(model, scaled).label
+    assert predict(model, x).label == predict(model, scaled).label
 
 
 def test_nb_rejects_bad_alpha_and_single_class():
@@ -334,7 +354,7 @@ def test_version_mismatch(tmp_path):
     path = tmp_path / "model.json"
     save_model(trained_models()[0], path)
     doc = json.loads(path.read_text())
-    doc["format_version"] = 2
+    doc["format_version"] = MODEL_FORMAT_VERSION + 1
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(VersionMismatch):
         load_model(path)

@@ -68,6 +68,19 @@ def test_predict_appends_columns(trained_model, tmp_path):
     float(rows[1][-1])  # probability parses
 
 
+def test_predict_svm_writes_plain_margins(tmp_path):
+    model = tmp_path / "svm.json"
+    assert run(["train", FIXTURES / "labeled_train.csv", "--classifier", "svm",
+                "--model-out", model]) == 0
+    out = tmp_path / "pred.csv"
+    assert run(["predict", model, FIXTURES / "posts_100.csv", "--out", out]) == 0
+    with open(out, newline="") as handle:
+        rows = list(csv.reader(handle))
+    for row in rows[1:]:
+        margin = float(row[-1])  # a repr of a numpy scalar would not parse
+        assert row[-2] == ("1" if margin >= 0 else "0")
+
+
 def test_predict_empty_corpus_header_only(trained_model, write_csv, tmp_path):
     src = write_csv([["id", "date", "title", "text", "score", "tag", "community", "kind"]])
     out = tmp_path / "pred.csv"
@@ -103,7 +116,7 @@ def test_analyze_full_fixture(trained_model, tmp_path, capsys):
     outdir = tmp_path / "reports"
     code = run(
         ["analyze", trained_model, FIXTURES / "posts_100.csv",
-         "--mapping", FIXTURES / "communities.csv", "--out-dir", outdir, "--jobs", "2"]
+         "--mapping", FIXTURES / "communities.csv", "--out-dir", outdir]
     )
     assert code == 0
     report = json.loads((outdir / "report.json").read_text())
@@ -125,6 +138,16 @@ def test_analyze_format_json_only(trained_model, tmp_path):
     assert code == 0
     assert (outdir / "report.json").exists()
     assert not (outdir / "summary.csv").exists()
+
+
+def test_analyze_mapping_without_required_columns_is_data_error(
+    trained_model, write_csv, tmp_path, capsys
+):
+    mapping = write_csv([["foo", "bar"], ["r/PhD", "PhD students"]], name="mapping.csv")
+    code = run(["analyze", trained_model, FIXTURES / "posts_100.csv",
+                "--mapping", mapping, "--out-dir", tmp_path / "reports"])
+    assert code == 2
+    assert "community,group" in capsys.readouterr().err
 
 
 def test_analyze_empty_posts_valid_report(trained_model, write_csv, tmp_path):
@@ -171,6 +194,14 @@ def test_annotate_excludes_high_outlier_annotator(write_csv, tmp_path):
     assert code == 0
     summary = json.loads((tmp_path / "annotation_summary.json").read_text())
     assert summary["excluded"] == [{"annotator": "a5", "rate": 0.41}]
+
+
+def test_annotate_weights_without_required_columns_is_data_error(write_csv, tmp_path, capsys):
+    weights = write_csv([["foo", "bar"], ["a1", "2.0"]], name="weights.csv")
+    code = run(["annotate", FIXTURES / "annotations.csv", "--weights", weights,
+                "--out-dir", tmp_path])
+    assert code == 2
+    assert "annotator_id,weight" in capsys.readouterr().err
 
 
 def test_annotate_threshold_above_one_is_usage_error(write_csv):

@@ -85,14 +85,6 @@ def test_classify_corpus_title_joined_with_body(config):
     assert split_across[0].score == joined[0].score
 
 
-def test_classify_corpus_jobs_preserve_output(config):
-    model = toy_model(config)
-    posts = [post(i=i, body="stress deadline" if i % 2 else "calm garden") for i in range(20)]
-    serial = classify_corpus(model, posts, config)
-    parallel = classify_corpus(model, posts, config, jobs=4)
-    assert [(c.label, c.score) for c in serial] == [(c.label, c.score) for c in parallel]
-
-
 def test_fingerprint_mismatch_warns(config):
     model = toy_model(config)
     other = textprep.PipelineConfig(stopwords=config.stopwords, stemmer="none")
