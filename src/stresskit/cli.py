@@ -99,8 +99,7 @@ def build_parser() -> Parser:
     p.add_argument("--top-n", type=_positive_int, default=10)
     p.set_defaults(handler=cmd_analyze)
 
-    p = sub.add_parser("annotate",
-                       help="aggregate an annotation sheet into consensus labels")
+    p = sub.add_parser("annotate", help="aggregate an annotation sheet into consensus labels")
     p.add_argument("annotations_csv")
     p.add_argument("--weights", help="annotator_id,weight CSV (default: all 1.0)")
     p.add_argument("--threshold", type=_threshold, default=0.40,
@@ -108,8 +107,7 @@ def build_parser() -> Parser:
     p.add_argument("--out-dir", default=".")
     p.set_defaults(handler=cmd_annotate)
 
-    p = sub.add_parser("emotions",
-                       help="emotion-profile a CSV of texts or posts")
+    p = sub.add_parser("emotions", help="emotion-profile a CSV of texts or posts")
     p.add_argument("input_csv")
     p.add_argument("--lexicon", help="emotion lexicon TSV (default: vendored)")
     p.add_argument("--out", default="emotions.csv")
