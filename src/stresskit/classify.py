@@ -6,6 +6,9 @@ return one LinearModel that decides on bias + weights . x.
 
 Models persist as single self-describing JSON documents (format 2; format 1
 files still load); load(save(m)) reproduces predictions bit-identically.
+
+scipy is imported only when a trainer assembles its design matrix, so
+loading a model and predicting never pay for it.
 """
 
 from __future__ import annotations
@@ -14,13 +17,15 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import StressKitError
 from .features import FeatureVector, Vocabulary
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 MODEL_FORMAT_VERSION = 2
 
@@ -101,6 +106,8 @@ def _assemble(
     examples: Sequence[tuple[FeatureVector, int]],
     n_features: int,
 ) -> tuple[csr_matrix, np.ndarray]:
+    from scipy.sparse import csr_matrix
+
     data, indices, indptr = [], [], [0]
     labels = []
     for vec, label in examples:
@@ -131,22 +138,30 @@ def sigmoid(z: float) -> float:
     return e / (1.0 + e)
 
 
-def logistic_objective(bias: float, coef: np.ndarray, X: csr_matrix, y: np.ndarray, l2: float) -> float:
-    """Average binary cross-entropy plus (l2/2)*||coef||^2 (bias excluded)."""
-    z = X.dot(coef) + bias
+def _objective_at(z: np.ndarray, coef: np.ndarray, y: np.ndarray, l2: float) -> float:
     bce = float(np.mean(np.logaddexp(0.0, z) - y * z))
     return bce + 0.5 * l2 * float(coef @ coef)
 
 
-def logistic_gradient(
-    bias: float, coef: np.ndarray, X: csr_matrix, y: np.ndarray, l2: float
+def _gradient_at(
+    z: np.ndarray, coef: np.ndarray, X: csr_matrix, y: np.ndarray, l2: float
 ) -> tuple[float, np.ndarray]:
-    z = X.dot(coef) + bias
     p = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
     residual = p - y
     grad_coef = X.T.dot(residual) / len(y) + l2 * coef
     grad_bias = float(np.mean(residual))
     return grad_bias, grad_coef
+
+
+def logistic_objective(bias: float, coef: np.ndarray, X: csr_matrix, y: np.ndarray, l2: float) -> float:
+    """Average binary cross-entropy plus (l2/2)*||coef||^2 (bias excluded)."""
+    return _objective_at(X.dot(coef) + bias, coef, y, l2)
+
+
+def logistic_gradient(
+    bias: float, coef: np.ndarray, X: csr_matrix, y: np.ndarray, l2: float
+) -> tuple[float, np.ndarray]:
+    return _gradient_at(X.dot(coef) + bias, coef, X, y, l2)
 
 
 def train_logistic(
@@ -161,7 +176,9 @@ def train_logistic(
 
     The training-loss trajectory must be non-increasing; if an epoch raises
     the loss the learning rate is halved and training restarts, up to 8
-    halvings, after which TrainingDiverged is raised.
+    halvings, after which TrainingDiverged is raised. Each epoch computes
+    X . coef once: the decision values behind one epoch's loss are the next
+    epoch's gradient input.
     """
     X, y = _assemble(examples, vocabulary.size)
     _check_two_classes(y)
@@ -169,13 +186,15 @@ def train_logistic(
     for _ in range(9):  # initial rate plus up to 8 halvings
         bias = 0.0
         coef = np.zeros(vocabulary.size)
-        previous = logistic_objective(bias, coef, X, y, hyper.l2)
+        z = X.dot(coef) + bias
+        previous = _objective_at(z, coef, y, hyper.l2)
         diverged = False
         for _epoch in range(hyper.epochs):
-            grad_bias, grad_coef = logistic_gradient(bias, coef, X, y, hyper.l2)
+            grad_bias, grad_coef = _gradient_at(z, coef, X, y, hyper.l2)
             bias -= lr * grad_bias
             coef -= lr * grad_coef
-            loss = logistic_objective(bias, coef, X, y, hyper.l2)
+            z = X.dot(coef) + bias
+            loss = _objective_at(z, coef, y, hyper.l2)
             if loss > previous + 1e-12:
                 diverged = True
                 break

@@ -8,9 +8,12 @@ All randomness is seeded via --seed (default 42) and recorded in outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import logging
+import math
+import os
 import sys
 import time
 import warnings
@@ -34,13 +37,34 @@ class Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _threshold(text: str) -> float:
+def _finite_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _threshold(text: str) -> float:
+    value = _finite_float(text)
     if not 0 < value <= 1:
         raise argparse.ArgumentTypeError("threshold must be in (0, 1]")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError("must be greater than 0")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must not be negative")
     return value
 
 
@@ -71,14 +95,15 @@ def build_parser() -> Parser:
     p.add_argument("--features", choices=("bow", "tfidf"), default="bow")
     p.add_argument("--model-out", default="model.json")
     p.add_argument("--eval", dest="eval_csv", help="held-out labeled CSV to evaluate on")
-    p.add_argument("--lr", type=float, default=0.1, help="logistic learning rate")
-    p.add_argument("--epochs", type=int, default=500, help="logistic epochs")
-    p.add_argument("--l2", type=float, default=1e-4, help="logistic L2 strength")
-    p.add_argument("--alpha", type=float, default=1.0, help="naive bayes smoothing")
-    p.add_argument("--lam", type=float, default=1e-4, help="svm regularization")
-    p.add_argument("--svm-epochs", type=int, default=10, help="svm passes over the data")
-    p.add_argument("--min-df", type=int, default=1)
-    p.add_argument("--max-vocab", type=int, default=None)
+    p.add_argument("--lr", type=_positive_float, default=0.1, help="logistic learning rate")
+    p.add_argument("--epochs", type=_positive_int, default=500, help="logistic epochs")
+    p.add_argument("--l2", type=_nonnegative_float, default=1e-4, help="logistic L2 strength")
+    p.add_argument("--alpha", type=_positive_float, default=1.0, help="naive bayes smoothing")
+    p.add_argument("--lam", type=_positive_float, default=1e-4, help="svm regularization")
+    p.add_argument("--svm-epochs", type=_positive_int, default=10,
+                   help="svm passes over the data")
+    p.add_argument("--min-df", type=_positive_int, default=1)
+    p.add_argument("--max-vocab", type=_positive_int, default=None)
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("predict", parents=[loading], help="classify a posts CSV")
@@ -131,6 +156,20 @@ def _require(path: str, what: str) -> Path:
     if not p.exists():
         raise StressKitError(f"{what} not found: {path}")
     return p
+
+
+@contextlib.contextmanager
+def _atomic_output(path: str):
+    """A text file that appears at `path` only when the block succeeds; on
+    failure, whatever was at `path` before is left as it was."""
+    target = Path(path)
+    partial = target.with_name(f".{target.name}.{os.getpid()}.partial")
+    try:
+        with open(partial, "w", newline="", encoding="utf-8") as handle:
+            yield handle
+        os.replace(partial, target)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def _lexicon(args) -> emotion.EmotionLexicon:
@@ -212,7 +251,7 @@ def cmd_predict(args) -> int:
     config = _pipeline_config(args)
     report.check_fingerprint(model, config)
     summary = corpus.LoadSummary()
-    with open(args.out, "w", newline="", encoding="utf-8") as handle:
+    with _atomic_output(args.out) as handle:
         writer = None
         for fieldnames, raw, record, reason in corpus.iter_post_rows(args.posts_csv):
             if writer is None:
@@ -335,7 +374,7 @@ def cmd_emotions(args) -> int:
         fields = reader.fieldnames or []
         if fields and "text" not in fields:
             raise StressKitError(f"{args.input_csv}: no 'text' column in header")
-        with open(args.out, "w", newline="", encoding="utf-8") as handle:
+        with _atomic_output(args.out) as handle:
             writer = csv.writer(handle)
             writer.writerow(["id", "anger", "fear", "sadness", "disgust", "surprise",
                              "prevailing"])
@@ -392,6 +431,11 @@ def main(argv: list[str] | None = None) -> int:
             return args.handler(args)
         except (StressKitError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DATA
+        except UnicodeDecodeError as exc:
+            byte = exc.object[exc.start]
+            print(f"error: input is not UTF-8 text: byte 0x{byte:02x} ({exc.reason})",
+                  file=sys.stderr)
             return EXIT_DATA
 
 

@@ -15,6 +15,7 @@ import json
 import logging
 import statistics
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -54,6 +55,7 @@ class ClassifiedPost:
     label: int
     score: float  # probability (logistic, naive bayes) or margin (svm)
     emotions: emotion.EmotionProfile | None = None
+    tokens: tuple[str, ...] | None = None  # preprocessed text, as classified
 
 
 @dataclass(frozen=True)
@@ -131,8 +133,9 @@ def classify_corpus(
     emotions_for_all: bool = False,
 ) -> list[ClassifiedPost]:
     """One ClassifiedPost per input, in order. Classification input text is
-    the title and body joined with one space. Emotion profiles are computed
-    for stressed posts only unless emotions_for_all is set."""
+    the title and body joined with one space; its preprocessed tokens are
+    kept on the result. Emotion profiles are computed for stressed posts
+    only unless emotions_for_all is set."""
     check_fingerprint(model, config)
     classified = []
     for post in posts:
@@ -142,7 +145,8 @@ def classify_corpus(
         if lexicon is not None and (pred.label == 1 or emotions_for_all):
             profile = emotion.score_emotions(post.text, lexicon)
         classified.append(
-            ClassifiedPost(post=post, label=pred.label, score=pred.score, emotions=profile)
+            ClassifiedPost(post=post, label=pred.label, score=pred.score, emotions=profile,
+                           tokens=tuple(doc.split()))
         )
     return classified
 
@@ -228,15 +232,18 @@ def top_words(
     config: textprep.PipelineConfig,
 ) -> list[tuple[str, int]]:
     """Most frequent preprocessed tokens over stressed texts; count
-    descending, ties alphabetical."""
+    descending, ties alphabetical. An item's carried tokens are counted as
+    they are; an item without them is preprocessed under `config`."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    counts: dict[str, int] = {}
+    counts: Counter[str] = Counter()
     for item in classified:
         if item.label != 1:
             continue
-        for token in textprep.preprocess(item.post.text, config).split():
-            counts[token] = counts.get(token, 0) + 1
+        tokens = item.tokens
+        if tokens is None:
+            tokens = textprep.preprocess(item.post.text, config).split()
+        counts.update(tokens)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked[:n]
 

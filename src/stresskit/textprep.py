@@ -5,6 +5,10 @@ Every stage is a pure function so each can be tested on its own; `preprocess`
 is exactly their composition. The character-removal stage keeps letters,
 digits, whitespace and apostrophes and turns everything else (including
 HTML tags, '@' and '_') into single spaces.
+
+A token's Porter stem depends on nothing else, so `stem` memoizes stems in
+one dict per process, shared by every configuration: each distinct token is
+stemmed once.
 """
 
 from __future__ import annotations
@@ -102,10 +106,21 @@ def remove_stopwords(tokens: TokenList, config: PipelineConfig) -> TokenList:
     return [t for t in tokens if t not in config.stopwords]
 
 
+class _StemMemo(dict):
+    """token -> Porter stem, filled on first lookup."""
+
+    def __missing__(self, token: str) -> str:
+        stemmed = self[token] = porter.stem_word(token)
+        return stemmed
+
+
+_STEMS = _StemMemo()
+
+
 def stem(tokens: TokenList, config: PipelineConfig) -> TokenList:
     if config.stemmer == "none":
         return list(tokens)
-    return [porter.stem_word(t) for t in tokens]
+    return [_STEMS[t] for t in tokens]
 
 
 def preprocess_stages(text: str, config: PipelineConfig) -> dict[str, object]:

@@ -1,11 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from stresskit import cli
 
-from conftest import FIXTURES
+from conftest import FIXTURES, REPO_ROOT
+
+GOLDEN_MODEL = REPO_ROOT / "tests" / "golden" / "model_logistic.json"
 
 
 @pytest.fixture(scope="session")
@@ -255,3 +260,107 @@ def test_stats_reports_counts(capsys):
     stats = json.loads(stats_json)
     assert stats["record_count"] == 100
     assert sum(stats["per_community"].values()) == 100
+
+
+# ------------------------------------------------ exit-code contract, imports
+
+@pytest.mark.parametrize(
+    "option,value",
+    [("--lr", "nan"), ("--lr", "0"), ("--lr", "inf"), ("--alpha", "0"), ("--alpha", "-1"),
+     ("--lam", "0"), ("--l2", "-1e-4"), ("--l2", "nan"), ("--epochs", "-3"),
+     ("--epochs", "0"), ("--svm-epochs", "-1"), ("--min-df", "0"), ("--max-vocab", "0")],
+)
+def test_train_bad_hyperparameter_is_usage_error(option, value, tmp_path):
+    model = tmp_path / "m.json"
+    with pytest.raises(SystemExit) as err:
+        run(["train", FIXTURES / "labeled_train.csv", f"{option}={value}", "--model-out", model])
+    assert err.value.code == 64
+    assert not model.exists()
+
+
+def test_train_accepts_zero_l2(tmp_path):
+    assert run(["train", FIXTURES / "labeled_train.csv", "--l2", "0", "--epochs", "5",
+                "--model-out", tmp_path / "m.json"]) == 0
+
+
+def with_latin1_byte(src, dst):
+    """Copy src to dst with the Latin-1 byte for 'é' ending its last row, so
+    a reader fails only after the earlier rows."""
+    data = src.read_bytes()
+    cut = len(data.rstrip(b"\r\n"))
+    dst.write_bytes(data[:cut] + b"\xe9" + data[cut:])
+    return dst
+
+
+@pytest.mark.parametrize(
+    "argv,bad,output",
+    [
+        (["train", "{bad}", "--model-out", "{out}"], "labeled_train.csv", "m.json"),
+        (["train", FIXTURES / "labeled_train.csv", "--eval", "{bad}", "--model-out", "{out}"],
+         "labeled_eval.csv", None),
+        (["predict", GOLDEN_MODEL, "{bad}", "--out", "{out}"], "posts_100.csv", "p.csv"),
+        (["analyze", GOLDEN_MODEL, "{bad}", "--out-dir", "{out}"], "posts_100.csv", "reports"),
+        (["analyze", GOLDEN_MODEL, FIXTURES / "posts_100.csv", "--mapping", "{bad}",
+          "--out-dir", "{out}"], "communities.csv", "reports"),
+        (["annotate", "{bad}", "--out-dir", "{out}"], "annotations.csv", "annotation"),
+        (["annotate", FIXTURES / "annotations.csv", "--weights", "{bad}", "--out-dir", "{out}"],
+         "weights.csv", "annotation"),
+        (["emotions", "{bad}", "--out", "{out}"], "posts_100.csv", "e.csv"),
+        (["stats", "{bad}"], "posts_100.csv", None),
+    ],
+    ids=["train", "train-eval", "predict", "analyze", "analyze-mapping", "annotate",
+         "annotate-weights", "emotions", "stats"],
+)
+def test_non_utf8_input_is_data_error(argv, bad, output, tmp_path, capsys):
+    bad_path = with_latin1_byte(FIXTURES / bad, tmp_path / f"bad_{bad}")
+    out = tmp_path / (output or "unused")
+    filled = [str(a).replace("{bad}", str(bad_path)).replace("{out}", str(out)) for a in argv]
+    assert cli.main(filled) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "UTF-8" in err
+    if output is not None:
+        assert not out.exists()
+
+
+def test_predict_failure_leaves_no_output_and_keeps_an_earlier_file(
+    trained_model, write_csv, tmp_path
+):
+    header = ["id", "date", "title", "text", "score", "tag", "community", "kind"]
+    good = [[f"p{i}", "2023-01-01", "", "deadline panic", "1", "", "r/PhD", "post"]
+            for i in range(3)]
+    bad = ["p4", "not a date", "", "deadline panic", "1", "", "r/PhD", "post"]
+    src = write_csv([header, *good, bad])
+    out = tmp_path / "predictions.csv"
+    assert run(["predict", trained_model, src, "--out", out]) == 2
+    assert not out.exists()
+    out.write_text("earlier output\n", encoding="utf-8")
+    assert run(["predict", trained_model, src, "--out", out]) == 2
+    assert out.read_text(encoding="utf-8") == "earlier output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "predictions.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv,loads_scipy",
+    [
+        (["predict", GOLDEN_MODEL, FIXTURES / "posts_100.csv", "--out", "p.csv"], False),
+        (["analyze", GOLDEN_MODEL, FIXTURES / "posts_100.csv", "--out-dir", "reports"], False),
+        (["annotate", FIXTURES / "annotations.csv", "--out-dir", "annotation"], False),
+        (["emotions", FIXTURES / "posts_100.csv", "--out", "e.csv"], False),
+        (["stats", FIXTURES / "posts_100.csv"], False),
+        (["train", FIXTURES / "labeled_train.csv", "--epochs", "5"], True),
+    ],
+    ids=["predict", "analyze", "annotate", "emotions", "stats", "train"],
+)
+def test_only_train_imports_scipy(argv, loads_scipy, tmp_path):
+    script = (
+        "import sys\n"
+        "from stresskit import cli\n"
+        f"assert cli.main({[str(a) for a in argv]!r}) == 0\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    pythonpath = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"),
+                                               os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": pythonpath})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == str(loads_scipy)

@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import math
+from collections import Counter
 from datetime import datetime, timezone
 
 import pytest
 
-from stresskit import classify, emotion, features, report, textprep
+from stresskit import classify, corpus, emotion, features, report, textprep
 from stresskit.corpus import PostRecord
 from stresskit.errors import FingerprintMismatchWarning
 from stresskit.report import (
@@ -22,6 +24,8 @@ from stresskit.report import (
     top_words,
     upvote_stats,
 )
+
+from conftest import REPO_ROOT
 
 
 def post(i=0, community="r/PhD", score=0, month=9, title="", body="text body", year=2022):
@@ -181,6 +185,23 @@ def test_top_words_shuffle_invariant(config):
     a = top_words(items, 5, config)
     b = top_words(list(reversed(items)), 5, config)
     assert a == b
+
+
+def test_top_words_from_carried_tokens_match_a_preprocess_recount(fixtures_dir, config):
+    model = classify.load_model(REPO_ROOT / "tests" / "golden" / "model_logistic.json")
+    posts = corpus.load_posts(fixtures_dir / "posts_100.csv")
+    classified = classify_corpus(model, posts, config)
+    assert all(item.tokens is not None for item in classified)
+    assert 0 < sum(item.label for item in classified) < len(classified)
+    recount = Counter()
+    for item in classified:
+        if item.label == 1:
+            recount.update(textprep.preprocess(item.post.text, config).split())
+    expected = sorted(recount.items(), key=lambda kv: (-kv[1], kv[0]))
+    n = len(expected)
+    assert top_words(classified, n, config) == expected
+    bare = [dataclasses.replace(item, tokens=None) for item in classified]
+    assert top_words(bare, n, config) == expected
 
 
 # ----------------------------------------------------------------- emotion

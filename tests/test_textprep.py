@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stresskit import textprep
+from stresskit import porter, textprep
 from stresskit.textprep import (
     PipelineConfig,
     lowercase,
@@ -13,6 +13,8 @@ from stresskit.textprep import (
     strip_noncharacters,
     tokenize,
 )
+
+from test_porter import REFERENCE_OUT, REFERENCE_VOC
 
 text_strategy = st.text(max_size=200)
 
@@ -49,6 +51,25 @@ def test_stem_examples(config):
 def test_stem_preserves_length(config):
     tokens = ["running", "cats", "don't", "a", "happiness"]
     assert len(stem(tokens, config)) == len(tokens)
+
+
+def test_stem_memo_matches_porter_cold_and_warm(config, monkeypatch):
+    monkeypatch.setattr(textprep, "_STEMS", textprep._StemMemo())
+    real = porter.stem_word
+    calls = []
+    monkeypatch.setattr(porter, "stem_word", lambda word: calls.append(word) or real(word))
+    tokens = REFERENCE_VOC + REFERENCE_VOC[::-1]
+    expected = [real(t) for t in tokens]
+    assert expected == REFERENCE_OUT + REFERENCE_OUT[::-1]
+    assert stem(tokens, config) == expected  # cold: every stem computed
+    assert stem(tokens, config) == expected  # warm: every stem from the memo
+    assert sorted(calls) == sorted(set(REFERENCE_VOC))  # once per distinct token
+
+
+def test_stem_memo_does_not_leak_into_unstemmed_config(config):
+    stem(["running", "knives"], config)
+    unstemmed = PipelineConfig(stopwords=config.stopwords, stemmer="none")
+    assert stem(["running", "knives"], unstemmed) == ["running", "knives"]
 
 
 def test_preprocess_examples(config):
