@@ -14,6 +14,7 @@ import csv
 import json
 import logging
 import statistics
+import sys
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -134,8 +135,9 @@ def classify_corpus(
 ) -> list[ClassifiedPost]:
     """One ClassifiedPost per input, in order. Classification input text is
     the title and body joined with one space; its preprocessed tokens are
-    kept on the result. Emotion profiles are computed for stressed posts
-    only unless emotions_for_all is set."""
+    kept on the result, interned so that posts share one string per distinct
+    token. Emotion profiles are computed for stressed posts only unless
+    emotions_for_all is set."""
     check_fingerprint(model, config)
     classified = []
     for post in posts:
@@ -146,7 +148,7 @@ def classify_corpus(
             profile = emotion.score_emotions(post.text, lexicon)
         classified.append(
             ClassifiedPost(post=post, label=pred.label, score=pred.score, emotions=profile,
-                           tokens=tuple(doc.split()))
+                           tokens=tuple(map(sys.intern, doc.split())))
         )
     return classified
 
