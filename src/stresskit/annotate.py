@@ -19,7 +19,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import StressKitError
+from .errors import StressKitError, open_text
 
 log = logging.getLogger(__name__)
 
@@ -258,7 +258,7 @@ def load_annotations(
     weights: Mapping[str, float] | None = None,
 ) -> AnnotationMatrix:
     """CSV with header item_id,text,<annotator>...; blank cell = missing."""
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -306,7 +306,7 @@ def load_annotations(
 def load_weights(path: str | Path) -> dict[str, float]:
     """Sidecar CSV annotator_id,weight; absent annotators default to 1.0."""
     weights = {}
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or not {"annotator_id", "weight"} <= set(reader.fieldnames):
             raise BadScore(f"{path}: weights file needs header annotator_id,weight")

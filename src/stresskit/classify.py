@@ -2,13 +2,11 @@
 (full-batch gradient descent), multinomial Naive Bayes with Laplace
 smoothing, and a linear SVM trained by pegasos-style stochastic subgradient
 descent. All trainers are deterministic given their seeds, and all three
-return one LinearModel that decides on bias + weights . x.
+return one LinearModel that decides on bias + weights . x. They share one
+design matrix, a sparse row store in plain numpy arrays.
 
 Models persist as single self-describing JSON documents (format 2; format 1
 files still load); load(save(m)) reproduces predictions bit-identically.
-
-scipy is imported only when a trainer assembles its design matrix, so
-loading a model and predicting never pay for it.
 """
 
 from __future__ import annotations
@@ -17,15 +15,12 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import StressKitError
 from .features import FeatureVector, Vocabulary
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
 
 MODEL_FORMAT_VERSION = 2
 
@@ -102,12 +97,33 @@ class Prediction:
     label: int
 
 
+@dataclass(frozen=True)
+class _SparseRows:
+    """Compressed sparse rows: row k's entries are data[indptr[k]:indptr[k+1]]
+    at columns indices[...]; rows[e] is the row of entry e. Both products add
+    in entry order starting from 0.0, as a loop over the rows would."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    rows: np.ndarray
+    shape: tuple[int, int]
+
+    def dot(self, w: np.ndarray) -> np.ndarray:
+        """X . w"""
+        return np.bincount(self.rows, weights=self.data * np.take(w, self.indices),
+                           minlength=self.shape[0])
+
+    def tdot(self, r: np.ndarray) -> np.ndarray:
+        """X^T . r"""
+        per_entry = np.repeat(r, np.diff(self.indptr))  # r[rows], without the gather
+        return np.bincount(self.indices, weights=self.data * per_entry, minlength=self.shape[1])
+
+
 def _assemble(
     examples: Sequence[tuple[FeatureVector, int]],
     n_features: int,
-) -> tuple[csr_matrix, np.ndarray]:
-    from scipy.sparse import csr_matrix
-
+) -> tuple[_SparseRows, np.ndarray]:
     data, indices, indptr = [], [], [0]
     labels = []
     for vec, label in examples:
@@ -118,8 +134,12 @@ def _assemble(
             data.append(v)
         indptr.append(len(indices))
         labels.append(label)
-    X = csr_matrix(
-        (np.asarray(data, dtype=float), indices, indptr),
+    indptr = np.asarray(indptr, dtype=np.intp)
+    X = _SparseRows(
+        data=np.asarray(data, dtype=float),
+        indices=np.asarray(indices, dtype=np.intp),
+        indptr=indptr,
+        rows=np.repeat(np.arange(len(examples)), np.diff(indptr)),
         shape=(len(examples), n_features),
     )
     y = np.asarray(labels, dtype=float)
@@ -144,22 +164,22 @@ def _objective_at(z: np.ndarray, coef: np.ndarray, y: np.ndarray, l2: float) -> 
 
 
 def _gradient_at(
-    z: np.ndarray, coef: np.ndarray, X: csr_matrix, y: np.ndarray, l2: float
+    z: np.ndarray, coef: np.ndarray, X: _SparseRows, y: np.ndarray, l2: float
 ) -> tuple[float, np.ndarray]:
     p = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
     residual = p - y
-    grad_coef = X.T.dot(residual) / len(y) + l2 * coef
+    grad_coef = X.tdot(residual) / len(y) + l2 * coef
     grad_bias = float(np.mean(residual))
     return grad_bias, grad_coef
 
 
-def logistic_objective(bias: float, coef: np.ndarray, X: csr_matrix, y: np.ndarray, l2: float) -> float:
+def logistic_objective(bias: float, coef: np.ndarray, X: _SparseRows, y: np.ndarray, l2: float) -> float:
     """Average binary cross-entropy plus (l2/2)*||coef||^2 (bias excluded)."""
     return _objective_at(X.dot(coef) + bias, coef, y, l2)
 
 
 def logistic_gradient(
-    bias: float, coef: np.ndarray, X: csr_matrix, y: np.ndarray, l2: float
+    bias: float, coef: np.ndarray, X: _SparseRows, y: np.ndarray, l2: float
 ) -> tuple[float, np.ndarray]:
     return _gradient_at(X.dot(coef) + bias, coef, X, y, l2)
 
@@ -231,7 +251,7 @@ def naive_bayes_estimate(
     for c in (0, 1):
         mask = y == c
         log_prior[c] = math.log(mask.sum() / len(y))
-        counts = np.asarray(X[mask].sum(axis=0)).ravel()
+        counts = X.tdot(mask.astype(float))  # column sums over the rows of class c
         log_likelihood[c] = np.log(counts + alpha) - math.log(counts.sum() + alpha * V)
     return log_prior, log_likelihood
 
@@ -285,11 +305,14 @@ def train_svm(
         for idx in rng.permutation(n):
             t += 1
             eta = 1.0 / (hyper.lam * t)
-            row = X.getrow(idx)
-            margin = y[idx] * (row.dot(w)[0] + b)
+            lo, hi = X.indptr[idx], X.indptr[idx + 1]
+            cols, vals = X.indices[lo:hi], X.data[lo:hi]
+            # accumulate adds in entry order, as the row loop of a CSR product does
+            row_dot = np.add.accumulate(vals * w[cols])[-1] if hi > lo else 0.0
+            margin = y[idx] * (row_dot + b)
             w *= 1.0 - eta * hyper.lam
             if margin < 1.0:
-                w[row.indices] += eta * y[idx] * row.data
+                w[cols] += eta * y[idx] * vals
                 b += eta * y[idx]
             norm = float(np.linalg.norm(w))
             if norm > radius:

@@ -20,7 +20,7 @@ import warnings
 from pathlib import Path
 
 from . import annotate, classify, corpus, emotion, evaluate, features, report, textprep
-from .errors import StressKitError
+from .errors import StressKitError, open_text
 
 log = logging.getLogger("stresskit")
 
@@ -160,14 +160,19 @@ def _require(path: str, what: str) -> Path:
 
 @contextlib.contextmanager
 def _atomic_output(path: str):
-    """A text file that appears at `path` only when the block succeeds; on
-    failure, whatever was at `path` before is left as it was."""
+    """Yield a temporary path beside `path` for the block to write. The file
+    appears at `path` only when the block succeeds; on failure, whatever was
+    at `path` before is left as it was. OS errors name `path`, not the
+    temporary file."""
     target = Path(path)
     partial = target.with_name(f".{target.name}.{os.getpid()}.partial")
     try:
-        with open(partial, "w", newline="", encoding="utf-8") as handle:
-            yield handle
+        yield partial
         os.replace(partial, target)
+    except OSError as exc:
+        if str(exc.filename) != str(partial):
+            raise
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     finally:
         partial.unlink(missing_ok=True)
 
@@ -185,6 +190,10 @@ def cmd_train(args) -> int:
     examples, summary = corpus.load_labeled_with_summary(args.train_csv)
     if args.summary:
         print(summary.to_json())
+    held_out = None
+    if args.eval_csv:  # read before training, so a bad file leaves no model behind
+        _require(args.eval_csv, "evaluation file")
+        held_out = corpus.load_labeled(args.eval_csv)
     docs = [textprep.preprocess(ex.text, config) for ex in examples]
     vocab = features.fit_vocabulary(docs, min_df=args.min_df, max_size=args.max_vocab)
     pairs = [
@@ -220,14 +229,13 @@ def cmd_train(args) -> int:
             feature_kind=args.features,
         )
     elapsed = time.perf_counter() - started
-    classify.save_model(model, args.model_out)
+    with _atomic_output(args.model_out) as partial:
+        classify.save_model(model, partial)
     print(
         f"trained {args.classifier} ({args.features}) on {len(examples)} examples, "
         f"vocabulary {vocab.size}, {elapsed:.1f}s -> {args.model_out}"
     )
-    if args.eval_csv:
-        _require(args.eval_csv, "evaluation file")
-        held_out = corpus.load_labeled(args.eval_csv)
+    if held_out is not None:
         predicted = [
             classify.predict(model, features.vectorize(
                 textprep.preprocess(ex.text, config), vocab, args.features)).label
@@ -251,7 +259,8 @@ def cmd_predict(args) -> int:
     config = _pipeline_config(args)
     report.check_fingerprint(model, config)
     summary = corpus.LoadSummary()
-    with _atomic_output(args.out) as handle:
+    with _atomic_output(args.out) as partial, \
+            open(partial, "w", newline="", encoding="utf-8") as handle:
         writer = None
         for fieldnames, raw, record, reason in corpus.iter_post_rows(args.posts_csv):
             if writer is None:
@@ -270,7 +279,7 @@ def cmd_predict(args) -> int:
             writer.writerow([*(raw.get(f, "") for f in fieldnames), pred.label, repr(pred.score)])
             summary.rows_kept += 1
         if writer is None:  # empty input: still emit a header
-            with open(args.posts_csv, newline="", encoding="utf-8") as src:
+            with open_text(args.posts_csv) as src:
                 header = next(csv.reader(src), [])
             csv.writer(handle).writerow([*header, "label", "probability"])
     if args.summary:
@@ -369,12 +378,13 @@ def cmd_emotions(args) -> int:
     _require(args.input_csv, "input file")
     lexicon = _lexicon(args)
     negative = list(emotion.NEGATIVE_AFFECTS)
-    with open(args.input_csv, newline="", encoding="utf-8") as src:
+    with open_text(args.input_csv) as src:
         reader = csv.DictReader(src)
         fields = reader.fieldnames or []
         if fields and "text" not in fields:
             raise StressKitError(f"{args.input_csv}: no 'text' column in header")
-        with _atomic_output(args.out) as handle:
+        with _atomic_output(args.out) as partial, \
+                open(partial, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(["id", "anger", "fear", "sadness", "disgust", "surprise",
                              "prevailing"])
@@ -431,11 +441,6 @@ def main(argv: list[str] | None = None) -> int:
             return args.handler(args)
         except (StressKitError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        except UnicodeDecodeError as exc:
-            byte = exc.object[exc.start]
-            print(f"error: input is not UTF-8 text: byte 0x{byte:02x} ({exc.reason})",
-                  file=sys.stderr)
             return EXIT_DATA
 
 

@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import StressKitError
+from .errors import StressKitError, open_text
 from . import textprep
 
 log = logging.getLogger(__name__)
@@ -155,7 +155,7 @@ def _resolve_schema(
 
 
 def _open_rows(path: str | Path):
-    handle = open(path, newline="", encoding="utf-8")
+    handle = open_text(path)
     reader = csv.DictReader(handle)
     if reader.fieldnames is None:
         handle.close()

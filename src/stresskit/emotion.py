@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import textprep
-from .errors import StressKitError
+from .errors import StressKitError, open_text
 
 log = logging.getLogger(__name__)
 
@@ -89,7 +89,8 @@ def parse_lexicon(lines: Iterable[str], *, source: str = "<memory>") -> EmotionL
 
 
 def load_lexicon(path: str | Path) -> EmotionLexicon:
-    text = Path(path).read_text(encoding="utf-8")
+    with open_text(path) as handle:
+        text = handle.read()
     return parse_lexicon(text.splitlines(), source=str(path))
 
 

@@ -1,4 +1,5 @@
-"""Exception and warning types shared across the package.
+"""Exception and warning types shared across the package, and the one way it
+opens an input text file.
 
 Concrete data errors subclass StressKitError so the CLI can map any of
 them to a single "data error" exit code.
@@ -6,10 +7,44 @@ them to a single "data error" exit code.
 
 from __future__ import annotations
 
+import io
+from pathlib import Path
+
 
 class StressKitError(Exception):
     """Base class for all data and usage errors raised by this package."""
 
 
+class NotUtf8Text(StressKitError):
+    pass
+
+
 class FingerprintMismatchWarning(UserWarning):
     """Model was trained under a different preprocessing configuration."""
+
+
+class _Utf8Input(io.TextIOWrapper):
+    """A UTF-8 text file whose decoding errors name the file."""
+
+    def __next__(self) -> str:
+        try:
+            return super().__next__()
+        except UnicodeDecodeError as exc:
+            raise self._not_utf8(exc) from None
+
+    def read(self, size: int | None = -1) -> str:
+        try:
+            return super().read(size)
+        except UnicodeDecodeError as exc:
+            raise self._not_utf8(exc) from None
+
+    def _not_utf8(self, exc: UnicodeDecodeError) -> NotUtf8Text:
+        byte = exc.object[exc.start]
+        return NotUtf8Text(f"{self.name}: not UTF-8 text: byte 0x{byte:02x} ({exc.reason})")
+
+
+def open_text(path: str | Path) -> io.TextIOWrapper:
+    """Open an input file for reading as UTF-8, with newlines kept as they
+    are (what the csv module expects); a byte that is not UTF-8 raises
+    NotUtf8Text naming the file."""
+    return _Utf8Input(open(path, "rb"), encoding="utf-8", newline="")

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import classify, emotion, textprep
 from .corpus import PostRecord
-from .errors import FingerprintMismatchWarning, StressKitError
+from .errors import FingerprintMismatchWarning, StressKitError, open_text
 from .features import vectorize
 
 log = logging.getLogger(__name__)
@@ -478,7 +478,7 @@ def emit_report(report: StressReport, format: str, path: str | Path) -> list[Pat
 def load_group_map(path: str | Path) -> dict[str, str]:
     """CSV community,group."""
     mapping = {}
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or not {"community", "group"} <= set(reader.fieldnames):
             raise StressKitError(f"{path}: group map needs header community,group")

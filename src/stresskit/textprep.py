@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import porter
+from .errors import open_text
 
 REMOVAL_CLASS_VERSION = "keep-letter-digit-space-apostrophe/1"
 
@@ -34,7 +35,8 @@ TokenList = list[str]
 def load_stopwords(source: str | Path | Iterable[str]) -> frozenset[str]:
     """Read a stopword file: one token per line, '#' comments allowed."""
     if isinstance(source, (str, Path)):
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
+        with open_text(source) as handle:
+            lines = handle.read().splitlines()
     else:
         lines = list(source)
     words = set()

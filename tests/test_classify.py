@@ -44,6 +44,55 @@ def logistic(bias, weights, vocab) -> LinearModel:
 SEPARABLE = [({0: 1.0}, 1), ({1: 1.0}, 0), ({0: 2.0}, 1), ({1: 2.0}, 0)]
 
 
+# --------------------------------------------------------- design matrix
+
+def loop_products(examples, n_features, w, r):
+    """X . w, X^T . r and each class's column sums as plain loops over the
+    examples, adding in item order starting from 0.0."""
+    xw = [0.0] * len(examples)
+    xtr = [0.0] * n_features
+    counts = {0: [0.0] * n_features, 1: [0.0] * n_features}
+    for k, (vec, label) in enumerate(examples):
+        for i, v in vec.items():
+            xw[k] += v * w[i]
+            xtr[i] += v * r[k]
+            counts[label][i] += v
+    return xw, xtr, counts
+
+
+def test_design_matrix_products_match_a_loop_in_item_order():
+    rng = np.random.default_rng(5)
+    V = 12  # columns 9-11 and 4 are never used
+    examples = [
+        ({3: 1e16, 0: 1.0, 5: 1e16}, 1),  # the sum cancels differently in another order
+        ({}, 0),
+        ({7: 0.1, 2: 0.2, 1: 0.3, 8: 1e-17}, 0),
+    ]
+    for k in range(20):
+        cols = rng.choice([0, 1, 2, 3, 5, 6, 7, 8], size=int(rng.integers(1, 8)), replace=False)
+        examples.append(({int(i): float(rng.choice([1.0, 3.0, rng.random(), 1e15]))
+                          for i in cols}, k % 2))
+    examples.append(({}, 1))
+    w = rng.normal(size=V)
+    w[3], w[0], w[5] = 1.0, 1.0, -1.0
+    r = rng.normal(size=len(examples)) * rng.choice([1.0, 1e-8, 1e8], size=len(examples))
+    X, y = classify._assemble(examples, V)
+    xw, xtr, counts = loop_products(examples, V, w, r)
+    assert X.shape == (len(examples), V)
+    assert X.dot(w).tolist() == xw
+    assert xw[0] == 0.0  # 1e16 + 1.0 rounds to 1e16 before the -1e16
+    assert X.tdot(r).tolist() == xtr
+    for c in (0, 1):
+        assert X.tdot((y == c).astype(float)).tolist() == counts[c]
+    assert y.tolist() == [label for _, label in examples]
+
+
+@pytest.mark.parametrize("index", [-1, 4])
+def test_design_matrix_rejects_out_of_range_feature_indices(index):
+    with pytest.raises(DimensionMismatch):
+        classify._assemble([({0: 1.0}, 1), ({index: 1.0}, 0)], 4)
+
+
 # ---------------------------------------------------------------- logistic
 
 def test_zero_epochs_gives_uninformative_model():

@@ -11,6 +11,7 @@ from stresskit import cli
 from conftest import FIXTURES, REPO_ROOT
 
 GOLDEN_MODEL = REPO_ROOT / "tests" / "golden" / "model_logistic.json"
+PACKAGE_DATA = REPO_ROOT / "src" / "stresskit" / "data"
 
 
 @pytest.fixture(scope="session")
@@ -295,31 +296,51 @@ def with_latin1_byte(src, dst):
 @pytest.mark.parametrize(
     "argv,bad,output",
     [
-        (["train", "{bad}", "--model-out", "{out}"], "labeled_train.csv", "m.json"),
+        (["train", "{bad}", "--model-out", "{out}"], FIXTURES / "labeled_train.csv", "m.json"),
         (["train", FIXTURES / "labeled_train.csv", "--eval", "{bad}", "--model-out", "{out}"],
-         "labeled_eval.csv", None),
-        (["predict", GOLDEN_MODEL, "{bad}", "--out", "{out}"], "posts_100.csv", "p.csv"),
-        (["analyze", GOLDEN_MODEL, "{bad}", "--out-dir", "{out}"], "posts_100.csv", "reports"),
+         FIXTURES / "labeled_eval.csv", "m.json"),
+        (["train", FIXTURES / "labeled_train.csv", "--stopwords", "{bad}", "--model-out", "{out}"],
+         PACKAGE_DATA / "stopwords_en.txt", "m.json"),
+        (["predict", GOLDEN_MODEL, "{bad}", "--out", "{out}"], FIXTURES / "posts_100.csv", "p.csv"),
+        (["analyze", GOLDEN_MODEL, "{bad}", "--out-dir", "{out}"], FIXTURES / "posts_100.csv",
+         "reports"),
         (["analyze", GOLDEN_MODEL, FIXTURES / "posts_100.csv", "--mapping", "{bad}",
-          "--out-dir", "{out}"], "communities.csv", "reports"),
-        (["annotate", "{bad}", "--out-dir", "{out}"], "annotations.csv", "annotation"),
+          "--out-dir", "{out}"], FIXTURES / "communities.csv", "reports"),
+        (["annotate", "{bad}", "--out-dir", "{out}"], FIXTURES / "annotations.csv", "annotation"),
         (["annotate", FIXTURES / "annotations.csv", "--weights", "{bad}", "--out-dir", "{out}"],
-         "weights.csv", "annotation"),
-        (["emotions", "{bad}", "--out", "{out}"], "posts_100.csv", "e.csv"),
-        (["stats", "{bad}"], "posts_100.csv", None),
+         FIXTURES / "weights.csv", "annotation"),
+        (["emotions", "{bad}", "--out", "{out}"], FIXTURES / "posts_100.csv", "e.csv"),
+        (["emotions", FIXTURES / "posts_100.csv", "--lexicon", "{bad}", "--out", "{out}"],
+         PACKAGE_DATA / "emotion_lexicon.tsv", "e.csv"),
+        (["stats", "{bad}"], FIXTURES / "posts_100.csv", None),
     ],
-    ids=["train", "train-eval", "predict", "analyze", "analyze-mapping", "annotate",
-         "annotate-weights", "emotions", "stats"],
+    ids=["train", "train-eval", "train-stopwords", "predict", "analyze", "analyze-mapping",
+         "annotate", "annotate-weights", "emotions", "emotions-lexicon", "stats"],
 )
 def test_non_utf8_input_is_data_error(argv, bad, output, tmp_path, capsys):
-    bad_path = with_latin1_byte(FIXTURES / bad, tmp_path / f"bad_{bad}")
+    bad_path = with_latin1_byte(bad, tmp_path / f"bad_{bad.name}")
     out = tmp_path / (output or "unused")
     filled = [str(a).replace("{bad}", str(bad_path)).replace("{out}", str(out)) for a in argv]
     assert cli.main(filled) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "UTF-8" in err
+    assert str(bad_path) in err
     if output is not None:
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["predict", GOLDEN_MODEL, FIXTURES / "posts_100.csv", "--out", "{out}"],
+     ["train", FIXTURES / "labeled_train.csv", "--epochs", "5", "--model-out", "{out}"]],
+    ids=["predict", "train"],
+)
+def test_output_in_missing_directory_names_the_target(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.file"
+    assert run([str(a).replace("{out}", str(out)) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out) in err
+    assert ".partial" not in err
 
 
 def test_predict_failure_leaves_no_output_and_keeps_an_earlier_file(
@@ -339,28 +360,48 @@ def test_predict_failure_leaves_no_output_and_keeps_an_earlier_file(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "predictions.csv"]
 
 
+def run_in_subprocess(script, cwd):
+    pythonpath = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"),
+                                               os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script], cwd=cwd, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": pythonpath})
+
+
 @pytest.mark.parametrize(
-    "argv,loads_scipy",
+    "argv",
     [
-        (["predict", GOLDEN_MODEL, FIXTURES / "posts_100.csv", "--out", "p.csv"], False),
-        (["analyze", GOLDEN_MODEL, FIXTURES / "posts_100.csv", "--out-dir", "reports"], False),
-        (["annotate", FIXTURES / "annotations.csv", "--out-dir", "annotation"], False),
-        (["emotions", FIXTURES / "posts_100.csv", "--out", "e.csv"], False),
-        (["stats", FIXTURES / "posts_100.csv"], False),
-        (["train", FIXTURES / "labeled_train.csv", "--epochs", "5"], True),
+        ["predict", GOLDEN_MODEL, FIXTURES / "posts_100.csv", "--out", "p.csv"],
+        ["analyze", GOLDEN_MODEL, FIXTURES / "posts_100.csv", "--out-dir", "reports"],
+        ["annotate", FIXTURES / "annotations.csv", "--out-dir", "annotation"],
+        ["emotions", FIXTURES / "posts_100.csv", "--out", "e.csv"],
+        ["stats", FIXTURES / "posts_100.csv"],
     ],
-    ids=["predict", "analyze", "annotate", "emotions", "stats", "train"],
+    ids=["predict", "analyze", "annotate", "emotions", "stats"],
 )
-def test_only_train_imports_scipy(argv, loads_scipy, tmp_path):
-    script = (
+def test_command_does_not_import_scipy(argv, tmp_path):
+    result = run_in_subprocess(
         "import sys\n"
         "from stresskit import cli\n"
         f"assert cli.main({[str(a) for a in argv]!r}) == 0\n"
-        "print('scipy' in sys.modules)\n"
+        "print('scipy' in sys.modules)\n",
+        tmp_path,
     )
-    pythonpath = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"),
-                                               os.environ.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
-                            text=True, env={**os.environ, "PYTHONPATH": pythonpath})
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == str(loads_scipy)
+    assert result.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize(
+    "classifier,features", [("logistic", "bow"), ("nb", "bow"), ("svm", "tfidf")]
+)
+def test_train_runs_with_scipy_blocked(classifier, features, tmp_path):
+    argv = ["train", str(FIXTURES / "labeled_train.csv"), "--classifier", classifier,
+            "--features", features, "--epochs", "5", "--svm-epochs", "1"]
+    result = run_in_subprocess(
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy now raises ImportError\n"
+        "from stresskit import cli\n"
+        f"sys.exit(cli.main({argv!r}))\n",
+        tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "model.json").exists()
