@@ -9,6 +9,7 @@ load with the offending row number.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import logging
@@ -154,13 +155,13 @@ def _resolve_schema(
     return resolved
 
 
+@contextlib.contextmanager
 def _open_rows(path: str | Path):
-    handle = open_text(path)
-    reader = csv.DictReader(handle)
-    if reader.fieldnames is None:
-        handle.close()
-        raise MissingColumn(f"{path}: file has no header row")
-    return handle, reader
+    with open_text(path) as handle:
+        reader = csv.DictReader(handle)
+        if reader.fieldnames is None:
+            raise MissingColumn(f"{path}: file has no header row")
+        yield reader
 
 
 def load_labeled_with_summary(
@@ -170,10 +171,9 @@ def load_labeled_with_summary(
     true_labels: Sequence[str] = ("1",),
     false_labels: Sequence[str] = ("0",),
 ) -> tuple[list[LabeledExample], LoadSummary]:
-    handle, reader = _open_rows(path)
     summary = LoadSummary()
     examples: list[LabeledExample] = []
-    with handle:
+    with _open_rows(path) as reader:
         cols = _resolve_schema(
             schema, DEFAULT_LABELED_SCHEMA, reader.fieldnames, required=("text", "label")
         )
@@ -239,8 +239,7 @@ def iter_post_rows(
 ):
     """Yield (fieldnames, raw_row, record_or_None, skip_reason_or_None) per
     data row, preserving file order. Unparseable dates/fields abort."""
-    handle, reader = _open_rows(path)
-    with handle:
+    with _open_rows(path) as reader:
         cols = _resolve_schema(
             schema,
             DEFAULT_POSTS_SCHEMA,

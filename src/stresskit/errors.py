@@ -7,8 +7,9 @@ them to a single "data error" exit code.
 
 from __future__ import annotations
 
-import io
+import contextlib
 from pathlib import Path
+from typing import Iterator, TextIO
 
 
 class StressKitError(Exception):
@@ -23,28 +24,14 @@ class FingerprintMismatchWarning(UserWarning):
     """Model was trained under a different preprocessing configuration."""
 
 
-class _Utf8Input(io.TextIOWrapper):
-    """A UTF-8 text file whose decoding errors name the file."""
-
-    def __next__(self) -> str:
-        try:
-            return super().__next__()
-        except UnicodeDecodeError as exc:
-            raise self._not_utf8(exc) from None
-
-    def read(self, size: int | None = -1) -> str:
-        try:
-            return super().read(size)
-        except UnicodeDecodeError as exc:
-            raise self._not_utf8(exc) from None
-
-    def _not_utf8(self, exc: UnicodeDecodeError) -> NotUtf8Text:
-        byte = exc.object[exc.start]
-        return NotUtf8Text(f"{self.name}: not UTF-8 text: byte 0x{byte:02x} ({exc.reason})")
-
-
-def open_text(path: str | Path) -> io.TextIOWrapper:
+@contextlib.contextmanager
+def open_text(path: str | Path) -> Iterator[TextIO]:
     """Open an input file for reading as UTF-8, with newlines kept as they
-    are (what the csv module expects); a byte that is not UTF-8 raises
-    NotUtf8Text naming the file."""
-    return _Utf8Input(open(path, "rb"), encoding="utf-8", newline="")
+    are (what the csv module expects). A byte that is not UTF-8, met while
+    the block reads the file, raises NotUtf8Text naming the file."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            byte = exc.object[exc.start]
+            raise NotUtf8Text(f"{path}: not UTF-8 text: byte 0x{byte:02x} ({exc.reason})") from None
