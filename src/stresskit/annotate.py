@@ -25,6 +25,9 @@ log = logging.getLogger(__name__)
 
 SCORE_MIN, SCORE_MAX = -5, 5
 
+# Annotator pairs sharing fewer items than this get no correlation.
+MIN_OVERLAP = 3
+
 
 class TooFewScores(StressKitError):
     pass
@@ -56,8 +59,8 @@ class AnnotationMatrix:
 
     def __post_init__(self):
         for weight in self.weights:
-            if weight <= 0:
-                raise ValueError(f"annotator weight must be positive, got {weight}")
+            if not (math.isfinite(weight) and weight > 0):
+                raise ValueError(f"annotator weight must be finite and positive, got {weight}")
         for row in self.scores:
             for score in row:
                 if score is not None and not (SCORE_MIN <= score <= SCORE_MAX):
@@ -116,16 +119,16 @@ def outlier_rates(matrix: AnnotationMatrix, flags: Sequence[Sequence[bool]]) -> 
 
 def exclude_annotators(
     matrix: AnnotationMatrix,
-    flags: Sequence[Sequence[bool]],
+    rates: Mapping[str, float],
     threshold: float = 0.40,
 ) -> AnnotationMatrix:
-    """Remove every annotator whose outlier rate is >= threshold.
+    """Remove every annotator whose outlier rate (from outlier_rates) is
+    >= threshold.
 
-    Removal is simultaneous: rates are computed once on the given flags,
-    with no recascading."""
+    Removal is simultaneous: the given rates are used as they are, with no
+    recascading."""
     if not 0 < threshold <= 1:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    rates = outlier_rates(matrix, flags)
     keep = [i for i, a in enumerate(matrix.annotator_ids) if rates[a] < threshold]
     if not keep:
         raise AllExcluded("every annotator is at or above the outlier threshold")
@@ -169,7 +172,7 @@ def aggregate(matrix: AnnotationMatrix, threshold: float = 0.40) -> ConsensusRes
     """Full pipeline: outlier flags, annotator exclusion, weighted consensus."""
     flags = detect_outliers(matrix)
     rates = outlier_rates(matrix, flags)
-    surviving = exclude_annotators(matrix, flags, threshold)
+    surviving = exclude_annotators(matrix, rates, threshold)
     removed = tuple(
         (a, rates[a]) for a in matrix.annotator_ids if a not in surviving.annotator_ids
     )
@@ -215,10 +218,10 @@ def fleiss_kappa(
     return (p_bar - p_exp) / (1.0 - p_exp)
 
 
-def annotator_correlation(matrix: AnnotationMatrix, min_overlap: int = 3) -> np.ndarray:
+def annotator_correlation(matrix: AnnotationMatrix) -> np.ndarray:
     """Pairwise Pearson correlation over jointly present scores.
 
-    Pairs sharing fewer than min_overlap items (or with zero variance) are
+    Pairs sharing fewer than MIN_OVERLAP items (or with zero variance) are
     reported as NaN rather than failing. Diagonal is 1."""
     k = matrix.n_annotators
     out = np.full((k, k), np.nan)
@@ -232,7 +235,7 @@ def annotator_correlation(matrix: AnnotationMatrix, min_overlap: int = 3) -> np.
         out[a, a] = 1.0
         for b in range(a + 1, k):
             joint = ~np.isnan(columns[a]) & ~np.isnan(columns[b])
-            if joint.sum() < min_overlap:
+            if joint.sum() < MIN_OVERLAP:
                 log.warning(
                     "annotators %s and %s share only %d item(s); correlation omitted",
                     matrix.annotator_ids[a], matrix.annotator_ids[b], int(joint.sum()),
@@ -304,7 +307,8 @@ def load_annotations(
 
 
 def load_weights(path: str | Path) -> dict[str, float]:
-    """Sidecar CSV annotator_id,weight; absent annotators default to 1.0."""
+    """Sidecar CSV annotator_id,weight; absent annotators default to 1.0.
+    Every weight must be a finite number greater than 0."""
     weights = {}
     with open_text(path) as handle:
         reader = csv.DictReader(handle)
@@ -312,7 +316,13 @@ def load_weights(path: str | Path) -> dict[str, float]:
             raise BadScore(f"{path}: weights file needs header annotator_id,weight")
         for rownum, row in enumerate(reader, start=2):
             try:
-                weights[row["annotator_id"]] = float(row["weight"])
+                weight = float(row["weight"])
             except (TypeError, ValueError):
-                raise BadScore(f"{path}: row {rownum}: bad weight {row.get('weight')!r}") from None
+                weight = math.nan
+            if not (math.isfinite(weight) and weight > 0):
+                raise BadScore(
+                    f"{path}: row {rownum}: bad weight {row.get('weight')!r} "
+                    "(must be a finite number > 0)"
+                )
+            weights[row["annotator_id"]] = weight
     return weights

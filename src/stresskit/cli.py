@@ -392,7 +392,7 @@ def cmd_emotions(args) -> int:
                 text = (row.get("text") or "").strip()
                 title = (row.get("title") or "").strip()
                 combined = f"{title} {text}".strip()
-                profile = emotion.score_emotions(combined, lexicon)
+                profile = emotion.score_emotions(textprep.surface_tokens(combined), lexicon)
                 prevailing = emotion.prevailing_emotion(profile, negative)
                 writer.writerow(
                     [

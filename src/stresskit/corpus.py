@@ -167,9 +167,6 @@ def _open_rows(path: str | Path):
 def load_labeled_with_summary(
     path: str | Path,
     schema: Mapping[str, str] | None = None,
-    *,
-    true_labels: Sequence[str] = ("1",),
-    false_labels: Sequence[str] = ("0",),
 ) -> tuple[list[LabeledExample], LoadSummary]:
     summary = LoadSummary()
     examples: list[LabeledExample] = []
@@ -186,9 +183,9 @@ def load_labeled_with_summary(
                 log.warning("%s: row %d skipped: empty text", path, rownum)
                 continue
             raw_label = (row.get(cols["label"]) or "").strip()
-            if raw_label in true_labels:
+            if raw_label == "1":
                 label = 1
-            elif raw_label in false_labels:
+            elif raw_label == "0":
                 label = 0
             else:
                 raise BadLabel(f"{path}: row {rownum}: label {raw_label!r} is not 0/1")
@@ -209,9 +206,8 @@ def load_labeled_with_summary(
 def load_labeled(
     path: str | Path,
     schema: Mapping[str, str] | None = None,
-    **kwargs,
 ) -> list[LabeledExample]:
-    return load_labeled_with_summary(path, schema, **kwargs)[0]
+    return load_labeled_with_summary(path, schema)[0]
 
 
 def parse_date(cell: str) -> datetime:
@@ -230,7 +226,10 @@ def parse_date(cell: str) -> datetime:
         epoch = int(cell)
     except ValueError:
         raise BadDate(f"date {cell!r} is neither ISO-8601 nor epoch seconds")
-    return datetime.fromtimestamp(epoch, tz=timezone.utc)
+    try:
+        return datetime.fromtimestamp(epoch, tz=timezone.utc)
+    except (ValueError, OverflowError, OSError) as exc:
+        raise BadDate(f"epoch seconds {cell!r} out of range ({exc})") from None
 
 
 def iter_post_rows(

@@ -1,10 +1,11 @@
 """Lexicon-based emotion-affect scoring.
 
 The lexicon maps surface words to affect sets in the NRC word-level
-association format (word<TAB>affect<TAB>flag). Scoring tokenizes on the
-lowercased, character-stripped text WITHOUT stemming or stopword removal,
-because lexicon entries are surface forms; this intentionally diverges
-from the classification pipeline.
+association format (word<TAB>affect<TAB>flag). Scoring reads a text's
+surface tokens (`textprep.surface_tokens`: lowercased and character-stripped,
+WITHOUT stemming or stopword removal), because lexicon entries are surface
+forms; the caller passes the tokens, so a post classified by the report
+path is tokenized once for both.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from . import textprep
 from .errors import StressKitError, open_text
 
 log = logging.getLogger(__name__)
@@ -101,10 +101,9 @@ def default_lexicon() -> EmotionLexicon:
     return parse_lexicon(text.splitlines(), source="stresskit.data/emotion_lexicon.tsv")
 
 
-def score_emotions(text: str, lexicon: EmotionLexicon) -> EmotionProfile:
+def score_emotions(tokens: Sequence[str], lexicon: EmotionLexicon) -> EmotionProfile:
     """Each (token, affect) association is one hit; frequency(a) is
     hits(a) / total hits, so frequencies sum to 1 whenever any hit lands."""
-    tokens = textprep.tokenize(textprep.strip_noncharacters(textprep.lowercase(text)))
     hits = {affect: 0 for affect in AFFECTS}
     total = 0
     for token in tokens:

@@ -92,24 +92,6 @@ def metrics(matrix: ConfusionMatrix) -> MetricsReport:
     )
 
 
-def as_fractions(report: MetricsReport) -> dict[str, str]:
-    return {
-        "accuracy": f"{report.accuracy:.4f}",
-        "precision": f"{report.precision:.4f}",
-        "recall": f"{report.recall:.4f}",
-        "f1": f"{report.f1:.4f}",
-    }
-
-
-def as_percentages(report: MetricsReport) -> dict[str, str]:
-    return {
-        "accuracy": f"{100 * report.accuracy:.2f}",
-        "precision": f"{100 * report.precision:.2f}",
-        "recall": f"{100 * report.recall:.2f}",
-        "f1": f"{100 * report.f1:.2f}",
-    }
-
-
 def render_table(rows: list[tuple[str, str, MetricsReport]]) -> str:
     """Plain-text results table: one row per (features, classifier) pair."""
     header = ("Features", "ML", "Accuracy,%", "Precision", "Recall", "F score")

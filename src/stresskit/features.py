@@ -85,19 +85,8 @@ def idf(vocab: Vocabulary, i: int) -> float:
     return math.log((1 + vocab.n_docs) / (1 + vocab.doc_freq[i])) + 1.0
 
 
-def vectorize_tfidf(
-    doc: str,
-    vocab: Vocabulary,
-    *,
-    l2_normalize: bool = False,
-) -> FeatureVector:
-    vec = vectorize_bow(doc, vocab)
-    weighted = {i: tf * idf(vocab, i) for i, tf in vec.items()}
-    if l2_normalize and weighted:
-        norm = math.sqrt(sum(w * w for w in weighted.values()))
-        if norm > 0:
-            weighted = {i: w / norm for i, w in weighted.items()}
-    return weighted
+def vectorize_tfidf(doc: str, vocab: Vocabulary) -> FeatureVector:
+    return {i: tf * idf(vocab, i) for i, tf in vectorize_bow(doc, vocab).items()}
 
 
 def vectorize(doc: str, vocab: Vocabulary, kind: str) -> FeatureVector:

@@ -2,10 +2,13 @@
 stress report: per-group stress percentages, academic-year monthly series,
 upvote statistics, top stressed-text words, and emotion summaries.
 
+Each post is preprocessed once: its surface tokens feed emotion scoring and
+its stems feed the classifier and the top-word counts.
+
 Months are bucketed September through August to match the academic year.
-The upvote median uses the mean-of-two convention for even counts by
-default and the standard deviation is the population form; both choices
-are recorded in the report metadata.
+The upvote median uses the mean-of-two convention for even counts and the
+standard deviation is the population form; both choices are recorded in
+the report metadata.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import csv
 import json
 import logging
 import statistics
-import sys
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -55,8 +57,8 @@ class ClassifiedPost:
     post: PostRecord
     label: int
     score: float  # probability (logistic, naive bayes) or margin (svm)
+    tokens: tuple[str, ...]  # preprocessed text, as classified
     emotions: emotion.EmotionProfile | None = None
-    tokens: tuple[str, ...] | None = None  # preprocessed text, as classified
 
 
 @dataclass(frozen=True)
@@ -131,24 +133,24 @@ def classify_corpus(
     config: textprep.PipelineConfig,
     *,
     lexicon: emotion.EmotionLexicon | None = None,
-    emotions_for_all: bool = False,
 ) -> list[ClassifiedPost]:
     """One ClassifiedPost per input, in order. Classification input text is
-    the title and body joined with one space; its preprocessed tokens are
-    kept on the result, interned so that posts share one string per distinct
-    token. Emotion profiles are computed for stressed posts only unless
-    emotions_for_all is set."""
+    the title and body joined with one space, preprocessed once: the stems
+    are classified and kept on the result (posts share the stem memo's
+    strings), and with a lexicon the surface tokens of a stressed post are
+    emotion-scored."""
     check_fingerprint(model, config)
     classified = []
     for post in posts:
-        doc = textprep.preprocess(post.text, config)
-        pred = classify.predict(model, vectorize(doc, model.vocabulary, model.feature_kind))
+        stages = textprep.preprocess_stages(post.text, config)
+        pred = classify.predict(
+            model, vectorize(stages["text"], model.vocabulary, model.feature_kind))
         profile = None
-        if lexicon is not None and (pred.label == 1 or emotions_for_all):
-            profile = emotion.score_emotions(post.text, lexicon)
+        if lexicon is not None and pred.label == 1:
+            profile = emotion.score_emotions(stages["tokens"], lexicon)
         classified.append(
-            ClassifiedPost(post=post, label=pred.label, score=pred.score, emotions=profile,
-                           tokens=tuple(map(sys.intern, doc.split())))
+            ClassifiedPost(post=post, label=pred.label, score=pred.score,
+                           tokens=tuple(stages["stemmed"]), emotions=profile)
         )
     return classified
 
@@ -201,51 +203,33 @@ def monthly_distribution(classified: Sequence[ClassifiedPost]) -> MonthlySeries:
     return MonthlySeries(counts=tuple(counts), unknown=unknown)
 
 
-def upvote_stats(
-    classified: Sequence[ClassifiedPost],
-    *,
-    median_convention: str = "mean_of_two",
-) -> dict[str, UpvoteStats | None]:
-    """Mean, median and population std of scores per stress class."""
-    if median_convention not in ("mean_of_two", "lower"):
-        raise ValueError(f"unknown median convention {median_convention!r}")
+def upvote_stats(classified: Sequence[ClassifiedPost]) -> dict[str, UpvoteStats | None]:
+    """Mean, median (mean of the middle two for even counts) and population
+    std of scores per stress class."""
     out: dict[str, UpvoteStats | None] = {}
     for key, wanted in (("stressed", 1), ("not_stressed", 0)):
         scores = sorted(item.post.score for item in classified if item.label == wanted)
         if not scores:
             out[key] = None
             continue
-        if median_convention == "mean_of_two":
-            median = float(statistics.median(scores))
-        else:
-            median = float(statistics.median_low(scores))
         out[key] = UpvoteStats(
             mean=statistics.fmean(scores),
-            median=median,
+            median=float(statistics.median(scores)),
             std=statistics.pstdev(scores),
             n=len(scores),
         )
     return out
 
 
-def top_words(
-    classified: Sequence[ClassifiedPost],
-    n: int,
-    config: textprep.PipelineConfig,
-) -> list[tuple[str, int]]:
+def top_words(classified: Sequence[ClassifiedPost], n: int) -> list[tuple[str, int]]:
     """Most frequent preprocessed tokens over stressed texts; count
-    descending, ties alphabetical. An item's carried tokens are counted as
-    they are; an item without them is preprocessed under `config`."""
+    descending, ties alphabetical."""
     if n < 1:
         raise ValueError("n must be at least 1")
     counts: Counter[str] = Counter()
     for item in classified:
-        if item.label != 1:
-            continue
-        tokens = item.tokens
-        if tokens is None:
-            tokens = textprep.preprocess(item.post.text, config).split()
-        counts.update(tokens)
+        if item.label == 1:
+            counts.update(item.tokens)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked[:n]
 
@@ -268,19 +252,17 @@ def _five_number(values: Sequence[float]) -> WhiskerStats:
 
 def emotion_summary(
     classified: Sequence[ClassifiedPost],
-    lexicon: emotion.EmotionLexicon,
     affects: Sequence[str] = emotion.NEGATIVE_AFFECTS,
 ) -> EmotionSummary:
     """Per-month mean affect frequency and a five-number whisker summary
-    (outliers beyond 1.5 IQR) over stressed items."""
+    (outliers beyond 1.5 IQR) over stressed items, from the profiles that
+    classify_corpus computed."""
     per_month: dict[str, list[list[float]]] = {a: [[] for _ in range(12)] for a in affects}
     overall: dict[str, list[float]] = {a: [] for a in affects}
     for item in classified:
         if item.label != 1:
             continue
         profile = item.emotions
-        if profile is None:
-            profile = emotion.score_emotions(item.post.text, lexicon)
         bucket = month_index(item.post.date)
         for affect in affects:
             value = profile.get(affect)
@@ -307,7 +289,6 @@ def build_report(
     top_n: int = 10,
     model_kind: str = "",
     model_fingerprint: str = "",
-    median_convention: str = "mean_of_two",
     seed: int | None = None,
 ) -> StressReport:
     summary = stress_summary(classified, group_map)
@@ -326,16 +307,16 @@ def build_report(
                 stressed_pct=float(row["stressed_pct"]),
                 not_stressed_pct=float(row["not_stressed_pct"]),
                 monthly=monthly_distribution(members),
-                upvotes=upvote_stats(members, median_convention=median_convention),
-                top_words=tuple(top_words(members, top_n, config)),
-                emotions=emotion_summary(members, lexicon) if lexicon else None,
+                upvotes=upvote_stats(members),
+                top_words=tuple(top_words(members, top_n)),
+                emotions=emotion_summary(members) if lexicon else None,
             )
         )
     overall = mean_stress_pct([g.stressed_pct for g in groups]) if groups else 0
     metadata: dict[str, object] = {
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "classification_text": "title+body",
-        "upvote_median": median_convention,
+        "upvote_median": "mean_of_two",
         "upvote_std": "population",
         "monthly_order": "Sep..Aug",
         "binarization": "stressed iff weighted mean < 0",

@@ -4,7 +4,10 @@ remove stopwords, stem, recombine.
 Every stage is a pure function so each can be tested on its own; `preprocess`
 is exactly their composition. The character-removal stage keeps letters,
 digits, whitespace and apostrophes and turns everything else (including
-HTML tags, '@' and '_') into single spaces.
+HTML tags, '@' and '_') into single spaces. The first three stages give a
+post's surface tokens (`surface_tokens`); `preprocess_stages` returns them
+with the later stages, so one pass over a post feeds both the classifier
+and emotion scoring.
 
 A token's Porter stem depends on nothing else, so `stem` memoizes stems in
 one dict per process, shared by every configuration: each distinct token is
@@ -25,9 +28,7 @@ from .errors import open_text
 
 REMOVAL_CLASS_VERSION = "keep-letter-digit-space-apostrophe/1"
 
-_TAG_RE = re.compile(r"<[^>]*>")
-_NONCHAR_RE = re.compile(r"_|[^\w\s']")
-_WS_RE = re.compile(r"\s+")
+_NONCHAR_RE = re.compile(r"<[^>]*>|_|[^\w\s']")
 
 TokenList = list[str]
 
@@ -55,20 +56,14 @@ def default_stopwords() -> frozenset[str]:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Immutable preprocessing configuration.
-
-    stemmer is either "porter" or "none". The removal-class version string
-    participates in the fingerprint so a change to the character policy
-    invalidates saved models.
+    """Immutable preprocessing configuration: the stopword list. The Porter
+    stemmer and the removal-class version string take part in the
+    fingerprint, so a change to either invalidates saved models.
     """
 
     stopwords: frozenset[str]
-    stemmer: str = "porter"
-    removal_class: str = REMOVAL_CLASS_VERSION
 
     def __post_init__(self):
-        if self.stemmer not in ("porter", "none"):
-            raise ValueError(f"unknown stemmer: {self.stemmer!r}")
         for word in self.stopwords:
             if word != word.lower():
                 raise ValueError(f"stopword not lowercase: {word!r}")
@@ -83,8 +78,8 @@ class PipelineConfig:
         for word in sorted(self.stopwords):
             h.update(word.encode("utf-8"))
             h.update(b"\n")
-        h.update(b"\x00" + self.stemmer.encode("utf-8"))
-        h.update(b"\x00" + self.removal_class.encode("utf-8"))
+        h.update(b"\x00porter")
+        h.update(b"\x00" + REMOVAL_CLASS_VERSION.encode("utf-8"))
         return h.hexdigest()
 
 
@@ -95,13 +90,16 @@ def lowercase(text: str) -> str:
 def strip_noncharacters(text: str) -> str:
     """Drop HTML tags, '@', '_' and anything outside letters/digits/
     whitespace/apostrophe; collapse whitespace runs to single spaces."""
-    text = _TAG_RE.sub(" ", text)
-    text = _NONCHAR_RE.sub(" ", text)
-    return _WS_RE.sub(" ", text).strip()
+    return " ".join(_NONCHAR_RE.sub(" ", text).split())
 
 
 def tokenize(text: str) -> TokenList:
     return text.split()
+
+
+def surface_tokens(text: str) -> TokenList:
+    """Lowercased, stripped tokens, before stopword removal and stemming."""
+    return tokenize(strip_noncharacters(lowercase(text)))
 
 
 def remove_stopwords(tokens: TokenList, config: PipelineConfig) -> TokenList:
@@ -119,22 +117,18 @@ class _StemMemo(dict):
 _STEMS = _StemMemo()
 
 
-def stem(tokens: TokenList, config: PipelineConfig) -> TokenList:
-    if config.stemmer == "none":
-        return list(tokens)
+def stem(tokens: TokenList) -> TokenList:
     return [_STEMS[t] for t in tokens]
 
 
 def preprocess_stages(text: str, config: PipelineConfig) -> dict[str, object]:
-    """Run the pipeline keeping every intermediate, for inspection/tests."""
-    lowered = lowercase(text)
-    stripped = strip_noncharacters(lowered)
-    tokens = tokenize(stripped)
+    """Run the pipeline keeping the token-level intermediates: the surface
+    `tokens`, the tokens `without_stopwords`, their `stemmed` forms, and the
+    joined `text`."""
+    tokens = surface_tokens(text)
     kept = remove_stopwords(tokens, config)
-    stemmed = stem(kept, config)
+    stemmed = stem(kept)
     return {
-        "lowercased": lowered,
-        "stripped": stripped,
         "tokens": tokens,
         "without_stopwords": kept,
         "stemmed": stemmed,

@@ -170,10 +170,10 @@ def test_criterion_5_annotation_suite():
         tuple((1, 1) for _ in range(100)),
     )
     flags41 = [[False, j < 41] for j in range(100)]
-    kept = annotate.exclude_annotators(big, flags41, 0.40)
+    kept = annotate.exclude_annotators(big, annotate.outlier_rates(big, flags41), 0.40)
     assert kept.annotator_ids == ("keep",)
     flags39 = [[False, j < 39] for j in range(100)]
-    kept = annotate.exclude_annotators(big, flags39, 0.40)
+    kept = annotate.exclude_annotators(big, annotate.outlier_rates(big, flags39), 0.40)
     assert kept.annotator_ids == ("keep", "probe")
 
     # weighted consensus example
@@ -253,7 +253,8 @@ def test_criterion_7_report_arithmetic(config):
     group_map = report.load_group_map(FIXTURES / "communities.csv")
     # known labels: every even-positioned row (file order) is stressed
     classified = [
-        report.ClassifiedPost(post=p, label=1 if i % 2 == 0 else 0, score=float(i % 2 == 0))
+        report.ClassifiedPost(post=p, label=1 if i % 2 == 0 else 0, score=float(i % 2 == 0),
+                              tokens=tuple(textprep.preprocess(p.text, config).split()))
         for i, p in enumerate(posts)
     ]
 
@@ -301,7 +302,7 @@ def test_criterion_7_report_arithmetic(config):
         if item.label == 1:
             words.update(textprep.preprocess(item.post.text, config).split())
     expected = sorted(words.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
-    assert report.top_words(classified, 10, config) == expected
+    assert report.top_words(classified, 10) == expected
 
     # --- whole-percent mean of the reference group percentages
     assert report.mean_stress_pct([29.3, 31.1, 24.8, 30.5]) == 29

@@ -91,20 +91,21 @@ def full_matrix(n_items):
 def test_annotator_at_41_percent_excluded():
     matrix = full_matrix(100)
     flags = synthetic_flags(100, 41)
-    assert outlier_rates(matrix, flags)["a0"] == pytest.approx(0.41)
-    kept = exclude_annotators(matrix, flags, 0.40)
+    rates = outlier_rates(matrix, flags)
+    assert rates["a0"] == pytest.approx(0.41)
+    kept = exclude_annotators(matrix, rates, 0.40)
     assert kept.annotator_ids == ("a1",)
 
 
 def test_annotator_at_39_percent_retained():
     matrix = full_matrix(100)
-    kept = exclude_annotators(matrix, synthetic_flags(100, 39), 0.40)
+    kept = exclude_annotators(matrix, outlier_rates(matrix, synthetic_flags(100, 39)), 0.40)
     assert kept.annotator_ids == ("a0", "a1")
 
 
 def test_exclusion_boundary_is_inclusive():
     matrix = full_matrix(10)
-    kept = exclude_annotators(matrix, synthetic_flags(10, 4), 0.40)
+    kept = exclude_annotators(matrix, outlier_rates(matrix, synthetic_flags(10, 4)), 0.40)
     assert kept.annotator_ids == ("a1",)  # rate 0.40 >= threshold
 
 
@@ -112,12 +113,12 @@ def test_all_excluded_raises():
     matrix = full_matrix(4)
     flags = [[True, True] for _ in range(4)]
     with pytest.raises(AllExcluded):
-        exclude_annotators(matrix, flags, 0.40)
+        exclude_annotators(matrix, outlier_rates(matrix, flags), 0.40)
 
 
 def test_threshold_one_keeps_partially_flagged():
     matrix = full_matrix(10)
-    kept = exclude_annotators(matrix, synthetic_flags(10, 9), 1.0)
+    kept = exclude_annotators(matrix, outlier_rates(matrix, synthetic_flags(10, 9)), 1.0)
     assert kept.annotator_ids == ("a0", "a1")
 
 
@@ -266,6 +267,21 @@ def test_load_annotations_and_weights(write_csv):
     assert matrix.annotator_ids == ("a1", "a2", "psy")
     assert matrix.weights == (1.0, 1.0, 2.0)
     assert matrix.scores[0] == (3, None, -5)
+
+
+@pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf])
+def test_matrix_rejects_weight_that_is_not_finite_and_positive(weight):
+    with pytest.raises(ValueError, match="finite and positive"):
+        matrix_from_rows([[1, 2]], weights=(1.0, weight))
+
+
+@pytest.mark.parametrize("cell", ["0", "-1", "nan", "inf", "-inf", "x", ""])
+def test_load_weights_rejects_weight_that_is_not_finite_and_positive(write_csv, cell):
+    path = write_csv([["annotator_id", "weight"], ["a1", "2.0"], ["a2", cell]],
+                     name="weights.csv")
+    with pytest.raises(BadScore, match="row 3") as err:
+        load_weights(path)
+    assert str(path) in str(err.value)
 
 
 def test_load_annotations_rejects_bad_cells(write_csv):

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -210,6 +211,20 @@ def test_annotate_weights_without_required_columns_is_data_error(write_csv, tmp_
     assert "annotator_id,weight" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("weight", ["0", "-1", "nan", "inf"])
+def test_annotate_weight_not_finite_and_positive_is_data_error(
+    weight, write_csv, tmp_path, capsys
+):
+    weights = write_csv([["annotator_id", "weight"], ["a1", weight]], name="weights.csv")
+    code = run(["annotate", FIXTURES / "annotations.csv", "--weights", weights,
+                "--out-dir", tmp_path])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(weights) in err and "row 2" in err
+    assert not (tmp_path / "consensus.csv").exists()
+
+
 def test_annotate_threshold_above_one_is_usage_error(write_csv):
     sheet = write_csv([["item_id", "text", "a1", "a2"], ["x", "t", 1, 1]])
     with pytest.raises(SystemExit) as err:
@@ -282,6 +297,28 @@ def test_train_bad_hyperparameter_is_usage_error(option, value, tmp_path):
 def test_train_accepts_zero_l2(tmp_path):
     assert run(["train", FIXTURES / "labeled_train.csv", "--l2", "0", "--epochs", "5",
                 "--model-out", tmp_path / "m.json"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv,output",
+    [(["analyze", GOLDEN_MODEL, "{posts}", "--out-dir", "{out}"], "reports"),
+     (["predict", GOLDEN_MODEL, "{posts}", "--out", "{out}"], "p.csv"),
+     (["stats", "{posts}"], None)],
+    ids=["analyze", "predict", "stats"],
+)
+def test_epoch_date_out_of_range_is_data_error(argv, output, write_csv, tmp_path, capsys):
+    posts = write_csv([["id", "date", "title", "text", "score", "community"],
+                       ["p1", "1685664000", "", "calm day", "1", "r/PhD"],
+                       ["p2", "99999999999999", "", "deadline panic", "2", "r/PhD"]],
+                      name="posts.csv")
+    out = tmp_path / (output or "unused")
+    filled = [str(a).replace("{posts}", str(posts)).replace("{out}", str(out)) for a in argv]
+    assert cli.main(filled) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "row 3" in err and "out of range" in err
+    if output is not None:
+        assert not out.exists()
 
 
 def with_latin1_byte(src, dst):
@@ -405,3 +442,26 @@ def test_train_runs_with_scipy_blocked(classifier, features, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "model.json").exists()
+
+
+def test_traced_layers_exist_after_importing_the_cli(tmp_path):
+    """perfbench/tracer.py imports stresskit.cli, then wraps every function in
+    its LAYERS table by module attribute; each must exist by then."""
+    tree = ast.parse((REPO_ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    layers = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYERS"]
+    )
+    assert sum(len(functions) for functions in layers.values()) > 40
+    result = run_in_subprocess(
+        "import sys\n"
+        "import stresskit.cli\n"
+        f"for module, functions in {layers!r}.items():\n"
+        "    module = sys.modules[f'stresskit.{module}']\n"
+        "    for name in functions:\n"
+        "        assert callable(getattr(module, name)), name\n"
+        "print('ok')\n",
+        tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "ok"

@@ -39,12 +39,6 @@ def test_load_labeled_bad_label_names_row(write_csv):
         load_labeled(path)
 
 
-def test_load_labeled_configurable_truthy(write_csv):
-    path = write_csv([["id", "text", "label"], ["a", "some text", "yes"]])
-    examples = load_labeled(path, true_labels=("yes",), false_labels=("no",))
-    assert examples[0].label == 1
-
-
 def test_load_labeled_missing_column(write_csv):
     path = write_csv([["id", "body", "label"], ["a", "x", "1"]])
     with pytest.raises(MissingColumn):
@@ -83,6 +77,12 @@ def test_parse_date_forms():
     assert parse_date("1685664000") == datetime(2023, 6, 2, 0, 0, tzinfo=timezone.utc)
     with pytest.raises(BadDate):
         parse_date("not-a-date")
+
+
+@pytest.mark.parametrize("cell", ["99999999999999", "-99999999999999", str(10**30)])
+def test_parse_date_epoch_out_of_range_is_bad_date(cell):
+    with pytest.raises(BadDate, match="out of range"):
+        parse_date(cell)
 
 
 def test_load_posts_row(write_csv):

@@ -13,6 +13,11 @@ from stresskit.emotion import (
     prevailing_emotion,
     score_emotions,
 )
+from stresskit.textprep import surface_tokens
+
+
+def score(text, lexicon):
+    return score_emotions(surface_tokens(text), lexicon)
 
 
 def test_flag_semantics():
@@ -23,7 +28,7 @@ def test_flag_semantics():
 def test_empty_lexicon_is_valid():
     lex = parse_lexicon([])
     assert lex.word_affects == {}
-    assert score_emotions("anything at all", lex).total_hits == 0
+    assert score("anything at all", lex).total_hits == 0
 
 
 def test_bad_rows(tmp_path):
@@ -44,7 +49,7 @@ def test_version_comment_recorded():
 
 def test_vendored_lexicon_reproduces_reference_frequency():
     lex = default_lexicon()
-    profile = score_emotions(
+    profile = score(
         "My grandfather died the day before an exam. "
         "I attended the exam in mourning clothes.",
         lex,
@@ -55,28 +60,28 @@ def test_vendored_lexicon_reproduces_reference_frequency():
 
 def test_single_fear_token_scores_one():
     lex = parse_lexicon(["fire\tfear\t1"])
-    profile = score_emotions("fire", lex)
+    profile = score("fire", lex)
     assert profile.get("fear") == 1.0
     assert profile.total_hits == 1
 
 
 def test_no_lexicon_words_gives_zero_profile():
     lex = default_lexicon()
-    profile = score_emotions("qwerty zxcvb", lex)
+    profile = score("qwerty zxcvb", lex)
     assert profile.total_hits == 0
     assert all(v == 0.0 for v in profile.frequencies.values())
 
 
 def test_scoring_uses_surface_forms_without_stemming():
     lex = parse_lexicon(["mourning\tsadness\t1"])
-    assert score_emotions("Mourning!", lex).get("sadness") == 1.0
+    assert score("Mourning!", lex).get("sadness") == 1.0
     # the stemmed form would be "mourn", which must NOT match
-    assert score_emotions("mourn", lex).total_hits == 0
+    assert score("mourn", lex).total_hits == 0
 
 
 def test_frequencies_sum_to_one_when_hits():
     lex = default_lexicon()
-    profile = score_emotions("panic and celebrate and panic", lex)
+    profile = score("panic and celebrate and panic", lex)
     assert profile.total_hits > 0
     assert sum(profile.frequencies.values()) == pytest.approx(1.0, abs=1e-12)
 
@@ -84,15 +89,15 @@ def test_frequencies_sum_to_one_when_hits():
 def test_duplication_invariance():
     lex = default_lexicon()
     text = "deadline panic happy grandfather"
-    once = score_emotions(text, lex)
-    twice = score_emotions(text + " " + text, lex)
+    once = score(text, lex)
+    twice = score(text + " " + text, lex)
     assert once.frequencies == twice.frequencies
 
 
 def test_non_lexicon_token_changes_nothing():
     lex = default_lexicon()
-    base = score_emotions("panic deadline", lex)
-    extended = score_emotions("panic deadline zzgibberish", lex)
+    base = score("panic deadline", lex)
+    extended = score("panic deadline zzgibberish", lex)
     assert base.frequencies == extended.frequencies
 
 
@@ -113,7 +118,7 @@ def test_prevailing_emotion_rules():
 @given(st.text(alphabet="abcdefgh ", max_size=60))
 def test_frequencies_bounded(text):
     lex = parse_lexicon(["abc\tjoy\t1", "de\tfear\t1", "de\tnegative\t1"])
-    profile = score_emotions(text, lex)
+    profile = score(text, lex)
     for affect in AFFECTS:
         assert 0.0 <= profile.get(affect) <= 1.0
 

@@ -72,12 +72,6 @@ def test_tfidf_empty_doc():
     assert vectorize_tfidf("", vocab) == {}
 
 
-def test_tfidf_l2_normalize():
-    vocab = fit_vocabulary(["cat dog", "dog"])
-    vec = vectorize_tfidf("cat dog dog", vocab, l2_normalize=True)
-    assert math.isclose(sum(w * w for w in vec.values()), 1.0)
-
-
 def test_vectorize_dispatch():
     vocab = fit_vocabulary(["cat dog"])
     assert vectorize("cat", vocab, "bow") == vectorize_bow("cat", vocab)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 from collections import Counter
@@ -39,8 +38,18 @@ def post(i=0, community="r/PhD", score=0, month=9, title="", body="text body", y
     )
 
 
-def cp(label, **kwargs):
-    return ClassifiedPost(post=post(**kwargs), label=label, score=float(label))
+CONFIG = textprep.PipelineConfig.default()
+
+
+def cp(label, lexicon=None, **kwargs):
+    """A classified post carrying what classify_corpus would give it."""
+    p = post(**kwargs)
+    profile = None
+    if lexicon is not None and label == 1:
+        profile = emotion.score_emotions(textprep.surface_tokens(p.text), lexicon)
+    return ClassifiedPost(post=p, label=label, score=float(label),
+                          tokens=tuple(textprep.preprocess(p.text, CONFIG).split()),
+                          emotions=profile)
 
 
 GROUP_MAP = {"r/PhD": "PhD students", "r/GradSchool": "Graduate students"}
@@ -91,7 +100,7 @@ def test_classify_corpus_title_joined_with_body(config):
 
 def test_fingerprint_mismatch_warns(config):
     model = toy_model(config)
-    other = textprep.PipelineConfig(stopwords=config.stopwords, stemmer="none")
+    other = textprep.PipelineConfig(stopwords=config.stopwords - {"the"})
     with pytest.warns(FingerprintMismatchWarning):
         classify_corpus(model, [post()], other)
 
@@ -159,7 +168,6 @@ def test_upvote_stats_hand_values():
 def test_upvote_median_mean_of_two_convention():
     classified = [cp(0, i=1, score=2), cp(0, i=2, score=3)]
     assert upvote_stats(classified)["not_stressed"].median == 2.5
-    assert upvote_stats(classified, median_convention="lower")["not_stressed"].median == 2.0
     assert upvote_stats(classified)["stressed"] is None
 
 
@@ -169,50 +177,61 @@ def test_top_words_counting(config):
         cp(1, i=2, body="work"),
         cp(0, i=3, body="ignored words here"),
     ]
-    assert top_words(classified, 10, config) == [("work", 3), ("time", 1)]
-    assert top_words(classified, 1, config) == [("work", 3)]
+    assert top_words(classified, 10) == [("work", 3), ("time", 1)]
+    assert top_words(classified, 1) == [("work", 3)]
     with pytest.raises(ValueError):
-        top_words(classified, 0, config)
+        top_words(classified, 0)
 
 
 def test_top_words_tie_alphabetical(config):
     classified = [cp(1, body="zebra apple")]
-    assert top_words(classified, 5, config) == [("appl", 1), ("zebra", 1)]
+    assert top_words(classified, 5) == [("appl", 1), ("zebra", 1)]
 
 
 def test_top_words_shuffle_invariant(config):
     items = [cp(1, i=i, body=f"word{i % 3} filler") for i in range(9)]
-    a = top_words(items, 5, config)
-    b = top_words(list(reversed(items)), 5, config)
+    a = top_words(items, 5)
+    b = top_words(list(reversed(items)), 5)
     assert a == b
 
 
-def test_top_words_from_carried_tokens_match_a_preprocess_recount(
-    fixtures_dir, config, monkeypatch
-):
+def test_classify_corpus_carries_the_one_pass_tokens_and_profiles(fixtures_dir, config):
     model = classify.load_model(REPO_ROOT / "tests" / "golden" / "model_logistic.json")
     posts = corpus.load_posts(fixtures_dir / "posts_100.csv")
-    classified = classify_corpus(model, posts, config)
-    assert all(item.tokens is not None for item in classified)
+    lex = emotion.default_lexicon()
+    classified = classify_corpus(model, posts, config, lexicon=lex)
     assert 0 < sum(item.label for item in classified) < len(classified)
     recount = Counter()
     for item in classified:
+        assert list(item.tokens) == textprep.preprocess(item.post.text, config).split()
         if item.label == 1:
             recount.update(textprep.preprocess(item.post.text, config).split())
+            expected_profile = emotion.score_emotions(
+                textprep.surface_tokens(item.post.text), lex)
+            assert item.emotions == expected_profile
+        else:
+            assert item.emotions is None
     expected = sorted(recount.items(), key=lambda kv: (-kv[1], kv[0]))
-    n = len(expected)
-    bare = [dataclasses.replace(item, tokens=None) for item in classified]
-    assert top_words(bare, n, config) == expected
-    monkeypatch.setattr(textprep, "preprocess", None)  # carried tokens need no second pass
-    assert top_words(classified, n, config) == expected
+    assert top_words(classified, len(expected)) == expected
+
+
+def test_classify_corpus_strips_each_post_once(fixtures_dir, config, monkeypatch):
+    model = classify.load_model(REPO_ROOT / "tests" / "golden" / "model_logistic.json")
+    posts = corpus.load_posts(fixtures_dir / "posts_100.csv")
+    real, calls = textprep.strip_noncharacters, []
+    monkeypatch.setattr(textprep, "strip_noncharacters",
+                        lambda text: calls.append(text) or real(text))
+    classified = classify_corpus(model, posts, config, lexicon=emotion.default_lexicon())
+    assert any(item.emotions is not None for item in classified)
+    assert len(calls) == len(posts)
 
 
 # ----------------------------------------------------------------- emotion
 
 def test_emotion_summary_single_item(config):
     lex = emotion.parse_lexicon(["died\tsadness\t1", "died\tfear\t1"])
-    classified = [cp(1, month=10, body="he died")]
-    summary = report.emotion_summary(classified, lex)
+    classified = [cp(1, lexicon=lex, month=10, body="he died")]
+    summary = report.emotion_summary(classified)
     assert summary.monthly["sadness"][1] == pytest.approx(0.5)  # October bucket
     assert summary.monthly["sadness"][0] is None  # no September items
 
@@ -220,8 +239,8 @@ def test_emotion_summary_single_item(config):
 def test_emotion_whisker_outlier_flagging(config):
     lex = emotion.parse_lexicon(["panic\tfear\t1"])
     bodies = ["calm words"] * 4 + ["panic"]
-    classified = [cp(1, i=i, body=b) for i, b in enumerate(bodies)]
-    summary = report.emotion_summary(classified, lex)
+    classified = [cp(1, lexicon=lex, i=i, body=b) for i, b in enumerate(bodies)]
+    summary = report.emotion_summary(classified)
     w = summary.whisker["fear"]
     assert w.q1 == w.median == w.q3 == 0.0
     assert w.outliers == (1.0,)
@@ -232,7 +251,7 @@ def test_emotion_whisker_outlier_flagging(config):
 def full_report(config):
     lex = emotion.default_lexicon()
     classified = [
-        cp(i % 2, i=i, community="r/PhD" if i % 3 else "r/GradSchool",
+        cp(i % 2, lexicon=lex, i=i, community="r/PhD" if i % 3 else "r/GradSchool",
            score=i - 5, month=(i % 12) + 1,
            body="deadline panic work" if i % 2 else "calm garden work")
         for i in range(40)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,12 +13,37 @@ from stresskit.textprep import (
     remove_stopwords,
     stem,
     strip_noncharacters,
+    surface_tokens,
     tokenize,
 )
 
 from test_porter import REFERENCE_OUT, REFERENCE_VOC
 
+GOLDEN_FINGERPRINT = "22d83a2ce20712a1f2722fc51bb2de1e35ff681932da61d4d7017272466d5a2e"
+
 text_strategy = st.text(max_size=200)
+
+# Text built from the characters the removal rule treats specially: tag
+# brackets, '_', '@', the apostrophe and several kinds of whitespace.
+markup_strategy = st.text(
+    alphabet=st.one_of(
+        st.sampled_from("<>_@' \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000"),
+        st.characters(),
+    ),
+    max_size=120,
+)
+
+# The character-removal stage as three passes (tags, then non-characters,
+# then whitespace runs): the reference for the one-pass version.
+_REF_TAG_RE = re.compile(r"<[^>]*>")
+_REF_NONCHAR_RE = re.compile(r"_|[^\w\s']")
+_REF_WS_RE = re.compile(r"\s+")
+
+
+def three_pass_strip(text):
+    text = _REF_TAG_RE.sub(" ", text)
+    text = _REF_NONCHAR_RE.sub(" ", text)
+    return _REF_WS_RE.sub(" ", text).strip()
 
 
 def test_lowercase_examples():
@@ -29,6 +56,17 @@ def test_strip_examples():
     assert strip_noncharacters("hello <b>world</b>!") == "hello world"
     assert strip_noncharacters("user_name @you") == "user name you"
     assert strip_noncharacters("a   b") == "a b"
+
+
+@settings(max_examples=500)
+@given(st.one_of(text_strategy, markup_strategy))
+def test_strip_matches_the_three_pass_reference(text):
+    assert strip_noncharacters(text) == three_pass_strip(text)
+
+
+def test_surface_tokens_examples():
+    assert surface_tokens("My <b>Mom</b> hit_me!") == ["my", "mom", "hit", "me"]
+    assert surface_tokens("") == []
 
 
 def test_tokenize_examples():
@@ -44,16 +82,16 @@ def test_remove_stopwords_examples(config):
 
 
 def test_stem_examples(config):
-    assert stem(["hitting"], config) == ["hit"]
-    assert stem(["shocked"], config) == ["shock"]
+    assert stem(["hitting"]) == ["hit"]
+    assert stem(["shocked"]) == ["shock"]
 
 
-def test_stem_preserves_length(config):
+def test_stem_preserves_length():
     tokens = ["running", "cats", "don't", "a", "happiness"]
-    assert len(stem(tokens, config)) == len(tokens)
+    assert len(stem(tokens)) == len(tokens)
 
 
-def test_stem_memo_matches_porter_cold_and_warm(config, monkeypatch):
+def test_stem_memo_matches_porter_cold_and_warm(monkeypatch):
     monkeypatch.setattr(textprep, "_STEMS", textprep._StemMemo())
     real = porter.stem_word
     calls = []
@@ -61,15 +99,9 @@ def test_stem_memo_matches_porter_cold_and_warm(config, monkeypatch):
     tokens = REFERENCE_VOC + REFERENCE_VOC[::-1]
     expected = [real(t) for t in tokens]
     assert expected == REFERENCE_OUT + REFERENCE_OUT[::-1]
-    assert stem(tokens, config) == expected  # cold: every stem computed
-    assert stem(tokens, config) == expected  # warm: every stem from the memo
+    assert stem(tokens) == expected  # cold: every stem computed
+    assert stem(tokens) == expected  # warm: every stem from the memo
     assert sorted(calls) == sorted(set(REFERENCE_VOC))  # once per distinct token
-
-
-def test_stem_memo_does_not_leak_into_unstemmed_config(config):
-    stem(["running", "knives"], config)
-    unstemmed = PipelineConfig(stopwords=config.stopwords, stemmer="none")
-    assert stem(["running", "knives"], unstemmed) == ["running", "knives"]
 
 
 def test_preprocess_examples(config):
@@ -84,12 +116,10 @@ def test_preprocess_is_the_stage_composition(config):
     text = "My mom then HIT me with the <b>newspaper</b>!"
     stages = preprocess_stages(text, config)
     manual = " ".join(
-        stem(
-            remove_stopwords(tokenize(strip_noncharacters(lowercase(text))), config),
-            config,
-        )
+        stem(remove_stopwords(tokenize(strip_noncharacters(lowercase(text))), config))
     )
     assert stages["text"] == manual == preprocess(text, config)
+    assert stages["tokens"] == surface_tokens(text)
 
 
 def test_stopword_vendored_list_size(config):
@@ -100,8 +130,9 @@ def test_fingerprint_stability_and_sensitivity(config):
     assert config.fingerprint() == PipelineConfig.default().fingerprint()
     smaller = PipelineConfig(stopwords=frozenset(list(config.stopwords)[:50]))
     assert smaller.fingerprint() != config.fingerprint()
-    unstemmed = PipelineConfig(stopwords=config.stopwords, stemmer="none")
-    assert unstemmed.fingerprint() != config.fingerprint()
+    # the stemmer and removal class are hashed as fixed strings: every model
+    # trained on the default stopwords carries this fingerprint
+    assert config.fingerprint() == GOLDEN_FINGERPRINT
 
 
 def test_stopword_file_comments(tmp_path):
@@ -113,11 +144,6 @@ def test_stopword_file_comments(tmp_path):
 def test_config_rejects_uppercase_stopwords():
     with pytest.raises(ValueError):
         PipelineConfig(stopwords=frozenset({"The"}))
-
-
-def test_config_rejects_unknown_stemmer(config):
-    with pytest.raises(ValueError):
-        PipelineConfig(stopwords=config.stopwords, stemmer="snowball")
 
 
 @given(text_strategy)
