@@ -270,6 +270,9 @@ def load_annotations(
         if len(header) < 3 or header[0] != "item_id" or header[1] != "text":
             raise BadScore(f"{path}: header must start with item_id,text followed by annotators")
         annotators = tuple(header[2:])
+        repeated = [a for i, a in enumerate(annotators) if a in annotators[:i]]
+        if repeated:
+            raise BadScore(f"{path}: annotator {repeated[0]!r} appears more than once in the header")
         item_ids, texts, scores = [], [], []
         for rownum, row in enumerate(reader, start=2):
             if not row:

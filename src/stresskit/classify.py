@@ -404,9 +404,12 @@ def load_model(path: str | Path) -> LinearModel:
         vocab = document["vocabulary"]
         if version == 1:
             params = _format_1_parameters(kind, params)
-        return LinearModel(
+        weights = np.asarray(params["weights"])
+        if weights.ndim != 1 or weights.dtype.kind not in "iuf":
+            raise CorruptFile(f"{path}: weights are not a flat list of numbers")
+        model = LinearModel(
             kind=kind,
-            weights=np.asarray(params["weights"], dtype=float),
+            weights=weights.astype(float),
             bias=float(params["bias"]),
             vocabulary=Vocabulary(
                 tokens=tuple(vocab["tokens"]),
@@ -420,3 +423,6 @@ def load_model(path: str | Path) -> LinearModel:
         )
     except (LookupError, TypeError, ValueError) as exc:
         raise CorruptFile(f"{path}: malformed model document: {exc}") from None
+    if model.feature_kind not in ("bow", "tfidf"):
+        raise CorruptFile(f"{path}: unknown feature kind {model.feature_kind!r}")
+    return model

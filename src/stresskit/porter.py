@@ -1,79 +1,41 @@
 """Porter suffix-stripping stemmer (the original 1980 rule set).
 
-Implements the classic five-step algorithm over lowercase words. Rules
-within a step obey longest-suffix-match semantics: the longest matching
+Implements the classic five-step algorithm over lowercase words; words of
+length <= 2 are returned unchanged. Within a step, the longest matching
 suffix is selected first and only then is its condition tested; if the
 condition fails, no other rule in that step fires.
 
-Words of length <= 2 are returned unchanged. Non-letter characters
-(digits, apostrophes) are treated as consonants, so tokens like "don't"
-pass through untouched.
+Every condition reads the word's consonant/vowel pattern, e.g. "trouble"
+-> "ccvvccv": a, e, i, o and u are vowels; y is a consonant at position 0
+or after a vowel, and a vowel after a consonant; any other character is a
+consonant, digits and apostrophes included, so "don't" passes through
+untouched. A stem of the form [C](VC)^m[V] has measure m = pattern.count("vc").
 """
 
 from __future__ import annotations
 
-_VOWELS = "aeiou"
 
-
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        return True if i == 0 else not _is_consonant(word, i - 1)
-    return True
+def _pattern(word: str) -> str:
+    pattern = ""
+    for ch in word:
+        vowel = ch in "aeiou" or (ch == "y" and pattern.endswith("c"))
+        pattern += "v" if vowel else "c"
+    return pattern
 
 
 def _measure(stem: str) -> int:
-    """Number of VC sequences: stem has the form [C](VC)^m[V]."""
-    m = 0
-    i = 0
-    n = len(stem)
-    while i < n and _is_consonant(stem, i):
-        i += 1
-    while i < n:
-        while i < n and not _is_consonant(stem, i):
-            i += 1
-        if i >= n:
-            break
-        m += 1
-        while i < n and _is_consonant(stem, i):
-            i += 1
-    return m
+    return _pattern(stem).count("vc")
 
 
-def _contains_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
-
-
-def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
-
-
-def _ends_cvc(word: str) -> bool:
+def _ends_cvc(word: str, pattern: str) -> bool:
     """*o condition: ends consonant-vowel-consonant, final not w, x or y."""
-    n = len(word)
-    return (
-        n >= 3
-        and _is_consonant(word, n - 3)
-        and not _is_consonant(word, n - 2)
-        and _is_consonant(word, n - 1)
-        and word[-1] not in "wxy"
-    )
+    return pattern.endswith("cvc") and word[-1] not in "wxy"
 
 
 def step1a(word: str) -> str:
-    if word.endswith("sses"):
+    if word.endswith(("sses", "ies")):
         return word[:-2]
-    if word.endswith("ies"):
-        return word[:-2]
-    if word.endswith("ss"):
-        return word
-    if word.endswith("s"):
+    if word.endswith("s") and not word.endswith("ss"):
         return word[:-1]
     return word
 
@@ -81,34 +43,33 @@ def step1a(word: str) -> str:
 def _step1b_cleanup(stem: str) -> str:
     if stem.endswith(("at", "bl", "iz")):
         return stem + "e"
-    if _ends_double_consonant(stem) and stem[-1] not in "lsz":
+    pattern = _pattern(stem)
+    # *d (a double consonant) other than ll, ss or zz loses a letter
+    if stem[-2:] == stem[-1] * 2 and pattern.endswith("c") and stem[-1] not in "lsz":
         return stem[:-1]
-    if _measure(stem) == 1 and _ends_cvc(stem):
+    if pattern.count("vc") == 1 and _ends_cvc(stem, pattern):
         return stem + "e"
     return stem
 
 
 def step1b(word: str) -> str:
     if word.endswith("eed"):
-        stem = word[:-3]
-        if _measure(stem) > 0:
-            return stem + "ee"
-        return word
+        return word[:-1] if _measure(word[:-3]) > 0 else word
     for suffix in ("ed", "ing"):
         if word.endswith(suffix):
             stem = word[: -len(suffix)]
-            if _contains_vowel(stem):
-                return _step1b_cleanup(stem)
-            return word
+            return _step1b_cleanup(stem) if "v" in _pattern(stem) else word
     return word
 
 
 def step1c(word: str) -> str:
-    if word.endswith("y") and _contains_vowel(word[:-1]):
+    if word.endswith("y") and "v" in _pattern(word[:-1]):
         return word[:-1] + "i"
     return word
 
 
+# In each table a suffix that ends another one comes first (ational before
+# tional, ement before ment before ent), so the first match is the longest.
 _STEP2_RULES = (
     ("ational", "ate"),
     ("tional", "tion"),
@@ -148,57 +109,44 @@ _STEP4_SUFFIXES = (
 )
 
 
-def _longest_match(word: str, suffixes) -> str | None:
-    best = None
-    for suffix in suffixes:
-        if word.endswith(suffix) and (best is None or len(suffix) > len(best)):
-            best = suffix
-    return best
-
-
-def _apply_table(word: str, rules) -> str:
-    suffix = _longest_match(word, [s for s, _ in rules])
-    if suffix is None:
-        return word
-    stem = word[: -len(suffix)]
-    if _measure(stem) > 0:
-        return stem + dict(rules)[suffix]
+def _replace_suffix(word: str, rules) -> str:
+    for suffix, replacement in rules:
+        if word.endswith(suffix):
+            stem = word[: -len(suffix)]
+            return stem + replacement if _measure(stem) > 0 else word
     return word
 
 
 def step2(word: str) -> str:
-    return _apply_table(word, _STEP2_RULES)
+    return _replace_suffix(word, _STEP2_RULES)
 
 
 def step3(word: str) -> str:
-    return _apply_table(word, _STEP3_RULES)
+    return _replace_suffix(word, _STEP3_RULES)
 
 
 def step4(word: str) -> str:
-    suffix = _longest_match(word, _STEP4_SUFFIXES)
-    if suffix is None:
-        return word
-    stem = word[: -len(suffix)]
-    if _measure(stem) > 1:
-        if suffix == "ion" and not stem.endswith(("s", "t")):
-            return word
-        return stem
+    for suffix in _STEP4_SUFFIXES:
+        if word.endswith(suffix):
+            stem = word[: -len(suffix)]
+            if suffix == "ion" and not stem.endswith(("s", "t")):
+                return word
+            return stem if _measure(stem) > 1 else word
     return word
 
 
 def step5a(word: str) -> str:
     if word.endswith("e"):
         stem = word[:-1]
-        m = _measure(stem)
-        if m > 1:
-            return stem
-        if m == 1 and not _ends_cvc(stem):
+        pattern = _pattern(stem)
+        m = pattern.count("vc")
+        if m > 1 or (m == 1 and not _ends_cvc(stem, pattern)):
             return stem
     return word
 
 
 def step5b(word: str) -> str:
-    if _measure(word) > 1 and _ends_double_consonant(word) and word.endswith("l"):
+    if word.endswith("ll") and _measure(word) > 1:
         return word[:-1]
     return word
 

@@ -263,6 +263,10 @@ def emotion_summary(
         if item.label != 1:
             continue
         profile = item.emotions
+        if profile is None:
+            raise ValueError(
+                f"stressed post {item.post.id!r} has no emotion profile: "
+                "classify_corpus ran without a lexicon")
         bucket = month_index(item.post.date)
         for affect in affects:
             value = profile.get(affect)

@@ -295,6 +295,11 @@ def test_load_annotations_rejects_bad_cells(write_csv):
     )
     with pytest.raises(BadScore):
         load_annotations(sheet2)
+    sheet3 = write_csv(
+        [["item_id", "text", "a1", "a2", "a1"], ["x1", "t", "1", "0", "2"]], name="bad3.csv"
+    )
+    with pytest.raises(BadScore, match="'a1' appears more than once"):
+        load_annotations(sheet3)
 
 
 def test_binarize_scores():

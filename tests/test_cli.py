@@ -104,6 +104,33 @@ def test_predict_corrupt_model_is_data_error(tmp_path, write_csv):
     assert run(["predict", bad, src]) == 2
 
 
+def _unknown_features(document):
+    document["hyperparameters"]["features"] = "foo"
+
+
+def _nested_weights(document):
+    document["parameters"]["weights"] = [[w] for w in document["parameters"]["weights"]]
+
+
+def _string_weights(document):
+    document["parameters"]["weights"] = [str(w) for w in document["parameters"]["weights"]]
+
+
+@pytest.mark.parametrize("corrupt", [_unknown_features, _nested_weights, _string_weights],
+                         ids=["features", "nested-weights", "string-weights"])
+def test_predict_malformed_model_is_data_error(corrupt, trained_model, tmp_path):
+    document = json.loads(trained_model.read_text(encoding="utf-8"))
+    corrupt(document)
+    (tmp_path / "model.json").write_text(json.dumps(document), encoding="utf-8")
+    argv = ["predict", "model.json", str(FIXTURES / "posts_100.csv")]
+    result = run_in_subprocess(
+        f"import sys\nfrom stresskit import cli\nsys.exit(cli.main({argv!r}))\n", tmp_path)
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert "model.json" in result.stderr
+    assert not (tmp_path / "predictions.csv").exists()
+
+
 def test_predict_fingerprint_mismatch_warns_but_succeeds(
     trained_model, tmp_path, write_csv, capsys
 ):
@@ -223,6 +250,16 @@ def test_annotate_weight_not_finite_and_positive_is_data_error(
     assert "Traceback" not in err
     assert str(weights) in err and "row 2" in err
     assert not (tmp_path / "consensus.csv").exists()
+
+
+def test_annotate_duplicate_annotator_id_is_data_error(write_csv, tmp_path, capsys):
+    rows = [["item_id", "text", "a1", "a1", "a2"]]
+    rows += [[f"x{j}", "t", 1, -4, 1] for j in range(10)]
+    code = run(["annotate", write_csv(rows, name="sheet.csv"), "--out-dir", tmp_path])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'a1'" in err and "Traceback" not in err
+    assert not (tmp_path / "annotation_summary.json").exists()
 
 
 def test_annotate_threshold_above_one_is_usage_error(write_csv):

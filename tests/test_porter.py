@@ -1,10 +1,20 @@
 """The stemmer is checked against the published rule examples of the
 original algorithm definition (per step) and against the published sample
-block of the reference vocabulary/output pair (full pipeline)."""
+block of the reference vocabulary/output pair (full pipeline), and every
+step is cross-checked against tests/porter_reference.py."""
+
+import importlib.util
+import itertools
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stresskit import porter
+
+import porter_reference as reference
+from conftest import REPO_ROOT
 
 STEP1A = [
     ("caresses", "caress"),
@@ -160,3 +170,98 @@ def test_short_words_unchanged():
 def test_non_letter_characters_pass_through():
     assert porter.stem_word("don't") == "don't"
     assert porter.stem_word("1990") == "1990"
+
+
+# Cross-check against the stemmer as it was before the consonant-pattern
+# rewrite (tests/porter_reference.py, a verbatim copy): every step and the
+# whole pipeline must agree on every input below.
+FUNCTIONS = ("step1a", "step1b", "step1c", "step2", "step3", "step4", "step5a", "step5b")
+TABLE_SUFFIXES = tuple(
+    [s for s, _ in reference._STEP2_RULES]
+    + [s for s, _ in reference._STEP3_RULES]
+    + list(reference._STEP4_SUFFIXES)
+)
+# Step 1 and step 5 suffixes, and the step 2 and 3 replacements.
+RULE_SUFFIXES = TABLE_SUFFIXES + (
+    "sses", "ies", "ss", "s", "eed", "ed", "ing", "at", "bl", "iz", "e", "ll",
+) + tuple(r for _, r in reference._STEP2_RULES + reference._STEP3_RULES if r)
+SUFFIX_CONSONANTS = "".join(sorted(set("".join(RULE_SUFFIXES)) - set("aeiouy")))
+ALPHABET = "aeiouywx" + SUFFIX_CONSONANTS + "'1"
+# No rule of steps 2-4 can change a word of 4 letters: their stems need
+# m > 0 before a suffix of 3 or more letters, or m > 1. So the 4-letter
+# words use only the consonants steps 1 and 5 name, w for the letters *o
+# excludes (no rule tells w from x), and one non-letter (no rule names a
+# digit or an apostrophe).
+ALPHABET_4 = "aeiouyw" + "bdglnstz" + "'"
+BASES = (
+    "", "b", "a", "y", "by", "ay", "yy", "tr", "hop", "sky", "play", "oyst",
+    "sens", "form", "feud", "hyp", "valen", "relat", "adopt", "digit",
+    "electr", "triplic", "conflat", "control", "general", "angular", "boyy",
+)
+ENDINGS = ("", "s", "ed", "ing", "ly", "ness")
+_STEP_PAIRS = [(name, getattr(porter, name), getattr(reference, name)) for name in FUNCTIONS]
+
+
+def _mismatches(words):
+    """(function, word, got, expected) for each disagreement. Each step is
+    checked on the word the reference pipeline passes it, and stem_word on
+    the input word. (reference.stem_word is the same chain after keeping
+    words of length <= 2, so the chain's end is its result.)"""
+    bad = []
+    for word in words:
+        current = word
+        for name, step, reference_step in _STEP_PAIRS:
+            expected = reference_step(current)
+            got = step(current)
+            if got != expected:
+                bad.append((name, current, got, expected))
+            current = expected
+        expected = word if len(word) <= 2 else current
+        if porter.stem_word(word) != expected:
+            bad.append(("stem_word", word, porter.stem_word(word), expected))
+    return bad
+
+
+def test_matches_reference_on_every_short_string():
+    words = [
+        "".join(chars)
+        for n in range(4)
+        for chars in itertools.product(ALPHABET, repeat=n)
+    ]
+    words += ["".join(chars) for chars in itertools.product(ALPHABET_4, repeat=4)]
+    assert _mismatches(words) == []
+
+
+def test_matches_reference_on_bases_times_rule_suffixes():
+    words = [
+        base + suffix + ending
+        for base in BASES
+        for suffix in RULE_SUFFIXES
+        for ending in ENDINGS
+    ]
+    assert _mismatches(words) == []
+
+
+def test_matches_reference_on_the_benchmark_vocabulary():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", REPO_ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    assert _mismatches(gen.Vocabulary().types) == []
+
+
+_pieces = st.sampled_from(list(string.ascii_lowercase) + ["'", "1", "é"] + list(RULE_SUFFIXES))
+
+
+@settings(max_examples=150)
+@given(st.one_of(st.lists(_pieces, max_size=6).map("".join),
+                 st.text(st.characters(categories=["Ll"]), max_size=12)))
+def test_matches_reference_on_lowercase_text(word):
+    assert _mismatches([word]) == []
+
+
+def test_first_table_match_is_the_longest():
+    for suffixes in ([s for s, _ in porter._STEP2_RULES], [s for s, _ in porter._STEP3_RULES],
+                     porter._STEP4_SUFFIXES):
+        for i, suffix in enumerate(suffixes):
+            assert not any(suffix.endswith(earlier) for earlier in suffixes[:i]), suffix

@@ -226,6 +226,14 @@ def test_classify_corpus_strips_each_post_once(fixtures_dir, config, monkeypatch
     assert len(calls) == len(posts)
 
 
+def test_build_report_with_a_lexicon_needs_classify_corpus_to_have_had_one(
+        fixtures_dir, config):
+    model = classify.load_model(REPO_ROOT / "tests" / "golden" / "model_logistic.json")
+    classified = classify_corpus(model, corpus.load_posts(fixtures_dir / "posts_100.csv"), config)
+    with pytest.raises(ValueError, match="classify_corpus ran without a lexicon"):
+        build_report(classified, GROUP_MAP, config=config, lexicon=emotion.default_lexicon())
+
+
 # ----------------------------------------------------------------- emotion
 
 def test_emotion_summary_single_item(config):
