@@ -15,11 +15,12 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Hashable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
 
 from .errors import StressKitError, open_text
+
+if TYPE_CHECKING:  # numpy loads only in the three functions that compute with it
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -89,6 +90,7 @@ def detect_outliers(matrix: AnnotationMatrix) -> list[list[bool]]:
     """Flag judgment (i, j) iff |A(i,j) - mean(other scores for j)| >
     population std of all scores for j. Strict inequality, so unanimous
     items never flag."""
+    import numpy as np
     flags = [[False] * matrix.n_annotators for _ in range(matrix.n_items)]
     for j in range(matrix.n_items):
         row = matrix.scores[j]
@@ -189,6 +191,7 @@ def fleiss_kappa(
     not are dropped with a warning (n is the most common rating count).
     Returns 1.0 when expected agreement is 1 (all ratings in one category).
     """
+    import numpy as np
     counts_per_item = [sum(1 for r in row if r is not None) for row in ratings]
     eligible = [c for c in counts_per_item if c >= 2]
     if not eligible:
@@ -223,6 +226,7 @@ def annotator_correlation(matrix: AnnotationMatrix) -> np.ndarray:
 
     Pairs sharing fewer than MIN_OVERLAP items (or with zero variance) are
     reported as NaN rather than failing. Diagonal is 1."""
+    import numpy as np
     k = matrix.n_annotators
     out = np.full((k, k), np.nan)
     columns = [

@@ -3,7 +3,9 @@
 smoothing, and a linear SVM trained by pegasos-style stochastic subgradient
 descent. All trainers are deterministic given their seeds, and all three
 return one LinearModel that decides on bias + weights . x. They share one
-design matrix, a sparse row store in plain numpy arrays.
+design matrix, a sparse row store in plain numpy arrays. Numpy is imported
+only by the code that trains; a model's weights are plain floats, so loading
+a model and predicting never import it.
 
 Models persist as single self-describing JSON documents (format 2; format 1
 files still load); load(save(m)) reproduces predictions bit-identically.
@@ -15,12 +17,13 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import StressKitError
 from .features import FeatureVector, Vocabulary
+
+if TYPE_CHECKING:  # numpy loads only where a trainer computes with it
+    import numpy as np
 
 MODEL_FORMAT_VERSION = 2
 
@@ -71,7 +74,7 @@ class LinearModel:
     trainer made it and whether the score is a probability or a margin."""
 
     kind: str  # "logistic", "naive_bayes" or "svm"
-    weights: np.ndarray  # shape (V,)
+    weights: tuple[float, ...]  # one per vocabulary entry
     bias: float
     vocabulary: Vocabulary
     pipeline_fingerprint: str
@@ -82,9 +85,8 @@ class LinearModel:
     def __post_init__(self):
         if len(self.weights) != self.vocabulary.size:
             raise DimensionMismatch(
-                f"{len(self.weights)} weights for vocabulary of {self.vocabulary.size}"
-            )
-        if not np.all(np.isfinite(self.weights)) or not math.isfinite(self.bias):
+                f"{len(self.weights)} weights for vocabulary of {self.vocabulary.size}")
+        if not all(map(math.isfinite, self.weights)) or not math.isfinite(self.bias):
             raise ValueError("non-finite model parameters")
 
 
@@ -111,11 +113,13 @@ class _SparseRows:
 
     def dot(self, w: np.ndarray) -> np.ndarray:
         """X . w"""
+        import numpy as np
         return np.bincount(self.rows, weights=self.data * np.take(w, self.indices),
                            minlength=self.shape[0])
 
     def tdot(self, r: np.ndarray) -> np.ndarray:
         """X^T . r"""
+        import numpy as np
         per_entry = np.repeat(r, np.diff(self.indptr))  # r[rows], without the gather
         return np.bincount(self.indices, weights=self.data * per_entry, minlength=self.shape[1])
 
@@ -124,6 +128,7 @@ def _assemble(
     examples: Sequence[tuple[FeatureVector, int]],
     n_features: int,
 ) -> tuple[_SparseRows, np.ndarray]:
+    import numpy as np
     data, indices, indptr = [], [], [0]
     labels = []
     for vec, label in examples:
@@ -159,6 +164,7 @@ def sigmoid(z: float) -> float:
 
 
 def _objective_at(z: np.ndarray, coef: np.ndarray, y: np.ndarray, l2: float) -> float:
+    import numpy as np
     bce = float(np.mean(np.logaddexp(0.0, z) - y * z))
     return bce + 0.5 * l2 * float(coef @ coef)
 
@@ -166,6 +172,7 @@ def _objective_at(z: np.ndarray, coef: np.ndarray, y: np.ndarray, l2: float) -> 
 def _gradient_at(
     z: np.ndarray, coef: np.ndarray, X: _SparseRows, y: np.ndarray, l2: float
 ) -> tuple[float, np.ndarray]:
+    import numpy as np
     p = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
     residual = p - y
     grad_coef = X.tdot(residual) / len(y) + l2 * coef
@@ -200,6 +207,7 @@ def train_logistic(
     X . coef once: the decision values behind one epoch's loss are the next
     epoch's gradient input.
     """
+    import numpy as np
     X, y = _assemble(examples, vocabulary.size)
     _check_two_classes(y)
     lr = hyper.learning_rate
@@ -221,15 +229,9 @@ def train_logistic(
             previous = loss
         if not diverged:
             return LinearModel(
-                kind="logistic",
-                weights=coef,
-                bias=bias,
-                vocabulary=vocabulary,
-                pipeline_fingerprint=fingerprint,
-                hyper=hyper,
-                feature_kind=feature_kind,
-                effective_learning_rate=lr,
-            )
+                kind="logistic", weights=tuple(coef.tolist()), bias=bias, vocabulary=vocabulary,
+                pipeline_fingerprint=fingerprint, hyper=hyper, feature_kind=feature_kind,
+                effective_learning_rate=lr)
         lr /= 2.0
     raise TrainingDiverged("loss still increasing after 8 learning-rate halvings")
 
@@ -241,6 +243,7 @@ def naive_bayes_estimate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Multinomial estimate over token counts with Laplace smoothing alpha:
     log_prior of shape (2,) and log_likelihood of shape (2, V)."""
+    import numpy as np
     if alpha <= 0:
         raise ValueError("smoothing alpha must be positive")
     X, y = _assemble(examples, vocabulary.size)
@@ -268,14 +271,10 @@ def train_naive_bayes(
     differences as weights, the log-prior difference as bias."""
     log_prior, log_likelihood = naive_bayes_estimate(examples, alpha, vocabulary)
     return LinearModel(
-        kind="naive_bayes",
-        weights=log_likelihood[1] - log_likelihood[0],
-        bias=float(log_prior[1] - log_prior[0]),
-        vocabulary=vocabulary,
-        pipeline_fingerprint=fingerprint,
-        hyper=NaiveBayesHyper(alpha=alpha),
-        feature_kind=feature_kind,
-    )
+        kind="naive_bayes", weights=tuple((log_likelihood[1] - log_likelihood[0]).tolist()),
+        bias=float(log_prior[1] - log_prior[0]), vocabulary=vocabulary,
+        pipeline_fingerprint=fingerprint, hyper=NaiveBayesHyper(alpha=alpha),
+        feature_kind=feature_kind)
 
 
 def train_svm(
@@ -292,6 +291,7 @@ def train_svm(
     1/(lam*t) and the weight vector is projected onto the 1/sqrt(lam) ball.
     Shuffling is seeded, so training is deterministic.
     """
+    import numpy as np
     X, y01 = _assemble(examples, vocabulary.size)
     _check_two_classes(y01)
     y = 2.0 * y01 - 1.0
@@ -318,14 +318,8 @@ def train_svm(
             if norm > radius:
                 w *= radius / norm
     return LinearModel(
-        kind="svm",
-        weights=w,
-        bias=b,
-        vocabulary=vocabulary,
-        pipeline_fingerprint=fingerprint,
-        hyper=hyper,
-        feature_kind=feature_kind,
-    )
+        kind="svm", weights=tuple(w.tolist()), bias=float(b), vocabulary=vocabulary,
+        pipeline_fingerprint=fingerprint, hyper=hyper, feature_kind=feature_kind)
 
 
 def decision_value(model: LinearModel, x: FeatureVector) -> float:
@@ -363,7 +357,7 @@ def save_model(model: LinearModel, path: str | Path) -> None:
             "df": list(model.vocabulary.doc_freq),
             "n_docs": model.vocabulary.n_docs,
         },
-        "parameters": {"weights": model.weights.tolist(), "bias": model.bias},
+        "parameters": {"weights": list(model.weights), "bias": model.bias},
     }
     Path(path).write_text(json.dumps(document), encoding="utf-8")
 
@@ -374,15 +368,27 @@ def _format_1_parameters(kind: str, params: dict) -> dict:
     if kind == "logistic":
         return {"weights": params["coef"], "bias": params["bias"]}
     if kind == "naive_bayes":
-        log_prior = np.asarray(params["log_prior"], dtype=float)
-        log_likelihood = np.asarray(params["log_likelihood"], dtype=float)
-        return {"weights": log_likelihood[1] - log_likelihood[0],
-                "bias": log_prior[1] - log_prior[0]}
+        prior, likelihood = params["log_prior"], params["log_likelihood"]
+        return {"weights": [b - a for a, b in zip(likelihood[0], likelihood[1], strict=True)],
+                "bias": prior[1] - prior[0]}
     return params
 
 
+def _all_of(values, *types: type) -> bool:
+    """`values` is a list of items whose type is exactly one of `types` (a bool is no int)."""
+    return isinstance(values, list) and {type(v) for v in values} <= set(types)
+
+
+def _number(value, what: str) -> float:
+    """A JSON number as a float; OverflowError for an integer too large."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{what} {value!r} is not a number")
+    return float(value)
+
+
 def load_model(path: str | Path) -> LinearModel:
-    """Read a model file of the current format, or of format 1."""
+    """Read a model file of the current format, or of format 1. Every field
+    prediction reads is type-checked; a malformed one raises CorruptFile."""
     try:
         document = json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -391,37 +397,43 @@ def load_model(path: str | Path) -> LinearModel:
         raise CorruptFile(f"{path}: not a model document")
     version = document["format_version"]
     if version not in (1, MODEL_FORMAT_VERSION):
-        raise VersionMismatch(
-            f"{path}: format version {version} "
-            f"(this reader supports 1 and {MODEL_FORMAT_VERSION})"
-        )
+        raise VersionMismatch(f"{path}: format version {version} "
+                              f"(this reader supports 1 and {MODEL_FORMAT_VERSION})")
     kind = document.get("kind")
     if kind not in tuple(HYPERS):  # not a dict test, so an unhashable kind is just unknown
         raise CorruptFile(f"{path}: unknown classifier kind {kind!r}")
     try:
-        hyper = document["hyperparameters"]
+        hyper = dict(document["hyperparameters"])
         params = document["parameters"]
-        vocab = document["vocabulary"]
+        tokens, df, n_docs = (document["vocabulary"][k] for k in ("tokens", "df", "n_docs"))
         if version == 1:
             params = _format_1_parameters(kind, params)
-        weights = np.asarray(params["weights"])
-        if weights.ndim != 1 or weights.dtype.kind not in "iuf":
-            raise CorruptFile(f"{path}: weights are not a flat list of numbers")
+        if not _all_of(tokens, str):
+            raise TypeError("vocabulary tokens are not a list of strings")
+        if not _all_of(df, int) or len(df) != len(tokens) or min(df, default=0) < 0:
+            raise ValueError("vocabulary df is not one non-negative integer per token")
+        if type(n_docs) is not int or n_docs < 1:
+            raise ValueError(f"vocabulary n_docs {n_docs!r} is not a positive integer")
+        if not isinstance(document["pipeline_fingerprint"], str):
+            raise TypeError("pipeline_fingerprint is not a string")
+        weights, rate = params["weights"], hyper.get("effective_learning_rate")
+        if not _all_of(weights, int, float):
+            raise TypeError("weights are not a flat list of numbers")
+        if rate is not None:
+            rate = _number(rate, "effective_learning_rate")
+            if not (math.isfinite(rate) and rate > 0):
+                raise ValueError(f"effective_learning_rate {rate!r} is not finite and positive")
         model = LinearModel(
             kind=kind,
-            weights=weights.astype(float),
-            bias=float(params["bias"]),
-            vocabulary=Vocabulary(
-                tokens=tuple(vocab["tokens"]),
-                doc_freq=tuple(int(d) for d in vocab["df"]),
-                n_docs=int(vocab["n_docs"]),
-            ),
+            weights=tuple(map(float, weights)),
+            bias=_number(params["bias"], "bias"),
+            vocabulary=Vocabulary(tokens=tuple(tokens), doc_freq=tuple(df), n_docs=n_docs),
             pipeline_fingerprint=document["pipeline_fingerprint"],
             hyper=HYPERS[kind](**{f.name: hyper[f.name] for f in fields(HYPERS[kind])}),
             feature_kind=hyper.get("features", "bow"),
-            effective_learning_rate=hyper.get("effective_learning_rate"),
+            effective_learning_rate=rate,
         )
-    except (LookupError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptFile(f"{path}: malformed model document: {exc}") from None
     if model.feature_kind not in ("bow", "tfidf"):
         raise CorruptFile(f"{path}: unknown feature kind {model.feature_kind!r}")

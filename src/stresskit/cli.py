@@ -8,19 +8,17 @@ All randomness is seeded via --seed (default 42) and recorded in outputs.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
 import logging
 import math
-import os
 import sys
 import time
 import warnings
 from pathlib import Path
 
 from . import annotate, classify, corpus, emotion, evaluate, features, report, textprep
-from .errors import StressKitError, open_text
+from .errors import StressKitError, atomic_outputs, open_text
 
 log = logging.getLogger("stresskit")
 
@@ -158,25 +156,6 @@ def _require(path: str, what: str) -> Path:
     return p
 
 
-@contextlib.contextmanager
-def _atomic_output(path: str):
-    """Yield a temporary path beside `path` for the block to write. The file
-    appears at `path` only when the block succeeds; on failure, whatever was
-    at `path` before is left as it was. OS errors name `path`, not the
-    temporary file."""
-    target = Path(path)
-    partial = target.with_name(f".{target.name}.{os.getpid()}.partial")
-    try:
-        yield partial
-        os.replace(partial, target)
-    except OSError as exc:
-        if str(exc.filename) != str(partial):
-            raise
-        raise type(exc)(exc.errno, exc.strerror, path) from None
-    finally:
-        partial.unlink(missing_ok=True)
-
-
 def _lexicon(args) -> emotion.EmotionLexicon:
     if args.lexicon:
         _require(args.lexicon, "lexicon file")
@@ -229,7 +208,7 @@ def cmd_train(args) -> int:
             feature_kind=args.features,
         )
     elapsed = time.perf_counter() - started
-    with _atomic_output(args.model_out) as partial:
+    with atomic_outputs(args.model_out) as [partial]:
         classify.save_model(model, partial)
     print(
         f"trained {args.classifier} ({args.features}) on {len(examples)} examples, "
@@ -259,7 +238,7 @@ def cmd_predict(args) -> int:
     config = _pipeline_config(args)
     report.check_fingerprint(model, config)
     summary = corpus.LoadSummary()
-    with _atomic_output(args.out) as partial, \
+    with atomic_outputs(args.out) as [partial], \
             open(partial, "w", newline="", encoding="utf-8") as handle:
         writer = None
         for fieldnames, raw, record, reason in corpus.iter_post_rows(args.posts_csv):
@@ -314,11 +293,8 @@ def cmd_analyze(args) -> int:
         seed=args.seed,
     )
     outdir = Path(args.out_dir)
-    written = []
-    if args.format in ("json", "both"):
-        written += report.emit_report(result, "json", outdir / "report.json")
-    if args.format in ("csv", "both"):
-        written += report.emit_report(result, "csv", outdir)
+    written = report.emit_report(
+        result, args.format, outdir / "report.json" if args.format == "json" else outdir)
     print(f"{'group':<24}{'total':>8}{'stressed':>10}{'stressed%':>11}{'not%':>8}")
     for g in result.groups:
         print(f"{g.name:<24}{g.total:>8}{g.stressed:>10}{g.stressed_pct:>11.1f}"
@@ -341,15 +317,7 @@ def cmd_annotate(args) -> int:
     correlations = annotate.annotator_correlation(matrix)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    consensus_path = outdir / "consensus.csv"
-    with open(consensus_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["item_id", "weighted_mean", "label", "n_scores"])
-        for item_id, mean, label, n in zip(
-            consensus.item_ids, consensus.means, consensus.labels, consensus.n_scores
-        ):
-            writer.writerow([item_id, repr(mean), label, n])
-    summary_path = outdir / "annotation_summary.json"
+    consensus_path, summary_path = outdir / "consensus.csv", outdir / "annotation_summary.json"
     summary = {
         "excluded": excluded,
         "kappa": kappa,
@@ -365,7 +333,15 @@ def cmd_annotate(args) -> int:
             "weights_in_outlier_rule": False,
         },
     }
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    with atomic_outputs(consensus_path, summary_path) as [consensus_partial, summary_partial]:
+        with open(consensus_partial, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["item_id", "weighted_mean", "label", "n_scores"])
+            for item_id, mean, label, n in zip(
+                consensus.item_ids, consensus.means, consensus.labels, consensus.n_scores
+            ):
+                writer.writerow([item_id, repr(mean), label, n])
+        summary_partial.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     print(f"items: {matrix.n_items}, annotators kept: {consensus.kept.n_annotators}/"
           f"{matrix.n_annotators}, kappa: {kappa:.4f}")
     for entry in excluded:
@@ -383,7 +359,7 @@ def cmd_emotions(args) -> int:
         fields = reader.fieldnames or []
         if fields and "text" not in fields:
             raise StressKitError(f"{args.input_csv}: no 'text' column in header")
-        with _atomic_output(args.out) as partial, \
+        with atomic_outputs(args.out) as [partial], \
                 open(partial, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(["id", "anger", "fear", "sadness", "disgust", "surprise",

@@ -1,5 +1,5 @@
-"""Exception and warning types shared across the package, and the one way it
-opens an input text file.
+"""Exception and warning types shared across the package, the one way it
+opens an input text file, and the one way it writes output files.
 
 Concrete data errors subclass StressKitError so the CLI can map any of
 them to a single "data error" exit code.
@@ -8,6 +8,8 @@ them to a single "data error" exit code.
 from __future__ import annotations
 
 import contextlib
+import errno
+import os
 from pathlib import Path
 from typing import Iterator, TextIO
 
@@ -35,3 +37,30 @@ def open_text(path: str | Path) -> Iterator[TextIO]:
         except UnicodeDecodeError as exc:
             byte = exc.object[exc.start]
             raise NotUtf8Text(f"{path}: not UTF-8 text: byte 0x{byte:02x} ({exc.reason})") from None
+
+
+@contextlib.contextmanager
+def atomic_outputs(*targets: str | Path) -> Iterator[list[Path]]:
+    """Yield one partial path beside each target, `.NAME.PID.partial`, for the
+    block to write. The partials are renamed onto their targets only when the
+    block has written all of them; on failure every partial is removed and
+    every target is left as it was. A directory in a target's place is found
+    before the first rename, so it fails the whole set, not its tail. OS
+    errors name the target, not its partial file."""
+    targets = [Path(t) for t in targets]
+    partials = [t.with_name(f".{t.name}.{os.getpid()}.partial") for t in targets]
+    try:
+        yield partials
+        for target in targets:
+            if target.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+        for partial, target in zip(partials, targets):
+            os.replace(partial, target)
+    except OSError as exc:
+        named = {str(p): str(t) for p, t in zip(partials, targets)}
+        if str(exc.filename) not in named:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, named[str(exc.filename)]) from None
+    finally:
+        for partial in partials:
+            partial.unlink(missing_ok=True)

@@ -14,6 +14,7 @@ the report metadata.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import statistics
@@ -24,11 +25,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from . import classify, emotion, textprep
 from .corpus import PostRecord
-from .errors import FingerprintMismatchWarning, StressKitError, open_text
+from .errors import FingerprintMismatchWarning, StressKitError, atomic_outputs, open_text
 from .features import vectorize
 
 log = logging.getLogger(__name__)
@@ -234,18 +233,33 @@ def top_words(classified: Sequence[ClassifiedPost], n: int) -> list[tuple[str, i
     return ranked[:n]
 
 
+def _percentile(ordered: Sequence[float], q: float) -> float:
+    """numpy's default (linear) percentile of sorted values, bit for bit, for
+    q = 0.25, 0.5 or 0.75, whose virtual index (n-1)*q is exact. At the last
+    index numpy takes the last value; below it, it interpolates from the
+    lower neighbour when t < 0.5 and from the upper one from there on."""
+    index = (len(ordered) - 1) * q
+    lower = int(index)
+    if lower >= len(ordered) - 1:
+        return ordered[-1]
+    t = index - lower
+    a, b = ordered[lower], ordered[lower + 1]
+    d = b - a
+    return b - d * (1 - t) if t >= 0.5 else a + d * t
+
+
 def _five_number(values: Sequence[float]) -> WhiskerStats:
-    arr = np.asarray(values, dtype=float)
-    q1, med, q3 = (float(np.percentile(arr, q)) for q in (25, 50, 75))
+    ordered = sorted(map(float, values))
+    q1, med, q3 = (_percentile(ordered, q) for q in (0.25, 0.5, 0.75))
     iqr = q3 - q1
     low, high = q1 - 1.5 * iqr, q3 + 1.5 * iqr
-    outliers = tuple(float(v) for v in arr if v < low or v > high)
+    outliers = tuple(float(v) for v in values if v < low or v > high)
     return WhiskerStats(
-        minimum=float(arr.min()),
+        minimum=ordered[0],
         q1=q1,
         median=med,
         q3=q3,
-        maximum=float(arr.max()),
+        maximum=ordered[-1],
         outliers=outliers,
     )
 
@@ -385,41 +399,16 @@ def report_to_json(report: StressReport) -> dict:
     }
 
 
-def emit_report(report: StressReport, format: str, path: str | Path) -> list[Path]:
-    """JSON: one document at `path`. CSV: one file per table under the
-    `path` directory. Returns the written paths."""
-    if format not in ("json", "csv"):
-        raise UnknownFormat(f"unknown report format {format!r} (expected json or csv)")
-    if format == "json":
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(json.dumps(report_to_json(report), indent=2) + "\n", encoding="utf-8")
-        return [target]
-    outdir = Path(path)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
+def _csv_text(header: list[str], rows: list[list]) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
-    def table(name: str, header: list[str], rows: list[list]) -> None:
-        target = outdir / name
-        with open(target, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(rows)
-        written.append(target)
 
-    table(
-        "summary.csv",
-        ["group", "total", "stressed", "stressed_pct", "not_stressed_pct"],
-        [
-            [g.name, g.total, g.stressed, g.stressed_pct, g.not_stressed_pct]
-            for g in report.groups
-        ],
-    )
-    table(
-        "monthly.csv",
-        ["group", *MONTHS, "unknown"],
-        [[g.name, *g.monthly.counts, g.monthly.unknown] for g in report.groups],
-    )
+def _csv_tables(report: StressReport) -> dict[str, str]:
+    """The CSV form of the report: file name -> contents."""
     upvote_rows = []
     for g in report.groups:
         for cls in ("stressed", "not_stressed"):
@@ -428,16 +417,6 @@ def emit_report(report: StressReport, format: str, path: str | Path) -> list[Pat
                 upvote_rows.append([g.name, cls, "", "", "", 0])
             else:
                 upvote_rows.append([g.name, cls, stats.mean, stats.median, stats.std, stats.n])
-    table("upvotes.csv", ["group", "class", "mean", "median", "std", "n"], upvote_rows)
-    table(
-        "top_words.csv",
-        ["group", "rank", "token", "count"],
-        [
-            [g.name, rank, token, count]
-            for g in report.groups
-            for rank, (token, count) in enumerate(g.top_words, start=1)
-        ],
-    )
     emotion_rows = []
     for g in report.groups:
         if g.emotions is None:
@@ -452,12 +431,48 @@ def emit_report(report: StressReport, format: str, path: str | Path) -> list[Pat
                 [g.name, affect, "all", "", w.minimum, w.q1, w.median, w.q3, w.maximum,
                  len(w.outliers)]
             )
-    table(
-        "emotions.csv",
-        ["group", "affect", "month", "mean", "min", "q1", "median", "q3", "max", "n_outliers"],
-        emotion_rows,
-    )
-    return written
+    return {
+        "summary.csv": _csv_text(
+            ["group", "total", "stressed", "stressed_pct", "not_stressed_pct"],
+            [[g.name, g.total, g.stressed, g.stressed_pct, g.not_stressed_pct]
+             for g in report.groups]),
+        "monthly.csv": _csv_text(
+            ["group", *MONTHS, "unknown"],
+            [[g.name, *g.monthly.counts, g.monthly.unknown] for g in report.groups]),
+        "upvotes.csv": _csv_text(["group", "class", "mean", "median", "std", "n"], upvote_rows),
+        "top_words.csv": _csv_text(
+            ["group", "rank", "token", "count"],
+            [[g.name, rank, token, count]
+             for g in report.groups
+             for rank, (token, count) in enumerate(g.top_words, start=1)]),
+        "emotions.csv": _csv_text(
+            ["group", "affect", "month", "mean", "min", "q1", "median", "q3", "max",
+             "n_outliers"],
+            emotion_rows),
+    }
+
+
+def emit_report(report: StressReport, format: str, path: str | Path) -> list[Path]:
+    """JSON: one document at `path`. CSV: one file per table under the
+    `path` directory. Both: the tables and report.json under `path`. All
+    files appear together or, on failure, none of them does
+    (errors.atomic_outputs). Returns the written paths."""
+    if format not in ("json", "csv", "both"):
+        raise UnknownFormat(f"unknown report format {format!r} (expected json, csv or both)")
+    path = Path(path)
+    outputs: dict[Path, str] = {}
+    if format != "csv":
+        document = json.dumps(report_to_json(report), indent=2) + "\n"
+        outputs[path if format == "json" else path / "report.json"] = document
+    if format != "json":
+        outputs.update((path / name, text) for name, text in _csv_tables(report).items())
+    for directory in {target.parent for target in outputs}:
+        directory.mkdir(parents=True, exist_ok=True)
+    with atomic_outputs(*outputs) as partials:
+        for partial, text in zip(partials, outputs.values()):
+            with open(partial, "w", newline="", encoding="utf-8") as handle:
+                handle.write(text)
+    return list(outputs)
 
 
 def load_group_map(path: str | Path) -> dict[str, str]:

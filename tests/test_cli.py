@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,8 +117,43 @@ def _string_weights(document):
     document["parameters"]["weights"] = [str(w) for w in document["parameters"]["weights"]]
 
 
-@pytest.mark.parametrize("corrupt", [_unknown_features, _nested_weights, _string_weights],
-                         ids=["features", "nested-weights", "string-weights"])
+def _numeric_tokens(document):
+    document["vocabulary"]["tokens"] = list(range(len(document["vocabulary"]["tokens"])))
+
+
+def _negative_df(document):
+    document["vocabulary"]["df"][0] = -1
+
+
+def _zero_n_docs(document):
+    document["vocabulary"]["n_docs"] = 0
+
+
+def _numeric_fingerprint(document):
+    document["pipeline_fingerprint"] = 5
+
+
+def _string_learning_rate(document):
+    document["hyperparameters"]["effective_learning_rate"] = "x"
+
+
+def _huge_integer_weight(document):
+    document["parameters"]["weights"][0] = 10 ** 400  # 401 digits: too large for a float
+
+
+def _string_bias(document):
+    document["parameters"]["bias"] = "0.5"
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_unknown_features, _nested_weights, _string_weights, _numeric_tokens, _negative_df,
+     _zero_n_docs, _numeric_fingerprint, _string_learning_rate, _huge_integer_weight,
+     _string_bias],
+    ids=["features", "nested-weights", "string-weights", "numeric-tokens", "negative-df",
+         "zero-n-docs", "numeric-fingerprint", "string-learning-rate", "huge-integer-weight",
+         "string-bias"],
+)
 def test_predict_malformed_model_is_data_error(corrupt, trained_model, tmp_path):
     document = json.loads(trained_model.read_text(encoding="utf-8"))
     corrupt(document)
@@ -479,6 +515,89 @@ def test_train_runs_with_scipy_blocked(classifier, features, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "model.json").exists()
+
+
+READ_COMMANDS = {
+    "predict": ["predict", GOLDEN_MODEL, FIXTURES / "posts_100.csv", "--out", "p.csv"],
+    "analyze": ["analyze", GOLDEN_MODEL, FIXTURES / "posts_100.csv", "--out-dir", "reports"],
+    "emotions": ["emotions", FIXTURES / "posts_100.csv", "--out", "e.csv"],
+    "stats": ["stats", FIXTURES / "posts_100.csv"],
+}
+
+
+def _numpy_loaded_after(argv, tmp_path):
+    """Run the CLI on `argv` (none: only import it) in a fresh process and
+    report whether numpy was imported."""
+    result = run_in_subprocess(
+        "import sys\n"
+        "from stresskit import cli\n"
+        + (f"assert cli.main({[str(a) for a in argv]!r}) == 0\n" if argv else "")
+        + "print('numpy' in sys.modules)\n",
+        tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize("command", [None, *READ_COMMANDS], ids=["import", *READ_COMMANDS])
+def test_read_path_does_not_import_numpy(command, tmp_path):
+    assert not _numpy_loaded_after(READ_COMMANDS.get(command), tmp_path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["train", FIXTURES / "labeled_train.csv", "--epochs", "5"],
+     ["annotate", FIXTURES / "annotations.csv", "--out-dir", "annotation"]],
+    ids=["train", "annotate"],
+)
+def test_training_and_annotation_load_numpy(argv, tmp_path):
+    assert _numpy_loaded_after(argv, tmp_path)
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["predict", "analyze"])
+def test_read_commands_run_with_numpy_blocked(command, tmp_path):
+    argv = [str(a) for a in READ_COMMANDS[command]]
+    outputs = {}
+    for blocked in (False, True):
+        cwd = tmp_path / ("blocked" if blocked else "free")
+        cwd.mkdir()
+        result = run_in_subprocess(
+            "import sys\n"
+            + ("sys.modules['numpy'] = None  # any import of numpy now raises ImportError\n"
+               if blocked else "")
+            + "from stresskit import cli\n"
+            f"sys.exit(cli.main({argv!r}))\n",
+            cwd,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs[blocked] = _tree(cwd)
+    if command == "analyze":
+        for tree in outputs.values():
+            document = json.loads(tree[Path("reports", "report.json")])
+            del document["metadata"]["generated_at"]
+            tree[Path("reports", "report.json")] = document
+    assert outputs[True] == outputs[False] and outputs[False]
+
+
+@pytest.mark.parametrize(
+    "argv,blocker",
+    [(["analyze", GOLDEN_MODEL, FIXTURES / "posts_100.csv", "--out-dir", "{out}"],
+      "emotions.csv"),
+     (["annotate", FIXTURES / "annotations.csv", "--out-dir", "{out}"],
+      "annotation_summary.json")],
+    ids=["analyze", "annotate"],
+)
+def test_failure_on_a_later_output_leaves_no_new_file(argv, blocker, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / blocker).mkdir(parents=True)  # a directory where the last output goes
+    assert run([str(a).replace("{out}", str(out)) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out / blocker) in err
+    assert sorted(p.relative_to(out) for p in out.rglob("*")) == [Path(blocker)]
 
 
 def test_traced_layers_exist_after_importing_the_cli(tmp_path):

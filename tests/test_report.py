@@ -4,6 +4,8 @@ from collections import Counter
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stresskit import classify, corpus, emotion, features, report, textprep
 from stresskit.corpus import PostRecord
@@ -326,3 +328,27 @@ def test_report_numbers_round_trip_at_full_precision(config, tmp_path):
 def test_load_group_map(write_csv):
     path = write_csv([["community", "group"], ["r/PhD", "PhD students"]])
     assert report.load_group_map(path) == {"r/PhD": "PhD students"}
+
+
+@st.composite
+def _samples(draw):
+    """1 to 200 finite floats drawn from a small pool, so values repeat."""
+    finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0])
+    pool = draw(st.lists(finite, min_size=1, max_size=30))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=200))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_samples())
+def test_five_number_quartiles_match_numpy_percentile(values):
+    import numpy as np
+
+    # Equal values may sit in either order, and 0.0 == -0.0: with both signs
+    # in the input, which one a zero quartile carries depends on numpy's
+    # partition order, not on the values, so only there the sign may differ.
+    both_zeros = {math.copysign(1.0, v) for v in values if v == 0} == {1.0, -1.0}
+    w = report._five_number(values)
+    for got, q in ((w.q1, 25), (w.median, 50), (w.q3, 75)):
+        expected = float(np.percentile(values, q))
+        # float.hex shows every bit of the mantissa and the sign of a zero
+        assert got.hex() == expected.hex() or both_zeros and got == expected == 0, (q, values)
