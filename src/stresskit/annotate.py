@@ -6,6 +6,10 @@ A judgment is an outlier when its absolute deviation from the mean of the
 OTHER annotators' scores for that item exceeds the population standard
 deviation of all scores for the item. Annotator weights participate only
 in the consensus mean, never in outlier detection.
+
+The scores are one float array, items x annotators, NaN = missing. Each
+per-item sum is Python's sum over the annotator columns, so it adds in
+annotator order as a loop would; numpy's row sums pair terms from 8 up.
 """
 
 from __future__ import annotations
@@ -15,11 +19,11 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import StressKitError, open_text
 
-if TYPE_CHECKING:  # numpy loads only in the three functions that compute with it
+if TYPE_CHECKING:  # numpy loads only in the functions that compute with it
     import numpy as np
 
 log = logging.getLogger(__name__)
@@ -28,6 +32,9 @@ SCORE_MIN, SCORE_MAX = -5, 5
 
 # Annotator pairs sharing fewer items than this get no correlation.
 MIN_OVERLAP = 3
+
+# The eleven canonical score cells and the blank one, as they parse.
+_CELLS = {str(v): float(v) for v in range(SCORE_MIN, SCORE_MAX + 1)} | {"": math.nan}
 
 
 class TooFewScores(StressKitError):
@@ -50,22 +57,29 @@ class BadScore(StressKitError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnnotationMatrix:
     item_ids: tuple[str, ...]
     texts: tuple[str, ...]
     annotator_ids: tuple[str, ...]
     weights: tuple[float, ...]
-    scores: tuple[tuple[int | None, ...], ...]  # [item][annotator], None = missing
+    # float [item, annotator], NaN = missing; rows of int-or-None are converted
+    scores: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         for weight in self.weights:
             if not (math.isfinite(weight) and weight > 0):
                 raise ValueError(f"annotator weight must be finite and positive, got {weight}")
-        for row in self.scores:
-            for score in row:
-                if score is not None and not (SCORE_MIN <= score <= SCORE_MAX):
-                    raise ValueError(f"score {score} outside [{SCORE_MIN}, {SCORE_MAX}]")
+        scores = np.array(self.scores, dtype=float)  # a copy: the caller's array stays writable
+        if scores.shape != (self.n_items, self.n_annotators):
+            raise ValueError(f"scores of shape {scores.shape} for "
+                             f"{self.n_items} items x {self.n_annotators} annotators")
+        outside = scores[(scores < SCORE_MIN) | (scores > SCORE_MAX)]
+        if outside.size:
+            raise ValueError(f"score {outside[0]:g} outside [{SCORE_MIN}, {SCORE_MAX}]")
+        scores.flags.writeable = False
+        object.__setattr__(self, "scores", scores)
 
     @property
     def n_items(self) -> int:
@@ -86,37 +100,32 @@ class ConsensusResult:
     excluded: tuple[tuple[str, float], ...] = ()  # (annotator id, outlier rate)
 
 
-def detect_outliers(matrix: AnnotationMatrix) -> list[list[bool]]:
-    """Flag judgment (i, j) iff |A(i,j) - mean(other scores for j)| >
+def detect_outliers(matrix: AnnotationMatrix) -> np.ndarray:
+    """Flag judgment [j, i] iff |A(j,i) - mean(other scores for j)| >
     population std of all scores for j. Strict inequality, so unanimous
-    items never flag."""
+    items never flag. Returns a bool array shaped like the scores."""
     import numpy as np
-    flags = [[False] * matrix.n_annotators for _ in range(matrix.n_items)]
-    for j in range(matrix.n_items):
-        row = matrix.scores[j]
-        present = [(i, s) for i, s in enumerate(row) if s is not None]
-        if len(present) < 2:
-            raise TooFewScores(
-                f"item {matrix.item_ids[j]!r} has {len(present)} score(s); need at least 2"
-            )
-        values = np.array([s for _, s in present], dtype=float)
-        std = float(values.std())  # population std
-        total = values.sum()
-        for i, s in present:
-            loo_mean = (total - s) / (len(present) - 1)
-            if abs(s - loo_mean) > std:
-                flags[j][i] = True
-    return flags
+    scores = matrix.scores
+    present = ~np.isnan(scores)
+    n = present.sum(axis=1)
+    short = np.flatnonzero(n < 2)
+    if short.size:
+        j = short[0]
+        raise TooFewScores(f"item {matrix.item_ids[j]!r} has {n[j]} score(s); need at least 2")
+    total = sum(np.where(present, scores, 0.0).T)  # Python's sum: column by column
+    deviation = np.where(present, scores - (total / n)[:, None], 0.0)
+    std = np.sqrt(sum((deviation * deviation).T) / n)
+    loo_mean = (total[:, None] - scores) / (n - 1)[:, None]
+    return np.abs(scores - loo_mean) > std[:, None]  # a missing score compares False
 
 
 def outlier_rates(matrix: AnnotationMatrix, flags: Sequence[Sequence[bool]]) -> dict[str, float]:
     """Flagged fraction per annotator over their present judgments."""
-    rates = {}
-    for i, annotator in enumerate(matrix.annotator_ids):
-        present = sum(1 for j in range(matrix.n_items) if matrix.scores[j][i] is not None)
-        flagged = sum(1 for j in range(matrix.n_items) if flags[j][i])
-        rates[annotator] = flagged / present if present else 0.0
-    return rates
+    import numpy as np
+    present = (~np.isnan(matrix.scores)).sum(axis=0).tolist()
+    flagged = np.asarray(flags, dtype=bool).reshape(matrix.scores.shape).sum(axis=0).tolist()
+    return {annotator: f / p if p else 0.0
+            for annotator, f, p in zip(matrix.annotator_ids, flagged, present)}
 
 
 def exclude_annotators(
@@ -139,33 +148,27 @@ def exclude_annotators(
         texts=matrix.texts,
         annotator_ids=tuple(matrix.annotator_ids[i] for i in keep),
         weights=tuple(matrix.weights[i] for i in keep),
-        scores=tuple(tuple(row[i] for i in keep) for row in matrix.scores),
+        scores=matrix.scores[:, keep],
     )
 
 
 def weighted_consensus(matrix: AnnotationMatrix) -> ConsensusResult:
     """Per-item weighted mean; binary label 1 (stressed) iff mean < 0."""
-    means, labels, counts = [], [], []
-    for j in range(matrix.n_items):
-        num = den = 0.0
-        n = 0
-        for i, score in enumerate(matrix.scores[j]):
-            if score is None:
-                continue
-            num += matrix.weights[i] * score
-            den += matrix.weights[i]
-            n += 1
-        if n == 0:
-            raise EmptyItem(f"item {matrix.item_ids[j]!r} has no scores")
-        mean = num / den
-        means.append(mean)
-        labels.append(1 if mean < 0 else 0)
-        counts.append(n)
+    import numpy as np
+    present = ~np.isnan(matrix.scores)
+    counts = present.sum(axis=1)
+    short = np.flatnonzero(counts == 0)
+    if short.size:
+        raise EmptyItem(f"item {matrix.item_ids[short[0]]!r} has no scores")
+    filled = np.where(present, matrix.scores, 0.0)
+    num = sum(w * column for w, column in zip(matrix.weights, filled.T))
+    den = sum(w * column for w, column in zip(matrix.weights, present.T))
+    means = num / den
     return ConsensusResult(
         item_ids=matrix.item_ids,
-        means=tuple(means),
-        labels=tuple(labels),
-        n_scores=tuple(counts),
+        means=tuple(means.tolist()),
+        labels=tuple((means < 0).astype(int).tolist()),
+        n_scores=tuple(counts.tolist()),
         kept=matrix,
     )
 
@@ -182,36 +185,33 @@ def aggregate(matrix: AnnotationMatrix, threshold: float = 0.40) -> ConsensusRes
 
 
 def fleiss_kappa(
-    ratings: Sequence[Sequence[Hashable | None]],
-    categories: Sequence[Hashable],
+    ratings: Sequence[Sequence[float | None]] | np.ndarray,
+    categories: Sequence[float],
 ) -> float:
-    """Standard Fleiss kappa over items x raters categorical assignments.
+    """Standard Fleiss kappa over items x raters numeric category
+    assignments, None or NaN for a missing rating.
 
     Items must all carry the same number n >= 2 of ratings; items that do
     not are dropped with a warning (n is the most common rating count).
     Returns 1.0 when expected agreement is 1 (all ratings in one category).
     """
     import numpy as np
-    counts_per_item = [sum(1 for r in row if r is not None) for row in ratings]
-    eligible = [c for c in counts_per_item if c >= 2]
-    if not eligible:
+    ratings = np.atleast_2d(np.asarray(ratings, dtype=float))
+    counts_per_item = (~np.isnan(ratings)).sum(axis=1)
+    eligible = counts_per_item[counts_per_item >= 2]
+    if not eligible.size:
         raise NoValidItems("no item carries at least 2 ratings")
-    n = max(sorted(set(eligible)), key=lambda c: (eligible.count(c), c))
-    kept_rows = [row for row, c in zip(ratings, counts_per_item) if c == n]
-    dropped = len(ratings) - len(kept_rows)
+    tally = np.bincount(eligible)
+    n = len(tally) - 1 - int(np.argmax(tally[::-1]))  # most common count; ties to the larger
+    kept = ratings[counts_per_item == n]
+    dropped = len(ratings) - len(kept)
     if dropped:
         log.warning("fleiss_kappa: dropped %d item(s) not rated by exactly %d raters", dropped, n)
-    if not kept_rows:
-        raise NoValidItems("no items with a common rater count remain")
-    cat_index = {c: k for k, c in enumerate(categories)}
-    table = np.zeros((len(kept_rows), len(categories)))
-    for r, row in enumerate(kept_rows):
-        for rating in row:
-            if rating is None:
-                continue
-            if rating not in cat_index:
-                raise ValueError(f"rating {rating!r} not in categories {list(categories)}")
-            table[r, cat_index[rating]] += 1
+    matches = kept[:, :, None] == np.asarray(categories, dtype=float)
+    unknown = ~np.isnan(kept) & ~matches.any(axis=2)
+    if unknown.any():
+        raise ValueError(f"rating {kept[unknown][0]:g} not in categories {list(categories)}")
+    table = matches.sum(axis=1).astype(float)
     p_item = (np.square(table).sum(axis=1) - n) / (n * (n - 1))
     p_bar = float(p_item.mean())
     p_cat = table.sum(axis=0) / table.sum()
@@ -229,35 +229,46 @@ def annotator_correlation(matrix: AnnotationMatrix) -> np.ndarray:
     import numpy as np
     k = matrix.n_annotators
     out = np.full((k, k), np.nan)
-    columns = [
-        np.array(
-            [row[i] if row[i] is not None else np.nan for row in matrix.scores], dtype=float
-        )
-        for i in range(k)
-    ]
+    present = ~np.isnan(matrix.scores)
     for a in range(k):
         out[a, a] = 1.0
         for b in range(a + 1, k):
-            joint = ~np.isnan(columns[a]) & ~np.isnan(columns[b])
+            joint = present[:, a] & present[:, b]
             if joint.sum() < MIN_OVERLAP:
                 log.warning(
                     "annotators %s and %s share only %d item(s); correlation omitted",
                     matrix.annotator_ids[a], matrix.annotator_ids[b], int(joint.sum()),
                 )
                 continue
-            xa, xb = columns[a][joint], columns[b][joint]
+            xa, xb = matrix.scores[joint, a], matrix.scores[joint, b]
             if xa.std() == 0 or xb.std() == 0:
                 continue
             out[a, b] = out[b, a] = float(np.corrcoef(xa, xb)[0, 1])
     return out
 
 
-def binarize_scores(matrix: AnnotationMatrix) -> list[list[int | None]]:
-    """Per-annotator binary stress labels: score < 0 -> 1 (stressed)."""
-    return [
-        [None if s is None else (1 if s < 0 else 0) for s in row]
-        for row in matrix.scores
-    ]
+def binarize_scores(matrix: AnnotationMatrix) -> np.ndarray:
+    """Per-annotator binary stress labels: score < 0 -> 1.0 (stressed),
+    0.0 otherwise, NaN where the score is missing."""
+    import numpy as np
+    return np.where(np.isnan(matrix.scores), np.nan, matrix.scores < 0)
+
+
+def _parse_cell(path: str | Path, rownum: int, annotator: str, cell: str) -> float:
+    """Any score cell not in _CELLS (spaces, "+3", "03", other digits), as int() reads it."""
+    cell = cell.strip()
+    if not cell:
+        return math.nan
+    try:
+        value = int(cell)
+    except ValueError:
+        raise BadScore(
+            f"{path}: row {rownum}: score {cell!r} for {annotator!r} is not an integer"
+        ) from None
+    if not SCORE_MIN <= value <= SCORE_MAX:
+        raise BadScore(f"{path}: row {rownum}: score {value} for {annotator!r} "
+                       f"outside [{SCORE_MIN}, {SCORE_MAX}]")
+    return float(value)
 
 
 def load_annotations(
@@ -265,6 +276,7 @@ def load_annotations(
     weights: Mapping[str, float] | None = None,
 ) -> AnnotationMatrix:
     """CSV with header item_id,text,<annotator>...; blank cell = missing."""
+    import numpy as np
     with open_text(path) as handle:
         reader = csv.reader(handle)
         try:
@@ -277,7 +289,8 @@ def load_annotations(
         repeated = [a for i, a in enumerate(annotators) if a in annotators[:i]]
         if repeated:
             raise BadScore(f"{path}: annotator {repeated[0]!r} appears more than once in the header")
-        item_ids, texts, scores = [], [], []
+        item_ids, texts, values = [], [], []  # values: every score, row by row
+        cell_value = _CELLS.get
         for rownum, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -285,31 +298,18 @@ def load_annotations(
                 raise BadScore(f"{path}: row {rownum}: expected {len(header)} cells, got {len(row)}")
             item_ids.append(row[0])
             texts.append(row[1])
-            parsed: list[int | None] = []
-            for annotator, cell in zip(annotators, row[2:]):
-                cell = cell.strip()
-                if not cell:
-                    parsed.append(None)
-                    continue
-                try:
-                    value = int(cell)
-                except ValueError:
-                    raise BadScore(
-                        f"{path}: row {rownum}: score {cell!r} for {annotator!r} is not an integer"
-                    ) from None
-                if not SCORE_MIN <= value <= SCORE_MAX:
-                    raise BadScore(
-                        f"{path}: row {rownum}: score {value} outside [{SCORE_MIN}, {SCORE_MAX}]"
-                    )
-                parsed.append(value)
-            scores.append(tuple(parsed))
+            parsed = list(map(cell_value, row[2:]))
+            if None in parsed:
+                parsed = [_parse_cell(path, rownum, a, cell) if value is None else value
+                          for a, cell, value in zip(annotators, row[2:], parsed)]
+            values.extend(parsed)
     weights = dict(weights or {})
     return AnnotationMatrix(
         item_ids=tuple(item_ids),
         texts=tuple(texts),
         annotator_ids=annotators,
         weights=tuple(float(weights.get(a, 1.0)) for a in annotators),
-        scores=tuple(scores),
+        scores=np.array(values, dtype=float).reshape(len(item_ids), len(annotators)),
     )
 
 

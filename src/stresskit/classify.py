@@ -380,10 +380,27 @@ def _all_of(values, *types: type) -> bool:
 
 
 def _number(value, what: str) -> float:
-    """A JSON number as a float; OverflowError for an integer too large."""
+    """A JSON number as a float."""
     if type(value) not in (int, float):
         raise TypeError(f"{what} {value!r} is not a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is an integer too large for a float") from None
+
+
+def _hyper(kind: str, hyper: dict):
+    """The kind's hyperparameters from a model file: int fields (`epochs`,
+    `seed`) must be ints, the rest finite numbers, and a bool is neither.
+    Values keep their JSON type, so saving writes the same bytes back."""
+    values = {}
+    for f in fields(HYPERS[kind]):
+        value = values[f.name] = hyper[f.name]
+        if f.type == "int" and type(value) is not int:
+            raise TypeError(f"hyperparameter {f.name} {value!r} is not an integer")
+        if f.type == "float" and not math.isfinite(_number(value, f"hyperparameter {f.name}")):
+            raise ValueError(f"hyperparameter {f.name} {value!r} is not finite")
+    return HYPERS[kind](**values)
 
 
 def load_model(path: str | Path) -> LinearModel:
@@ -429,7 +446,7 @@ def load_model(path: str | Path) -> LinearModel:
             bias=_number(params["bias"], "bias"),
             vocabulary=Vocabulary(tokens=tuple(tokens), doc_freq=tuple(df), n_docs=n_docs),
             pipeline_fingerprint=document["pipeline_fingerprint"],
-            hyper=HYPERS[kind](**{f.name: hyper[f.name] for f in fields(HYPERS[kind])}),
+            hyper=_hyper(kind, hyper),
             feature_kind=hyper.get("features", "bow"),
             effective_learning_rate=rate,
         )

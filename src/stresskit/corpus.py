@@ -304,10 +304,6 @@ def load_posts_with_summary(
     return records, summary
 
 
-def load_posts(path: str | Path, schema: Mapping[str, str] | None = None) -> list[PostRecord]:
-    return load_posts_with_summary(path, schema)[0]
-
-
 def write_labeled(examples: Sequence[LabeledExample], path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)

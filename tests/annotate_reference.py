@@ -1,0 +1,134 @@
+"""Annotation aggregation as per-item Python loops over rows of scores,
+`None` for a missing one: the outlier rule, outlier rates, exclusion,
+weighted consensus, the Fleiss count table and kappa, and annotator
+correlation.
+
+`stresskit.annotate` computes the same things with whole-array
+operations over one items x annotators float array. This module keeps
+the loop form only as an oracle: test_annotate.py checks that both give
+identical flags, rates, labels, counts, kappa, correlations and
+bit-identical means.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import NamedTuple
+
+import numpy as np
+
+from stresskit.annotate import MIN_OVERLAP, AllExcluded, EmptyItem, NoValidItems, TooFewScores
+
+
+class Sheet(NamedTuple):
+    item_ids: tuple[str, ...]
+    annotator_ids: tuple[str, ...]
+    weights: tuple[float, ...]
+    scores: tuple[tuple[int | None, ...], ...]  # [item][annotator], None = missing
+
+
+def detect_outliers(sheet: Sheet) -> list[list[bool]]:
+    flags = [[False] * len(sheet.annotator_ids) for _ in sheet.item_ids]
+    for j, row in enumerate(sheet.scores):
+        present = [(i, s) for i, s in enumerate(row) if s is not None]
+        if len(present) < 2:
+            raise TooFewScores(
+                f"item {sheet.item_ids[j]!r} has {len(present)} score(s); need at least 2"
+            )
+        values = np.array([s for _, s in present], dtype=float)
+        std = float(values.std())  # population std
+        total = values.sum()
+        for i, s in present:
+            loo_mean = (total - s) / (len(present) - 1)
+            if abs(s - loo_mean) > std:
+                flags[j][i] = True
+    return flags
+
+
+def outlier_rates(sheet: Sheet, flags: list[list[bool]]) -> dict[str, float]:
+    rates = {}
+    for i, annotator in enumerate(sheet.annotator_ids):
+        present = sum(1 for row in sheet.scores if row[i] is not None)
+        flagged = sum(1 for row in flags if row[i])
+        rates[annotator] = flagged / present if present else 0.0
+    return rates
+
+
+def exclude_annotators(sheet: Sheet, rates: dict[str, float], threshold: float) -> Sheet:
+    keep = [i for i, a in enumerate(sheet.annotator_ids) if rates[a] < threshold]
+    if not keep:
+        raise AllExcluded("every annotator is at or above the outlier threshold")
+    return Sheet(
+        item_ids=sheet.item_ids,
+        annotator_ids=tuple(sheet.annotator_ids[i] for i in keep),
+        weights=tuple(sheet.weights[i] for i in keep),
+        scores=tuple(tuple(row[i] for i in keep) for row in sheet.scores),
+    )
+
+
+def weighted_consensus(sheet: Sheet) -> tuple[list[float], list[int], list[int]]:
+    """(means, labels, n_scores) per item."""
+    means, labels, counts = [], [], []
+    for j, row in enumerate(sheet.scores):
+        num = den = 0.0
+        n = 0
+        for i, score in enumerate(row):
+            if score is None:
+                continue
+            num += sheet.weights[i] * score
+            den += sheet.weights[i]
+            n += 1
+        if n == 0:
+            raise EmptyItem(f"item {sheet.item_ids[j]!r} has no scores")
+        mean = num / den
+        means.append(mean)
+        labels.append(1 if mean < 0 else 0)
+        counts.append(n)
+    return means, labels, counts
+
+
+def binarize_scores(sheet: Sheet) -> list[list[int | None]]:
+    return [[None if s is None else (1 if s < 0 else 0) for s in row] for row in sheet.scores]
+
+
+def fleiss_kappa(ratings, categories) -> float:
+    counts_per_item = [sum(1 for r in row if r is not None) for row in ratings]
+    eligible = [c for c in counts_per_item if c >= 2]
+    if not eligible:
+        raise NoValidItems("no item carries at least 2 ratings")
+    n = max(sorted(set(eligible)), key=lambda c: (eligible.count(c), c))
+    kept_rows = [row for row, c in zip(ratings, counts_per_item) if c == n]
+    cat_index = {c: k for k, c in enumerate(categories)}
+    table = np.zeros((len(kept_rows), len(categories)))
+    for r, row in enumerate(kept_rows):
+        for rating in row:
+            if rating is None:
+                continue
+            table[r, cat_index[rating]] += 1
+    p_item = (np.square(table).sum(axis=1) - n) / (n * (n - 1))
+    p_bar = float(p_item.mean())
+    p_cat = table.sum(axis=0) / table.sum()
+    p_exp = float(np.square(p_cat).sum())
+    if math.isclose(p_exp, 1.0):
+        return 1.0
+    return (p_bar - p_exp) / (1.0 - p_exp)
+
+
+def annotator_correlation(sheet: Sheet) -> np.ndarray:
+    k = len(sheet.annotator_ids)
+    out = np.full((k, k), np.nan)
+    columns = [
+        np.array([row[i] if row[i] is not None else np.nan for row in sheet.scores], dtype=float)
+        for i in range(k)
+    ]
+    for a in range(k):
+        out[a, a] = 1.0
+        for b in range(a + 1, k):
+            joint = ~np.isnan(columns[a]) & ~np.isnan(columns[b])
+            if joint.sum() < MIN_OVERLAP:
+                continue
+            xa, xb = columns[a][joint], columns[b][joint]
+            if xa.std() == 0 or xb.std() == 0:
+                continue
+            out[a, b] = out[b, a] = float(np.corrcoef(xa, xb)[0, 1])
+    return out

@@ -159,7 +159,7 @@ def test_criterion_5_annotation_suite():
         ("i",), ("",), ("a", "b", "c"), (1.0, 1.0, 1.0), ((5, 5, -5),)
     )
     flags = annotate.detect_outliers(matrix)
-    assert flags == [[True, True, True]]
+    assert flags.tolist() == [[True, True, True]]
 
     # exclusion thresholds at 41% and 39%
     big = annotate.AnnotationMatrix(
@@ -248,7 +248,7 @@ def test_criterion_6_preprocessing_oracle():
 
 
 def test_criterion_7_report_arithmetic(config):
-    posts = corpus.load_posts(FIXTURES / "posts_100.csv")
+    posts = corpus.load_posts_with_summary(FIXTURES / "posts_100.csv")[0]
     assert len(posts) == 100
     group_map = report.load_group_map(FIXTURES / "communities.csv")
     # known labels: every even-positioned row (file order) is stressed

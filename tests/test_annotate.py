@@ -1,9 +1,12 @@
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import annotate_reference as reference
 
 from stresskit.annotate import (
     AllExcluded,
@@ -42,19 +45,19 @@ def matrix_from_rows(rows, weights=None, annotators=None):
 
 def test_unanimous_item_has_no_flags():
     flags = detect_outliers(matrix_from_rows([[5, 5, 5]]))
-    assert flags == [[False, False, False]]
+    assert flags.tolist() == [[False, False, False]]
 
 
 def test_hand_example_five_five_minus_five():
     # population std of {5,5,-5} is ~4.714; every judgment deviates further
     # from the leave-one-out mean than that, so all three are flagged
     flags = detect_outliers(matrix_from_rows([[5, 5, -5]]))
-    assert flags == [[True, True, True]]
+    assert flags.tolist() == [[True, True, True]]
 
 
 def test_moderate_disagreement_flags_only_the_deviant():
     flags = detect_outliers(matrix_from_rows([[2, 2, 2, 2, -4]]))
-    assert flags == [[False, False, False, False, True]]
+    assert flags.tolist() == [[False, False, False, False, True]]
 
 
 def test_single_score_item_rejected():
@@ -63,7 +66,7 @@ def test_single_score_item_rejected():
 
 
 def test_missing_scores_ignored_in_rule():
-    flags = detect_outliers(matrix_from_rows([[5, 5, -5, None]]))
+    flags = detect_outliers(matrix_from_rows([[5, 5, -5, None]])).tolist()
     assert flags[0][:3] == [True, True, True] and flags[0][3] is False
 
 
@@ -74,7 +77,7 @@ def test_flags_invariant_under_constant_shift(shift, scores):
     if any(s + shift != t for s, t in zip(scores, shifted_scores)):
         return  # clamped at the scale edge; shift no longer constant
     shifted = matrix_from_rows([shifted_scores])
-    assert detect_outliers(base) == detect_outliers(shifted)
+    assert detect_outliers(base).tolist() == detect_outliers(shifted).tolist()
 
 
 # --------------------------------------------------------------- exclusion
@@ -248,6 +251,104 @@ def test_correlation_insufficient_overlap_is_nan():
     assert math.isnan(corr[0, 1])
 
 
+# ------------------------------------------------------- reference oracle
+
+def outcome(compute):
+    """What a step gives: ("ok", value), or the error's type and message."""
+    try:
+        return "ok", compute()
+    except (TooFewScores, AllExcluded, EmptyItem, NoValidItems) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_same_consensus_and_kappa(matrix, sheet):
+    """weighted_consensus (means to the bit) and kappa equal the reference's,
+    or both fail naming the same item; True iff the consensus succeeded."""
+    consensus = outcome(lambda: weighted_consensus(matrix))
+    expected = outcome(lambda: reference.weighted_consensus(sheet))
+    if consensus[0] == "ok":
+        result = consensus[1]
+        consensus = "ok", ([m.hex() for m in result.means], list(result.labels),
+                           list(result.n_scores))
+        expected = "ok", ([m.hex() for m in expected[1][0]], *expected[1][1:])
+    assert consensus == expected
+    kappa = outcome(lambda: fleiss_kappa(binarize_scores(matrix), categories=(0, 1)))
+    assert kappa == outcome(
+        lambda: reference.fleiss_kappa(reference.binarize_scores(sheet), (0, 1)))
+    return consensus[0] == "ok"
+
+
+def assert_matches_reference(rows, weights, threshold):
+    """Every aggregation step on the array equals the loop version in
+    annotate_reference: flags, rates, kept annotators, consensus and kappa
+    with and without the exclusion, and correlations; or both fail with the
+    same error, naming the same item. Returns how many annotators the
+    consensus kept (0 after an error)."""
+    matrix = matrix_from_rows(rows, weights=weights)
+    sheet = reference.Sheet(matrix.item_ids, matrix.annotator_ids, matrix.weights,
+                            tuple(tuple(row) for row in rows))
+    assert np.array_equal(annotator_correlation(matrix),
+                          reference.annotator_correlation(sheet), equal_nan=True)
+    assert_same_consensus_and_kappa(matrix, sheet)
+    flags = outcome(lambda: detect_outliers(matrix).tolist())
+    assert flags == outcome(lambda: reference.detect_outliers(sheet))
+    if flags[0] != "ok":
+        return 0
+    rates = outlier_rates(matrix, flags[1])
+    assert rates == reference.outlier_rates(sheet, flags[1])
+    kept = outcome(lambda: exclude_annotators(matrix, rates, threshold))
+    kept_sheet = outcome(lambda: reference.exclude_annotators(sheet, rates, threshold))
+    assert kept[0] == kept_sheet[0]
+    if kept[0] != "ok":
+        return 0
+    kept, kept_sheet = kept[1], kept_sheet[1]
+    assert kept.annotator_ids == kept_sheet.annotator_ids
+    return kept.n_annotators if assert_same_consensus_and_kappa(kept, kept_sheet) else 0
+
+
+@st.composite
+def sheets(draw):
+    k = draw(st.integers(2, 12))
+    cell = st.sampled_from([None, *range(-5, 6)])
+    rows = draw(st.lists(st.lists(cell, min_size=k, max_size=k), min_size=1, max_size=25))
+    weights = draw(st.lists(st.floats(0.05, 20.0), min_size=k, max_size=k))
+    return rows, tuple(weights), draw(st.floats(0.05, 1.0))
+
+
+@settings(deadline=None, max_examples=300)
+@given(sheets())
+def test_aggregation_matches_the_loop_reference(sheet):
+    assert_matches_reference(*sheet)
+
+
+def test_aggregation_matches_the_loop_reference_with_nine_annotators():
+    # From 8 columns up numpy's row sums pair their terms; the consensus must
+    # still add in annotator order. In each permutation of the tie row,
+    # |score - leave-one-out mean| equals the std exactly for every -5.
+    rng = random.Random(11)
+    tie = [-5, -5, -5, -5, -2, 1, 4, 5]
+    rows = []
+    for j in range(3000):
+        if j % 10 == 0:
+            rows.append(rng.sample(tie, len(tie)) + [None])
+            continue
+        base = rng.randint(-5, 5)
+        row = [max(-5, min(5, base + rng.choice((-1, 0, 0, 1)))) for _ in range(8)]
+        rows.append([None if rng.random() < 0.05 else s for s in row] + [rng.randint(-5, 5)])
+    weights = (0.7, 1.3, 2.9, 0.45, 1.0, 3.3, 0.15, 2.2, 1.75)
+    assert assert_matches_reference(rows, weights, 1.0) == 9
+    assert assert_matches_reference(rows, weights, 0.40) == 8  # the random annotator goes
+
+
+def test_too_few_scores_and_empty_item_name_the_first_item_at_fault():
+    rows = [[1, 2, 3], [None, 4, None], [None, None, None]]
+    with pytest.raises(TooFewScores, match="'item1' has 1 score"):
+        detect_outliers(matrix_from_rows(rows))
+    rows = [[1, 2, 3], [None, None, None], [None, None, None]]
+    with pytest.raises(EmptyItem, match="'item1' has no scores"):
+        weighted_consensus(matrix_from_rows(rows))
+
+
 # ----------------------------------------------------------------- loaders
 
 def test_load_annotations_and_weights(write_csv):
@@ -266,13 +367,22 @@ def test_load_annotations_and_weights(write_csv):
     matrix = load_annotations(sheet, weights)
     assert matrix.annotator_ids == ("a1", "a2", "psy")
     assert matrix.weights == (1.0, 1.0, 2.0)
-    assert matrix.scores[0] == (3, None, -5)
+    assert np.array_equal(matrix.scores[0], [3, np.nan, -5], equal_nan=True)
 
 
 @pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf])
 def test_matrix_rejects_weight_that_is_not_finite_and_positive(weight):
     with pytest.raises(ValueError, match="finite and positive"):
         matrix_from_rows([[1, 2]], weights=(1.0, weight))
+
+
+def test_matrix_copies_the_score_array_it_is_given():
+    scores = np.array([[1.0, 2.0], [-3.0, np.nan]])
+    matrix = AnnotationMatrix(("x1", "x2"), ("", ""), ("a1", "a2"), (1.0, 1.0), scores)
+    scores[0, 0] = 4.0
+    assert scores.flags.writeable
+    assert matrix.scores[0, 0] == 1.0
+    assert not matrix.scores.flags.writeable
 
 
 @pytest.mark.parametrize("cell", ["0", "-1", "nan", "inf", "-inf", "x", ""])
@@ -282,6 +392,16 @@ def test_load_weights_rejects_weight_that_is_not_finite_and_positive(write_csv, 
     with pytest.raises(BadScore, match="row 3") as err:
         load_weights(path)
     assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("cell", [" +3 ", "03", "-0", "\u0663", " ", "-5", "5"])
+def test_load_annotations_reads_a_cell_as_int_does(write_csv, cell):
+    sheet = write_csv([["item_id", "text", "a1", "a2"], ["x1", "t", cell, "1"]], name="cell.csv")
+    score = load_annotations(sheet).scores[0, 0]
+    if cell.strip():
+        assert repr(float(score)) == repr(float(int(cell)))  # "-0" is 0.0, not -0.0
+    else:
+        assert math.isnan(score)
 
 
 def test_load_annotations_rejects_bad_cells(write_csv):
@@ -304,4 +424,4 @@ def test_load_annotations_rejects_bad_cells(write_csv):
 
 def test_binarize_scores():
     matrix = matrix_from_rows([[-3, 0, 2, None]])
-    assert binarize_scores(matrix) == [[1, 0, 0, None]]
+    assert np.array_equal(binarize_scores(matrix), [[1, 0, 0, np.nan]], equal_nan=True)

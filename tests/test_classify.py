@@ -1,5 +1,7 @@
 import json
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -413,3 +415,36 @@ def test_current_version_loads(tmp_path):
     path = tmp_path / "model.json"
     save_model(trained_models()[1], path)
     assert load_model(path).kind == "naive_bayes"
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+BAD_HYPERPARAMETERS = {
+    "int": ["x", None, True, 5.0, [5]],
+    "float": ["x", None, True, math.nan, math.inf, -math.inf, 10 ** 400, [0.1]],
+}
+
+
+@pytest.mark.parametrize("name", ["model_logistic.json", "model_nb.json", "model_svm.json"])
+def test_model_hyperparameters_are_type_checked(name, tmp_path):
+    document = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+    kind = classify.HYPERS[document["kind"]]
+    for field in fields(kind):
+        for bad in BAD_HYPERPARAMETERS[field.type]:
+            corrupt = json.loads(json.dumps(document))
+            corrupt["hyperparameters"][field.name] = bad
+            path = tmp_path / "corrupt.json"
+            path.write_text(json.dumps(corrupt), encoding="utf-8")
+            with pytest.raises(CorruptFile, match=f"hyperparameter {field.name}"):
+                load_model(path)
+    # an int is a number, so a float field may hold one
+    first_float = next(f.name for f in fields(kind) if f.type == "float")
+    document["hyperparameters"][first_float] = 1
+    (tmp_path / "int.json").write_text(json.dumps(document), encoding="utf-8")
+    assert getattr(load_model(tmp_path / "int.json").hyper, first_float) == 1
+
+
+@pytest.mark.parametrize("name", ["model_logistic.json", "model_nb.json", "model_svm.json"])
+def test_golden_model_load_save_round_trip_is_byte_identical(name, tmp_path):
+    save_model(load_model(GOLDEN / name), tmp_path / "once.json")
+    save_model(load_model(tmp_path / "once.json"), tmp_path / "twice.json")
+    assert (tmp_path / "once.json").read_bytes() == (tmp_path / "twice.json").read_bytes()

@@ -145,14 +145,26 @@ def _string_bias(document):
     document["parameters"]["bias"] = "0.5"
 
 
+def _string_hyper_learning_rate(document):
+    document["hyperparameters"]["learning_rate"] = "x"
+
+
+def _null_epochs(document):
+    document["hyperparameters"]["epochs"] = None
+
+
+def _bool_seed(document):
+    document["hyperparameters"]["seed"] = True
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_unknown_features, _nested_weights, _string_weights, _numeric_tokens, _negative_df,
      _zero_n_docs, _numeric_fingerprint, _string_learning_rate, _huge_integer_weight,
-     _string_bias],
+     _string_bias, _string_hyper_learning_rate, _null_epochs, _bool_seed],
     ids=["features", "nested-weights", "string-weights", "numeric-tokens", "negative-df",
          "zero-n-docs", "numeric-fingerprint", "string-learning-rate", "huge-integer-weight",
-         "string-bias"],
+         "string-bias", "string-hyper-learning-rate", "null-epochs", "bool-seed"],
 )
 def test_predict_malformed_model_is_data_error(corrupt, trained_model, tmp_path):
     document = json.loads(trained_model.read_text(encoding="utf-8"))
@@ -296,6 +308,21 @@ def test_annotate_duplicate_annotator_id_is_data_error(write_csv, tmp_path, caps
     err = capsys.readouterr().err
     assert "'a1'" in err and "Traceback" not in err
     assert not (tmp_path / "annotation_summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [("6", "score 6 for 'a1' outside [-5, 5]"),
+     ("1.5", "score '1.5' for 'a1' is not an integer"),
+     ("x", "score 'x' for 'a1' is not an integer")],
+)
+def test_annotate_bad_score_cell_is_data_error(cell, message, write_csv, tmp_path, capsys):
+    rows = [["item_id", "text", "a1", "a2"], ["x1", "t", 1, 2], ["x2", "t", cell, 0]]
+    code = run(["annotate", write_csv(rows, name="sheet.csv"), "--out-dir", tmp_path])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "row 3: " + message in err and "Traceback" not in err
+    assert not (tmp_path / "consensus.csv").exists()
 
 
 def test_annotate_threshold_above_one_is_usage_error(write_csv):

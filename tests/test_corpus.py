@@ -13,7 +13,6 @@ from stresskit.corpus import (
     corpus_stats,
     load_labeled,
     load_labeled_with_summary,
-    load_posts,
     load_posts_with_summary,
     parse_date,
     write_labeled,
@@ -92,7 +91,7 @@ def test_load_posts_row(write_csv):
             ["p1", "2023-06-02", "a title", "a body", "37235", "", "r/PhD", "post"],
         ]
     )
-    (record,) = load_posts(path)
+    (record,) = load_posts_with_summary(path)[0]
     assert record.date == datetime(2023, 6, 2, tzinfo=timezone.utc)
     assert record.score == 37235
     assert record.tag is None
@@ -107,15 +106,17 @@ def test_load_posts_bad_date_names_row(write_csv):
         ]
     )
     with pytest.raises(BadDate, match="row 2"):
-        load_posts(path)
+        load_posts_with_summary(path)[0]
 
 
 def test_load_posts_bad_kind_and_score(write_csv):
     header = ["id", "date", "title", "text", "score", "tag", "community", "kind"]
     with pytest.raises(BadField):
-        load_posts(write_csv([header, ["p", "2023-01-01", "t", "b", "x", "", "c", "post"]]))
+        load_posts_with_summary(
+            write_csv([header, ["p", "2023-01-01", "t", "b", "x", "", "c", "post"]]))[0]
     with pytest.raises(BadField):
-        load_posts(write_csv([header, ["p", "2023-01-01", "t", "b", "1", "", "c", "meme"]]))
+        load_posts_with_summary(
+            write_csv([header, ["p", "2023-01-01", "t", "b", "1", "", "c", "meme"]]))[0]
 
 
 def test_load_posts_order_preserved(fixtures_dir):
@@ -137,10 +138,10 @@ def test_round_trip_labeled(write_csv, tmp_path):
 
 
 def test_round_trip_posts(fixtures_dir, tmp_path):
-    records = load_posts(fixtures_dir / "posts_100.csv")
+    records = load_posts_with_summary(fixtures_dir / "posts_100.csv")[0]
     out = tmp_path / "round.csv"
     write_posts(records, out)
-    assert load_posts(out) == records
+    assert load_posts_with_summary(out)[0] == records
 
 
 def test_corpus_stats_counts(config):

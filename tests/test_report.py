@@ -199,7 +199,7 @@ def test_top_words_shuffle_invariant(config):
 
 def test_classify_corpus_carries_the_one_pass_tokens_and_profiles(fixtures_dir, config):
     model = classify.load_model(REPO_ROOT / "tests" / "golden" / "model_logistic.json")
-    posts = corpus.load_posts(fixtures_dir / "posts_100.csv")
+    posts = corpus.load_posts_with_summary(fixtures_dir / "posts_100.csv")[0]
     lex = emotion.default_lexicon()
     classified = classify_corpus(model, posts, config, lexicon=lex)
     assert 0 < sum(item.label for item in classified) < len(classified)
@@ -219,7 +219,7 @@ def test_classify_corpus_carries_the_one_pass_tokens_and_profiles(fixtures_dir, 
 
 def test_classify_corpus_strips_each_post_once(fixtures_dir, config, monkeypatch):
     model = classify.load_model(REPO_ROOT / "tests" / "golden" / "model_logistic.json")
-    posts = corpus.load_posts(fixtures_dir / "posts_100.csv")
+    posts = corpus.load_posts_with_summary(fixtures_dir / "posts_100.csv")[0]
     real, calls = textprep.strip_noncharacters, []
     monkeypatch.setattr(textprep, "strip_noncharacters",
                         lambda text: calls.append(text) or real(text))
@@ -231,7 +231,8 @@ def test_classify_corpus_strips_each_post_once(fixtures_dir, config, monkeypatch
 def test_build_report_with_a_lexicon_needs_classify_corpus_to_have_had_one(
         fixtures_dir, config):
     model = classify.load_model(REPO_ROOT / "tests" / "golden" / "model_logistic.json")
-    classified = classify_corpus(model, corpus.load_posts(fixtures_dir / "posts_100.csv"), config)
+    posts = corpus.load_posts_with_summary(fixtures_dir / "posts_100.csv")[0]
+    classified = classify_corpus(model, posts, config)
     with pytest.raises(ValueError, match="classify_corpus ran without a lexicon"):
         build_report(classified, GROUP_MAP, config=config, lexicon=emotion.default_lexicon())
 
