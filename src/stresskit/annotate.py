@@ -60,7 +60,6 @@ class BadScore(StressKitError):
 @dataclass(frozen=True, eq=False)
 class AnnotationMatrix:
     item_ids: tuple[str, ...]
-    texts: tuple[str, ...]
     annotator_ids: tuple[str, ...]
     weights: tuple[float, ...]
     # float [item, annotator], NaN = missing; rows of int-or-None are converted
@@ -145,7 +144,6 @@ def exclude_annotators(
         raise AllExcluded("every annotator is at or above the outlier threshold")
     return AnnotationMatrix(
         item_ids=matrix.item_ids,
-        texts=matrix.texts,
         annotator_ids=tuple(matrix.annotator_ids[i] for i in keep),
         weights=tuple(matrix.weights[i] for i in keep),
         scores=matrix.scores[:, keep],
@@ -275,7 +273,8 @@ def load_annotations(
     path: str | Path,
     weights: Mapping[str, float] | None = None,
 ) -> AnnotationMatrix:
-    """CSV with header item_id,text,<annotator>...; blank cell = missing."""
+    """CSV with header item_id,text,<annotator>...; blank cell = missing.
+    The text column is not read."""
     import numpy as np
     with open_text(path) as handle:
         reader = csv.reader(handle)
@@ -289,7 +288,7 @@ def load_annotations(
         repeated = [a for i, a in enumerate(annotators) if a in annotators[:i]]
         if repeated:
             raise BadScore(f"{path}: annotator {repeated[0]!r} appears more than once in the header")
-        item_ids, texts, values = [], [], []  # values: every score, row by row
+        item_ids, values = [], []  # values: every score, row by row
         cell_value = _CELLS.get
         for rownum, row in enumerate(reader, start=2):
             if not row:
@@ -297,7 +296,6 @@ def load_annotations(
             if len(row) != len(header):
                 raise BadScore(f"{path}: row {rownum}: expected {len(header)} cells, got {len(row)}")
             item_ids.append(row[0])
-            texts.append(row[1])
             parsed = list(map(cell_value, row[2:]))
             if None in parsed:
                 parsed = [_parse_cell(path, rownum, a, cell) if value is None else value
@@ -306,7 +304,6 @@ def load_annotations(
     weights = dict(weights or {})
     return AnnotationMatrix(
         item_ids=tuple(item_ids),
-        texts=tuple(texts),
         annotator_ids=annotators,
         weights=tuple(float(weights.get(a, 1.0)) for a in annotators),
         scores=np.array(values, dtype=float).reshape(len(item_ids), len(annotators)),

@@ -173,6 +173,8 @@ def cmd_train(args) -> int:
     if args.eval_csv:  # read before training, so a bad file leaves no model behind
         _require(args.eval_csv, "evaluation file")
         held_out = corpus.load_labeled(args.eval_csv)
+        if not held_out:
+            raise StressKitError(f"{args.eval_csv}: no labeled rows with text to evaluate on")
     docs = [textprep.preprocess(ex.text, config) for ex in examples]
     vocab = features.fit_vocabulary(docs, min_df=args.min_df, max_size=args.max_vocab)
     pairs = [
@@ -296,10 +298,10 @@ def cmd_analyze(args) -> int:
     written = report.emit_report(
         result, args.format, outdir / "report.json" if args.format == "json" else outdir)
     print(f"{'group':<24}{'total':>8}{'stressed':>10}{'stressed%':>11}{'not%':>8}")
-    for g in result.groups:
-        print(f"{g.name:<24}{g.total:>8}{g.stressed:>10}{g.stressed_pct:>11.1f}"
-              f"{g.not_stressed_pct:>8.1f}")
-    print(f"mean stress level: {result.overall_mean_stress_pct}%")
+    for g in result["groups"]:
+        print(f"{g['name']:<24}{g['total']:>8}{g['stressed']:>10}{g['stressed_pct']:>11.1f}"
+              f"{g['not_stressed_pct']:>8.1f}")
+    print(f"mean stress level: {result['overall']['mean_stress_pct']}%")
     print("wrote: " + ", ".join(str(p) for p in written))
     return EXIT_OK
 

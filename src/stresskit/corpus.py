@@ -1,8 +1,8 @@
 """Corpus ingestion: labeled training examples and unlabeled post records
 from CSV files (RFC-4180, UTF-8, header row mandatory).
 
-Schema maps are explicit {logical field -> column name} dictionaries with
-sensible defaults. Rows with empty text are skipped, not fatal; the skip
+Columns are found by their header names; an absent optional column reads
+as empty. Rows with empty text are skipped, not fatal; the skip
 count is surfaced in the load summary. Unparseable labels/dates abort the
 load with the offending row number.
 """
@@ -39,24 +39,6 @@ class BadDate(StressKitError):
 class BadField(StressKitError):
     """A cell that should parse to a typed value (score, kind) does not."""
 
-
-DEFAULT_LABELED_SCHEMA: Mapping[str, str] = {
-    "id": "id",
-    "text": "text",
-    "label": "label",
-    "domain": "domain",
-}
-
-DEFAULT_POSTS_SCHEMA: Mapping[str, str] = {
-    "id": "id",
-    "date": "date",
-    "title": "title",
-    "text": "text",
-    "score": "score",
-    "tag": "tag",
-    "community": "community",
-    "kind": "kind",
-}
 
 POST_KINDS = ("post", "comment")
 
@@ -126,71 +108,44 @@ class CorpusStats:
     unique_words: int
 
 
-def _resolve_schema(
-    user_schema: Mapping[str, str] | None,
-    defaults: Mapping[str, str],
-    header: Sequence[str],
-    required: Sequence[str],
-) -> dict[str, str | None]:
-    """Merge user schema over defaults and check the header.
-
-    Required logical fields must resolve to a present column. Optional
-    fields named explicitly by the user must also be present; defaulted
-    optional columns that are absent are simply treated as all-missing.
-    """
-    user_schema = dict(user_schema or {})
-    resolved: dict[str, str | None] = {}
-    header_set = set(header)
-    for logical, default_col in defaults.items():
-        explicit = logical in user_schema
-        column = user_schema.get(logical, default_col)
-        if column in header_set:
-            resolved[logical] = column
-        elif logical in required or explicit:
-            raise MissingColumn(
-                f"column {column!r} (for field {logical!r}) not in header {list(header)}"
-            )
-        else:
-            resolved[logical] = None
-    return resolved
-
-
 @contextlib.contextmanager
-def _open_rows(path: str | Path):
+def _open_rows(path: str | Path, required: Sequence[str]):
     with open_text(path) as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
             raise MissingColumn(f"{path}: file has no header row")
+        missing = [column for column in required if column not in reader.fieldnames]
+        if missing:
+            raise MissingColumn(
+                f"{path}: column {missing[0]!r} not in header {list(reader.fieldnames)}")
         yield reader
 
 
-def load_labeled_with_summary(
-    path: str | Path,
-    schema: Mapping[str, str] | None = None,
-) -> tuple[list[LabeledExample], LoadSummary]:
+def _cell(row: Mapping[str, str | None], column: str) -> str:
+    return (row.get(column) or "").strip()
+
+
+def load_labeled_with_summary(path: str | Path) -> tuple[list[LabeledExample], LoadSummary]:
     summary = LoadSummary()
     examples: list[LabeledExample] = []
-    with _open_rows(path) as reader:
-        cols = _resolve_schema(
-            schema, DEFAULT_LABELED_SCHEMA, reader.fieldnames, required=("text", "label")
-        )
+    with _open_rows(path, required=("text", "label")) as reader:
         for rownum, row in enumerate(reader, start=2):  # 1 is the header line
             summary.rows_read += 1
-            text = (row.get(cols["text"]) or "").strip()
+            text = _cell(row, "text")
             if not text:
                 summary.rows_skipped += 1
                 summary.errors.append(f"row {rownum}: empty text (skipped)")
                 log.warning("%s: row %d skipped: empty text", path, rownum)
                 continue
-            raw_label = (row.get(cols["label"]) or "").strip()
+            raw_label = _cell(row, "label")
             if raw_label == "1":
                 label = 1
             elif raw_label == "0":
                 label = 0
             else:
                 raise BadLabel(f"{path}: row {rownum}: label {raw_label!r} is not 0/1")
-            example_id = (row.get(cols["id"]) or "").strip() if cols["id"] else ""
-            domain = (row.get(cols["domain"]) or "").strip() if cols["domain"] else ""
+            example_id = _cell(row, "id")
+            domain = _cell(row, "domain")
             examples.append(
                 LabeledExample(
                     id=example_id or str(rownum - 1),
@@ -203,11 +158,8 @@ def load_labeled_with_summary(
     return examples, summary
 
 
-def load_labeled(
-    path: str | Path,
-    schema: Mapping[str, str] | None = None,
-) -> list[LabeledExample]:
-    return load_labeled_with_summary(path, schema)[0]
+def load_labeled(path: str | Path) -> list[LabeledExample]:
+    return load_labeled_with_summary(path)[0]
 
 
 def parse_date(cell: str) -> datetime:
@@ -232,47 +184,33 @@ def parse_date(cell: str) -> datetime:
         raise BadDate(f"epoch seconds {cell!r} out of range ({exc})") from None
 
 
-def iter_post_rows(
-    path: str | Path,
-    schema: Mapping[str, str] | None = None,
-):
+def iter_post_rows(path: str | Path):
     """Yield (fieldnames, raw_row, record_or_None, skip_reason_or_None) per
     data row, preserving file order. Unparseable dates/fields abort."""
-    with _open_rows(path) as reader:
-        cols = _resolve_schema(
-            schema,
-            DEFAULT_POSTS_SCHEMA,
-            reader.fieldnames,
-            required=("date", "text", "community"),
-        )
-
-        def cell(row, logical):
-            col = cols[logical]
-            return (row.get(col) or "").strip() if col else ""
-
+    with _open_rows(path, required=("date", "text", "community")) as reader:
         for rownum, row in enumerate(reader, start=2):
-            title = cell(row, "title")
-            body = cell(row, "text")
+            title = _cell(row, "title")
+            body = _cell(row, "text")
             if not (title or body):
                 yield reader.fieldnames, row, None, f"row {rownum}: title and body both empty (skipped)"
                 continue
             try:
-                date = parse_date(cell(row, "date"))
+                date = parse_date(_cell(row, "date"))
             except BadDate as exc:
                 raise BadDate(f"{path}: row {rownum}: {exc}") from None
-            raw_score = cell(row, "score")
+            raw_score = _cell(row, "score")
             try:
                 score = int(raw_score) if raw_score else 0
             except ValueError:
                 raise BadField(f"{path}: row {rownum}: score {raw_score!r} is not an integer")
-            raw_kind = cell(row, "kind").lower()
+            raw_kind = _cell(row, "kind").lower()
             if raw_kind and raw_kind not in POST_KINDS:
                 raise BadField(f"{path}: row {rownum}: kind {raw_kind!r} not in {POST_KINDS}")
-            community = cell(row, "community")
+            community = _cell(row, "community")
             if not community:
                 raise BadField(f"{path}: row {rownum}: community is empty")
-            tag = cell(row, "tag")
-            record_id = cell(row, "id")
+            tag = _cell(row, "tag")
+            record_id = _cell(row, "id")
             record = PostRecord(
                 id=record_id or str(rownum - 1),
                 date=date,
@@ -286,13 +224,10 @@ def iter_post_rows(
             yield reader.fieldnames, row, record, None
 
 
-def load_posts_with_summary(
-    path: str | Path,
-    schema: Mapping[str, str] | None = None,
-) -> tuple[list[PostRecord], LoadSummary]:
+def load_posts_with_summary(path: str | Path) -> tuple[list[PostRecord], LoadSummary]:
     summary = LoadSummary()
     records: list[PostRecord] = []
-    for _fields, _row, record, reason in iter_post_rows(path, schema):
+    for _fields, _row, record, reason in iter_post_rows(path):
         summary.rows_read += 1
         if record is None:
             summary.rows_skipped += 1

@@ -9,6 +9,10 @@ Months are bucketed September through August to match the academic year.
 The upvote median uses the mean-of-two convention for even counts and the
 standard deviation is the population form; both choices are recorded in
 the report metadata.
+
+The report is the report.json document itself, plain dicts and lists:
+build_report returns it, emit_report writes it and cuts the CSV tables
+from it.
 """
 
 from __future__ import annotations
@@ -58,57 +62,6 @@ class ClassifiedPost:
     score: float  # probability (logistic, naive bayes) or margin (svm)
     tokens: tuple[str, ...]  # preprocessed text, as classified
     emotions: emotion.EmotionProfile | None = None
-
-
-@dataclass(frozen=True)
-class UpvoteStats:
-    mean: float
-    median: float
-    std: float
-    n: int
-
-
-@dataclass(frozen=True)
-class MonthlySeries:
-    counts: tuple[int, ...]  # 12 buckets, September first
-    unknown: int = 0
-
-
-@dataclass(frozen=True)
-class WhiskerStats:
-    minimum: float
-    q1: float
-    median: float
-    q3: float
-    maximum: float
-    outliers: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class EmotionSummary:
-    monthly: Mapping[str, tuple[float | None, ...]]  # affect -> 12 means
-    whisker: Mapping[str, WhiskerStats]
-
-
-@dataclass(frozen=True)
-class GroupReport:
-    name: str
-    total: int
-    stressed: int
-    stressed_pct: float
-    not_stressed_pct: float
-    monthly: MonthlySeries
-    upvotes: Mapping[str, UpvoteStats | None]  # keys: stressed, not_stressed
-    top_words: tuple[tuple[str, int], ...]
-    emotions: EmotionSummary | None
-
-
-@dataclass(frozen=True)
-class StressReport:
-    groups: tuple[GroupReport, ...]
-    overall_mean_stress_pct: int
-    model: Mapping[str, str]
-    metadata: Mapping[str, object]
 
 
 def month_index(when: datetime) -> int:
@@ -187,8 +140,9 @@ def mean_stress_pct(group_percentages: Sequence[float]) -> int:
     return round(sum(group_percentages) / len(group_percentages))
 
 
-def monthly_distribution(classified: Sequence[ClassifiedPost]) -> MonthlySeries:
-    """Counts of stressed items per academic-year month bucket."""
+def monthly_distribution(classified: Sequence[ClassifiedPost]) -> dict:
+    """Counts of stressed items per academic-year month bucket:
+    {"monthly": 12 counts, "monthly_unknown": undated count}."""
     counts = [0] * 12
     unknown = 0
     for item in classified:
@@ -199,24 +153,25 @@ def monthly_distribution(classified: Sequence[ClassifiedPost]) -> MonthlySeries:
             unknown += 1
             continue
         counts[month_index(when)] += 1
-    return MonthlySeries(counts=tuple(counts), unknown=unknown)
+    return {"monthly": counts, "monthly_unknown": unknown}
 
 
-def upvote_stats(classified: Sequence[ClassifiedPost]) -> dict[str, UpvoteStats | None]:
+def upvote_stats(classified: Sequence[ClassifiedPost]) -> dict[str, dict | None]:
     """Mean, median (mean of the middle two for even counts) and population
-    std of scores per stress class."""
-    out: dict[str, UpvoteStats | None] = {}
+    std of scores per stress class: {"mean", "median", "std", "n"}, or None
+    for a class with no items."""
+    out: dict[str, dict | None] = {}
     for key, wanted in (("stressed", 1), ("not_stressed", 0)):
         scores = sorted(item.post.score for item in classified if item.label == wanted)
         if not scores:
             out[key] = None
             continue
-        out[key] = UpvoteStats(
-            mean=statistics.fmean(scores),
-            median=float(statistics.median(scores)),
-            std=statistics.pstdev(scores),
-            n=len(scores),
-        )
+        out[key] = {
+            "mean": statistics.fmean(scores),
+            "median": float(statistics.median(scores)),
+            "std": statistics.pstdev(scores),
+            "n": len(scores),
+        }
     return out
 
 
@@ -248,29 +203,24 @@ def _percentile(ordered: Sequence[float], q: float) -> float:
     return b - d * (1 - t) if t >= 0.5 else a + d * t
 
 
-def _five_number(values: Sequence[float]) -> WhiskerStats:
+def _five_number(values: Sequence[float]) -> dict:
     ordered = sorted(map(float, values))
     q1, med, q3 = (_percentile(ordered, q) for q in (0.25, 0.5, 0.75))
     iqr = q3 - q1
     low, high = q1 - 1.5 * iqr, q3 + 1.5 * iqr
-    outliers = tuple(float(v) for v in values if v < low or v > high)
-    return WhiskerStats(
-        minimum=ordered[0],
-        q1=q1,
-        median=med,
-        q3=q3,
-        maximum=ordered[-1],
-        outliers=outliers,
-    )
+    outliers = [float(v) for v in values if v < low or v > high]
+    return {"min": ordered[0], "q1": q1, "median": med, "q3": q3, "max": ordered[-1],
+            "outliers": outliers}
 
 
 def emotion_summary(
     classified: Sequence[ClassifiedPost],
     affects: Sequence[str] = emotion.NEGATIVE_AFFECTS,
-) -> EmotionSummary:
+) -> dict:
     """Per-month mean affect frequency and a five-number whisker summary
     (outliers beyond 1.5 IQR) over stressed items, from the profiles that
-    classify_corpus computed."""
+    classify_corpus computed: {"monthly": affect -> 12 means or None,
+    "whisker": affect -> _five_number}."""
     per_month: dict[str, list[list[float]]] = {a: [[] for _ in range(12)] for a in affects}
     overall: dict[str, list[float]] = {a: [] for a in affects}
     for item in classified:
@@ -287,15 +237,13 @@ def emotion_summary(
             per_month[affect][bucket].append(value)
             overall[affect].append(value)
     monthly = {
-        affect: tuple(
-            (sum(vals) / len(vals)) if vals else None for vals in per_month[affect]
-        )
+        affect: [(sum(vals) / len(vals)) if vals else None for vals in per_month[affect]]
         for affect in affects
     }
     whisker = {
         affect: _five_number(vals) for affect, vals in overall.items() if vals
     }
-    return EmotionSummary(monthly=monthly, whisker=whisker)
+    return {"monthly": monthly, "whisker": whisker}
 
 
 def build_report(
@@ -308,29 +256,25 @@ def build_report(
     model_kind: str = "",
     model_fingerprint: str = "",
     seed: int | None = None,
-) -> StressReport:
+) -> dict:
+    """The report.json document: schema_version, model, one entry per group
+    (sorted by name), overall and metadata."""
     summary = stress_summary(classified, group_map)
     by_group: dict[str, list[ClassifiedPost]] = {}
     for item in classified:
         by_group.setdefault(group_of(item.post, group_map), []).append(item)
     groups = []
-    for name in sorted(summary):
+    for name, row in summary.items():  # stress_summary sorts by group name
         members = by_group[name]
-        row = summary[name]
-        groups.append(
-            GroupReport(
-                name=name,
-                total=int(row["total"]),
-                stressed=int(row["stressed"]),
-                stressed_pct=float(row["stressed_pct"]),
-                not_stressed_pct=float(row["not_stressed_pct"]),
-                monthly=monthly_distribution(members),
-                upvotes=upvote_stats(members),
-                top_words=tuple(top_words(members, top_n)),
-                emotions=emotion_summary(members) if lexicon else None,
-            )
-        )
-    overall = mean_stress_pct([g.stressed_pct for g in groups]) if groups else 0
+        groups.append({
+            "name": name,
+            **row,  # total, stressed, stressed_pct, not_stressed_pct
+            **monthly_distribution(members),
+            "upvotes": upvote_stats(members),
+            "top_words": [[token, count] for token, count in top_words(members, top_n)],
+            "emotions": emotion_summary(members) if lexicon else None,
+        })
+    overall = mean_stress_pct([g["stressed_pct"] for g in groups]) if groups else 0
     metadata: dict[str, object] = {
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "classification_text": "title+body",
@@ -343,59 +287,12 @@ def build_report(
     }
     if seed is not None:
         metadata["seed"] = seed
-    return StressReport(
-        groups=tuple(groups),
-        overall_mean_stress_pct=overall,
-        model={"kind": model_kind, "fingerprint": model_fingerprint},
-        metadata=metadata,
-    )
-
-
-def _upvotes_json(stats: UpvoteStats | None):
-    if stats is None:
-        return None
-    return {"mean": stats.mean, "median": stats.median, "std": stats.std, "n": stats.n}
-
-
-def report_to_json(report: StressReport) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "model": dict(report.model),
-        "groups": [
-            {
-                "name": g.name,
-                "total": g.total,
-                "stressed": g.stressed,
-                "stressed_pct": g.stressed_pct,
-                "not_stressed_pct": g.not_stressed_pct,
-                "monthly": list(g.monthly.counts),
-                "monthly_unknown": g.monthly.unknown,
-                "upvotes": {
-                    "stressed": _upvotes_json(g.upvotes["stressed"]),
-                    "not_stressed": _upvotes_json(g.upvotes["not_stressed"]),
-                },
-                "top_words": [[token, count] for token, count in g.top_words],
-                "emotions": None
-                if g.emotions is None
-                else {
-                    "monthly": {a: list(v) for a, v in g.emotions.monthly.items()},
-                    "whisker": {
-                        a: {
-                            "min": w.minimum,
-                            "q1": w.q1,
-                            "median": w.median,
-                            "q3": w.q3,
-                            "max": w.maximum,
-                            "outliers": list(w.outliers),
-                        }
-                        for a, w in g.emotions.whisker.items()
-                    },
-                },
-            }
-            for g in report.groups
-        ],
-        "overall": {"mean_stress_pct": report.overall_mean_stress_pct},
-        "metadata": dict(report.metadata),
+        "model": {"kind": model_kind, "fingerprint": model_fingerprint},
+        "groups": groups,
+        "overall": {"mean_stress_pct": overall},
+        "metadata": metadata,
     }
 
 
@@ -407,44 +304,46 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buffer.getvalue()
 
 
-def _csv_tables(report: StressReport) -> dict[str, str]:
-    """The CSV form of the report: file name -> contents."""
+def _csv_tables(report: dict) -> dict[str, str]:
+    """The CSV form of the report document: file name -> contents."""
+    groups = report["groups"]
     upvote_rows = []
-    for g in report.groups:
-        for cls in ("stressed", "not_stressed"):
-            stats = g.upvotes[cls]
+    for g in groups:
+        for cls, stats in g["upvotes"].items():
             if stats is None:
-                upvote_rows.append([g.name, cls, "", "", "", 0])
+                upvote_rows.append([g["name"], cls, "", "", "", 0])
             else:
-                upvote_rows.append([g.name, cls, stats.mean, stats.median, stats.std, stats.n])
+                upvote_rows.append([g["name"], cls, stats["mean"], stats["median"],
+                                    stats["std"], stats["n"]])
     emotion_rows = []
-    for g in report.groups:
-        if g.emotions is None:
+    for g in groups:
+        if g["emotions"] is None:
             continue
-        for affect, means in sorted(g.emotions.monthly.items()):
+        for affect, means in sorted(g["emotions"]["monthly"].items()):
             for month, value in zip(MONTHS, means):
                 emotion_rows.append(
-                    [g.name, affect, month, "" if value is None else value, "", "", "", "", "", ""]
+                    [g["name"], affect, month, "" if value is None else value,
+                     "", "", "", "", "", ""]
                 )
-        for affect, w in sorted(g.emotions.whisker.items()):
+        for affect, w in sorted(g["emotions"]["whisker"].items()):
             emotion_rows.append(
-                [g.name, affect, "all", "", w.minimum, w.q1, w.median, w.q3, w.maximum,
-                 len(w.outliers)]
+                [g["name"], affect, "all", "", w["min"], w["q1"], w["median"], w["q3"],
+                 w["max"], len(w["outliers"])]
             )
     return {
         "summary.csv": _csv_text(
             ["group", "total", "stressed", "stressed_pct", "not_stressed_pct"],
-            [[g.name, g.total, g.stressed, g.stressed_pct, g.not_stressed_pct]
-             for g in report.groups]),
+            [[g["name"], g["total"], g["stressed"], g["stressed_pct"], g["not_stressed_pct"]]
+             for g in groups]),
         "monthly.csv": _csv_text(
             ["group", *MONTHS, "unknown"],
-            [[g.name, *g.monthly.counts, g.monthly.unknown] for g in report.groups]),
+            [[g["name"], *g["monthly"], g["monthly_unknown"]] for g in groups]),
         "upvotes.csv": _csv_text(["group", "class", "mean", "median", "std", "n"], upvote_rows),
         "top_words.csv": _csv_text(
             ["group", "rank", "token", "count"],
-            [[g.name, rank, token, count]
-             for g in report.groups
-             for rank, (token, count) in enumerate(g.top_words, start=1)]),
+            [[g["name"], rank, token, count]
+             for g in groups
+             for rank, (token, count) in enumerate(g["top_words"], start=1)]),
         "emotions.csv": _csv_text(
             ["group", "affect", "month", "mean", "min", "q1", "median", "q3", "max",
              "n_outliers"],
@@ -452,8 +351,8 @@ def _csv_tables(report: StressReport) -> dict[str, str]:
     }
 
 
-def emit_report(report: StressReport, format: str, path: str | Path) -> list[Path]:
-    """JSON: one document at `path`. CSV: one file per table under the
+def emit_report(report: dict, format: str, path: str | Path) -> list[Path]:
+    """JSON: the document at `path`. CSV: one file per table under the
     `path` directory. Both: the tables and report.json under `path`. All
     files appear together or, on failure, none of them does
     (errors.atomic_outputs). Returns the written paths."""
@@ -462,7 +361,7 @@ def emit_report(report: StressReport, format: str, path: str | Path) -> list[Pat
     path = Path(path)
     outputs: dict[Path, str] = {}
     if format != "csv":
-        document = json.dumps(report_to_json(report), indent=2) + "\n"
+        document = json.dumps(report, indent=2) + "\n"
         outputs[path if format == "json" else path / "report.json"] = document
     if format != "json":
         outputs.update((path / name, text) for name, text in _csv_tables(report).items())

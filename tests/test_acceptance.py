@@ -156,7 +156,7 @@ def test_criterion_4_logistic_gradient_check():
 def test_criterion_5_annotation_suite():
     # outlier rule on the hand example
     matrix = annotate.AnnotationMatrix(
-        ("i",), ("",), ("a", "b", "c"), (1.0, 1.0, 1.0), ((5, 5, -5),)
+        ("i",), ("a", "b", "c"), (1.0, 1.0, 1.0), ((5, 5, -5),)
     )
     flags = annotate.detect_outliers(matrix)
     assert flags.tolist() == [[True, True, True]]
@@ -164,7 +164,6 @@ def test_criterion_5_annotation_suite():
     # exclusion thresholds at 41% and 39%
     big = annotate.AnnotationMatrix(
         tuple(f"x{j}" for j in range(100)),
-        ("",) * 100,
         ("keep", "probe"),
         (1.0, 1.0),
         tuple((1, 1) for _ in range(100)),
@@ -178,7 +177,7 @@ def test_criterion_5_annotation_suite():
 
     # weighted consensus example
     consensus = annotate.weighted_consensus(
-        annotate.AnnotationMatrix(("i",), ("",), ("p", "q"), (2.0, 1.0), ((-4, 1),))
+        annotate.AnnotationMatrix(("i",), ("p", "q"), (2.0, 1.0), ((-4, 1),))
     )
     assert consensus.means[0] == pytest.approx(-7 / 3, abs=1e-12)
     assert consensus.labels[0] == 1
@@ -277,8 +276,8 @@ def test_criterion_7_report_arithmetic(config):
                   3: "Mar", 4: "Apr", 5: "May", 6: "Jun", 7: "Jul", 8: "Aug"}
     series = report.monthly_distribution(classified)
     counted = Counter(month_name[c.post.date.month] for c in classified if c.label == 1)
-    assert list(series.counts) == [counted.get(m, 0) for m in order]
-    assert sum(series.counts) == 50
+    assert series["monthly"] == [counted.get(m, 0) for m in order]
+    assert sum(series["monthly"]) == 50
 
     # --- upvote stats: mean/median/std against direct recomputation;
     #     the even class realizes a .5 median under mean-of-two
@@ -287,14 +286,14 @@ def test_criterion_7_report_arithmetic(config):
     not_scores = sorted(c.post.score for c in classified if c.label == 0)
     assert len(stressed_scores) == 50
     mid = (stressed_scores[24] + stressed_scores[25]) / 2
-    assert stats["stressed"].median == mid == 0.5
-    assert stats["stressed"].median % 1 == 0.5  # genuinely fractional
-    assert stats["stressed"].mean == sum(stressed_scores) / 50
-    assert stats["stressed"].std == pytest.approx(
-        math.sqrt(sum((s - stats["stressed"].mean) ** 2 for s in stressed_scores) / 50),
+    assert stats["stressed"]["median"] == mid == 0.5
+    assert stats["stressed"]["median"] % 1 == 0.5  # genuinely fractional
+    assert stats["stressed"]["mean"] == sum(stressed_scores) / 50
+    assert stats["stressed"]["std"] == pytest.approx(
+        math.sqrt(sum((s - stats["stressed"]["mean"]) ** 2 for s in stressed_scores) / 50),
         abs=1e-12,
     )
-    assert stats["not_stressed"].median == (not_scores[24] + not_scores[25]) / 2
+    assert stats["not_stressed"]["median"] == (not_scores[24] + not_scores[25]) / 2
 
     # --- top words against an independent counter
     words = Counter()

@@ -34,7 +34,6 @@ def matrix_from_rows(rows, weights=None, annotators=None):
     weights = weights or (1.0,) * n_ann
     return AnnotationMatrix(
         item_ids=tuple(f"item{j}" for j in range(len(rows))),
-        texts=("",) * len(rows),
         annotator_ids=tuple(annotators),
         weights=tuple(weights),
         scores=tuple(tuple(row) for row in rows),
@@ -378,7 +377,7 @@ def test_matrix_rejects_weight_that_is_not_finite_and_positive(weight):
 
 def test_matrix_copies_the_score_array_it_is_given():
     scores = np.array([[1.0, 2.0], [-3.0, np.nan]])
-    matrix = AnnotationMatrix(("x1", "x2"), ("", ""), ("a1", "a2"), (1.0, 1.0), scores)
+    matrix = AnnotationMatrix(("x1", "x2"), ("a1", "a2"), (1.0, 1.0), scores)
     scores[0, 0] = 4.0
     assert scores.flags.writeable
     assert matrix.scores[0, 0] == 1.0

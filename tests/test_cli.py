@@ -59,6 +59,23 @@ def test_train_single_class_is_data_error(write_csv, tmp_path, capsys):
     assert "class" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [[["id", "text", "label"]], [["id", "text", "label"], ["a", "  ", "1"], ["b", "", "0"]]],
+    ids=["header-only", "blank-text-only"],
+)
+def test_train_eval_without_usable_rows_is_data_error(rows, write_csv, tmp_path, capsys):
+    held_out = write_csv(rows, name="held_out.csv")
+    model = tmp_path / "m.json"
+    code = run(["train", FIXTURES / "labeled_train.csv", "--eval", held_out,
+                "--model-out", model])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "held_out.csv" in captured.err
+    assert "trained" not in captured.out
+    assert not model.exists()
+
+
 def test_train_missing_file_is_data_error(tmp_path):
     assert run(["train", tmp_path / "nope.csv"]) == 2
 

@@ -42,8 +42,22 @@ def test_load_labeled_missing_column(write_csv):
     path = write_csv([["id", "body", "label"], ["a", "x", "1"]])
     with pytest.raises(MissingColumn):
         load_labeled(path)
-    # explicit schema mapping the actual column name works
-    assert load_labeled(path, {"text": "body"})[0].text == "x"
+
+
+def test_load_posts_needs_a_header_and_the_required_columns(write_csv):
+    with pytest.raises(MissingColumn, match="no header row"):
+        load_posts_with_summary(write_csv([], name="empty.csv"))
+    for column in ("date", "text", "community"):
+        header = [c for c in ("date", "text", "community") if c != column]
+        with pytest.raises(MissingColumn, match=f"'{column}' not in header"):
+            load_posts_with_summary(write_csv([header, ["2023-01-01", "x"]]))
+
+
+def test_load_posts_absent_optional_columns_read_as_empty(write_csv):
+    path = write_csv([["date", "text", "community"], ["2023-01-01", "body", "r/PhD"]])
+    [record], _ = load_posts_with_summary(path)
+    assert (record.id, record.title, record.score, record.tag, record.kind) == (
+        "1", "", 0, None, "post")
 
 
 def test_load_labeled_skips_empty_text_rows(write_csv):

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from collections import Counter
@@ -20,7 +21,6 @@ from stresskit.report import (
     mean_stress_pct,
     month_index,
     monthly_distribution,
-    report_to_json,
     stress_summary,
     top_words,
     upvote_stats,
@@ -143,33 +143,34 @@ def test_month_ordering():
 def test_monthly_distribution_buckets():
     classified = [cp(1, month=9), cp(1, month=5, year=2023), cp(0, month=1)]
     series = monthly_distribution(classified)
-    assert series.counts[0] == 1
-    assert series.counts[8] == 1
-    assert sum(series.counts) == 2  # only stressed items counted
+    assert series["monthly"][0] == 1
+    assert series["monthly"][8] == 1
+    assert sum(series["monthly"]) == 2  # only stressed items counted
 
 
 def test_monthly_all_unstressed_is_zero():
     series = monthly_distribution([cp(0, month=m) for m in range(1, 13)])
-    assert series.counts == (0,) * 12
+    assert series == {"monthly": [0] * 12, "monthly_unknown": 0}
 
 
 def test_monthly_sums_to_stressed_count(fixtures_dir, config):
     classified = [cp(i % 2, i=i, month=(i % 12) + 1) for i in range(50)]
     series = monthly_distribution(classified)
-    assert sum(series.counts) + series.unknown == sum(c.label for c in classified)
+    assert sum(series["monthly"]) + series["monthly_unknown"] == sum(c.label for c in classified)
 
 
 def test_upvote_stats_hand_values():
     classified = [cp(1, i=1, score=1), cp(1, i=2, score=2), cp(1, i=3, score=3)]
     stats = upvote_stats(classified)["stressed"]
-    assert stats.mean == pytest.approx(2.0)
-    assert stats.median == pytest.approx(2.0)
-    assert stats.std == pytest.approx(math.sqrt(2 / 3), abs=1e-12)
+    assert stats["mean"] == pytest.approx(2.0)
+    assert stats["median"] == pytest.approx(2.0)
+    assert stats["std"] == pytest.approx(math.sqrt(2 / 3), abs=1e-12)
+    assert stats["n"] == 3
 
 
 def test_upvote_median_mean_of_two_convention():
     classified = [cp(0, i=1, score=2), cp(0, i=2, score=3)]
-    assert upvote_stats(classified)["not_stressed"].median == 2.5
+    assert upvote_stats(classified)["not_stressed"]["median"] == 2.5
     assert upvote_stats(classified)["stressed"] is None
 
 
@@ -243,8 +244,8 @@ def test_emotion_summary_single_item(config):
     lex = emotion.parse_lexicon(["died\tsadness\t1", "died\tfear\t1"])
     classified = [cp(1, lexicon=lex, month=10, body="he died")]
     summary = report.emotion_summary(classified)
-    assert summary.monthly["sadness"][1] == pytest.approx(0.5)  # October bucket
-    assert summary.monthly["sadness"][0] is None  # no September items
+    assert summary["monthly"]["sadness"][1] == pytest.approx(0.5)  # October bucket
+    assert summary["monthly"]["sadness"][0] is None  # no September items
 
 
 def test_emotion_whisker_outlier_flagging(config):
@@ -252,9 +253,9 @@ def test_emotion_whisker_outlier_flagging(config):
     bodies = ["calm words"] * 4 + ["panic"]
     classified = [cp(1, lexicon=lex, i=i, body=b) for i, b in enumerate(bodies)]
     summary = report.emotion_summary(classified)
-    w = summary.whisker["fear"]
-    assert w.q1 == w.median == w.q3 == 0.0
-    assert w.outliers == (1.0,)
+    w = summary["whisker"]["fear"]
+    assert w["q1"] == w["median"] == w["q3"] == 0.0
+    assert w["outliers"] == [1.0]
 
 
 # -------------------------------------------------------------- emit/report
@@ -275,37 +276,109 @@ def full_report(config):
 
 def test_report_partition_invariant(config):
     rep = full_report(config)
-    for group in rep.groups:
-        assert group.stressed <= group.total
-        assert group.stressed_pct + group.not_stressed_pct == pytest.approx(100.0, abs=0.1)
-        assert sum(group.monthly.counts) + group.monthly.unknown == group.stressed
+    for group in rep["groups"]:
+        assert group["stressed"] <= group["total"]
+        assert group["stressed_pct"] + group["not_stressed_pct"] == pytest.approx(100.0, abs=0.1)
+        assert sum(group["monthly"]) + group["monthly_unknown"] == group["stressed"]
 
 
 def test_emit_json_round_trip(config, tmp_path):
     rep = full_report(config)
     path = tmp_path / "report.json"
     emit_report(rep, "json", path)
-    parsed = json.loads(path.read_text())
-    assert parsed == report_to_json(rep)
-    assert parsed["schema_version"] == 1
-    assert parsed["overall"]["mean_stress_pct"] == rep.overall_mean_stress_pct
-    assert parsed["metadata"]["upvote_median"] == "mean_of_two"
+    assert json.loads(path.read_text()) == rep
+    assert list(rep) == ["schema_version", "model", "groups", "overall", "metadata"]
+    assert rep["schema_version"] == 1
+    assert rep["overall"]["mean_stress_pct"] == mean_stress_pct(
+        [g["stressed_pct"] for g in rep["groups"]])
+    assert rep["metadata"]["upvote_median"] == "mean_of_two"
+
+
+def _read_csv(path):
+    with open(path, newline="", encoding="utf-8") as handle:
+        return list(csv.DictReader(handle))
+
+
+def _num(cell):
+    return None if cell == "" else float(cell)
+
+
+VARIED_BODIES = ("deadline panic work", "afraid angry alone exam", "awful argument anxiety",
+                 "calm garden work", "alone again", "astonished afraid abuse")
+
+
+def varied_report(config, lexicon):
+    """Uneven stressed shares, spread affect values and a group with no
+    stressed post (no stressed upvote stats, no whiskers); without a lexicon,
+    one stressed post is undated."""
+    classified = []
+    for i in range(60):
+        community = ("r/PhD", "r/GradSchool", "r/Professors")[i % 3]
+        label = 0 if community == "r/Professors" else int(i % 4 != 0)
+        classified.append(cp(label, lexicon=lexicon, i=i, community=community,
+                             score=(i * 7) % 23 - 5, month=(i % 12) + 1,
+                             body=VARIED_BODIES[i % len(VARIED_BODIES)]))
+    if lexicon is None:
+        undated = PostRecord(id="p60", date=None, title="", body="no date", score=1,
+                             community="r/PhD")
+        classified.append(ClassifiedPost(post=undated, label=1, score=1.0, tokens=("date",)))
+    return build_report(classified, {**GROUP_MAP, "r/Professors": "Professors"},
+                        config=config, lexicon=lexicon, top_n=5)
 
 
 def test_emit_csv_consistent_with_json(config, tmp_path):
-    rep = full_report(config)
-    emit_report(rep, "csv", tmp_path)
-    for name in ("summary.csv", "monthly.csv", "upvotes.csv", "top_words.csv", "emotions.csv"):
-        assert (tmp_path / name).exists()
-    import csv as csvmod
+    with_lexicon = varied_report(config, emotion.default_lexicon())
+    without = varied_report(config, None)
+    groups = with_lexicon["groups"]
+    assert any(g["stressed_pct"] != g["not_stressed_pct"] for g in groups)
+    assert any(stats is None for g in groups for stats in g["upvotes"].values())
+    assert any(w["q1"] != w["q3"] for g in groups if g["emotions"]
+               for w in g["emotions"]["whisker"].values())
+    assert any(g["monthly_unknown"] for g in without["groups"])
+    for rep, out in ((with_lexicon, tmp_path / "lexicon"), (without, tmp_path / "none")):
+        emit_report(rep, "csv", out)
+        _check_csv_tables(rep, out)
 
-    with open(tmp_path / "summary.csv", newline="") as handle:
-        rows = list(csvmod.DictReader(handle))
-    by_name = {r["name"]: r for r in report_to_json(rep)["groups"]}
-    for row in rows:
-        expected = by_name[row["group"]]
-        assert int(row["total"]) == expected["total"]
-        assert float(row["stressed_pct"]) == expected["stressed_pct"]
+
+def _check_csv_tables(rep, directory):
+    groups = rep["groups"]
+    summary = _read_csv(directory / "summary.csv")
+    assert [(r["group"], int(r["total"]), int(r["stressed"]), float(r["stressed_pct"]),
+             float(r["not_stressed_pct"])) for r in summary] == [
+        (g["name"], g["total"], g["stressed"], g["stressed_pct"], g["not_stressed_pct"])
+        for g in groups]
+
+    monthly = _read_csv(directory / "monthly.csv")
+    assert [(r["group"], [int(r[m]) for m in MONTHS], int(r["unknown"])) for r in monthly] == [
+        (g["name"], g["monthly"], g["monthly_unknown"]) for g in groups]
+
+    expected = []
+    for g in groups:
+        for cls in ("stressed", "not_stressed"):
+            stats = g["upvotes"][cls] or {"mean": None, "median": None, "std": None, "n": 0}
+            expected.append(
+                (g["name"], cls, stats["mean"], stats["median"], stats["std"], stats["n"]))
+    assert [(r["group"], r["class"], _num(r["mean"]), _num(r["median"]), _num(r["std"]),
+             int(r["n"])) for r in _read_csv(directory / "upvotes.csv")] == expected
+
+    assert [(r["group"], int(r["rank"]), r["token"], int(r["count"]))
+            for r in _read_csv(directory / "top_words.csv")] == [
+        (g["name"], rank, token, count)
+        for g in groups for rank, (token, count) in enumerate(g["top_words"], start=1)]
+
+    expected = []
+    for g in groups:
+        emotions = g["emotions"] or {"monthly": {}, "whisker": {}}
+        for affect in sorted(emotions["monthly"]):
+            expected += [(g["name"], affect, month, mean, *[None] * 6)
+                         for month, mean in zip(MONTHS, emotions["monthly"][affect])]
+        for affect in sorted(emotions["whisker"]):
+            w = emotions["whisker"][affect]
+            expected.append((g["name"], affect, "all", None, w["min"], w["q1"], w["median"],
+                             w["q3"], w["max"], len(w["outliers"])))
+    columns = ("mean", "min", "q1", "median", "q3", "max", "n_outliers")
+    assert [(r["group"], r["affect"], r["month"], *(_num(r[c]) for c in columns))
+            for r in _read_csv(directory / "emotions.csv")] == expected
 
 
 def test_unknown_format_rejected_before_write(config, tmp_path):
@@ -322,7 +395,7 @@ def test_report_numbers_round_trip_at_full_precision(config, tmp_path):
     emit_report(rep, "json", path)
     parsed = json.loads(path.read_text())
     group = parsed["groups"][0]
-    original = report_to_json(rep)["groups"][0]
+    original = rep["groups"][0]
     assert group["upvotes"]["stressed"]["std"] == original["upvotes"]["stressed"]["std"]
 
 
@@ -349,7 +422,7 @@ def test_five_number_quartiles_match_numpy_percentile(values):
     # partition order, not on the values, so only there the sign may differ.
     both_zeros = {math.copysign(1.0, v) for v in values if v == 0} == {1.0, -1.0}
     w = report._five_number(values)
-    for got, q in ((w.q1, 25), (w.median, 50), (w.q3, 75)):
+    for got, q in ((w["q1"], 25), (w["median"], 50), (w["q3"], 75)):
         expected = float(np.percentile(values, q))
         # float.hex shows every bit of the mantissa and the sign of a zero
         assert got.hex() == expected.hex() or both_zeros and got == expected == 0, (q, values)
