@@ -21,7 +21,6 @@ from pathlib import Path
 
 from stresskit import classify, corpus, evaluate, features, textprep
 
-DREADDIT_SCHEMA = {"text": "text", "label": "label", "id": "id", "domain": "subreddit"}
 
 
 def locate() -> tuple[Path, Path]:
@@ -38,8 +37,8 @@ def locate() -> tuple[Path, Path]:
 def main() -> None:
     train_path, test_path = locate()
     config = textprep.PipelineConfig.default()
-    train = corpus.load_labeled(train_path, DREADDIT_SCHEMA)
-    test = corpus.load_labeled(test_path, DREADDIT_SCHEMA)
+    train = corpus.load_labeled(train_path)
+    test = corpus.load_labeled(test_path)
     print(f"train: {len(train)} examples, test: {len(test)} examples")
 
     started = time.perf_counter()

@@ -220,7 +220,8 @@ def emotion_summary(
     """Per-month mean affect frequency and a five-number whisker summary
     (outliers beyond 1.5 IQR) over stressed items, from the profiles that
     classify_corpus computed: {"monthly": affect -> 12 means or None,
-    "whisker": affect -> _five_number}."""
+    "whisker": affect -> _five_number}. An undated item counts in the
+    whisker only."""
     per_month: dict[str, list[list[float]]] = {a: [[] for _ in range(12)] for a in affects}
     overall: dict[str, list[float]] = {a: [] for a in affects}
     for item in classified:
@@ -231,10 +232,11 @@ def emotion_summary(
             raise ValueError(
                 f"stressed post {item.post.id!r} has no emotion profile: "
                 "classify_corpus ran without a lexicon")
-        bucket = month_index(item.post.date)
+        when = item.post.date
         for affect in affects:
             value = profile.get(affect)
-            per_month[affect][bucket].append(value)
+            if when is not None:
+                per_month[affect][month_index(when)].append(value)
             overall[affect].append(value)
     monthly = {
         affect: [(sum(vals) / len(vals)) if vals else None for vals in per_month[affect]]

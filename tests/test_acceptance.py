@@ -24,7 +24,6 @@ from stresskit import annotate, classify, cli, corpus, evaluate, features, porte
 from conftest import FIXTURES, REPO_ROOT
 
 DREADDIT_DIR = Path(os.environ.get("DREADDIT_DIR", REPO_ROOT / "data" / "dreaddit"))
-DREADDIT_SCHEMA = {"text": "text", "label": "label", "id": "id", "domain": "subreddit"}
 
 MISSING_DREADDIT = (
     f"Dreaddit corpus not found under {DREADDIT_DIR}. Download dreaddit-train.csv and "
@@ -39,8 +38,8 @@ def outcome(criterion: int, ok: bool, detail: str) -> None:
 
 
 def dreaddit_pipeline(config):
-    train = corpus.load_labeled(DREADDIT_DIR / "dreaddit-train.csv", DREADDIT_SCHEMA)
-    test = corpus.load_labeled(DREADDIT_DIR / "dreaddit-test.csv", DREADDIT_SCHEMA)
+    train = corpus.load_labeled(DREADDIT_DIR / "dreaddit-train.csv")
+    test = corpus.load_labeled(DREADDIT_DIR / "dreaddit-test.csv")
     assert len(train) == 2838, f"expected 2838 training rows, got {len(train)}"
     assert len(test) == 715, f"expected 715 test rows, got {len(test)}"
     train_docs = [textprep.preprocess(ex.text, config) for ex in train]

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
@@ -248,6 +249,16 @@ def test_emotion_summary_single_item(config):
     assert summary["monthly"]["sadness"][0] is None  # no September items
 
 
+def test_emotion_summary_counts_an_undated_item_in_the_whisker_only(config):
+    lex = emotion.parse_lexicon(["died\tsadness\t1"])
+    dated = cp(1, lexicon=lex, i=0, month=10, body="he died")
+    undated = cp(1, lexicon=lex, i=1, body="calm words")
+    summary = report.emotion_summary([dated, replace(undated, post=replace(undated.post, date=None))])
+    assert summary["monthly"]["sadness"][1] == 1.0  # the dated item alone
+    assert summary["monthly"]["sadness"].count(None) == 11
+    assert (summary["whisker"]["sadness"]["min"], summary["whisker"]["sadness"]["max"]) == (0.0, 1.0)
+
+
 def test_emotion_whisker_outlier_flagging(config):
     lex = emotion.parse_lexicon(["panic\tfear\t1"])
     bodies = ["calm words"] * 4 + ["panic"]
@@ -309,8 +320,8 @@ VARIED_BODIES = ("deadline panic work", "afraid angry alone exam", "awful argume
 
 def varied_report(config, lexicon):
     """Uneven stressed shares, spread affect values and a group with no
-    stressed post (no stressed upvote stats, no whiskers); without a lexicon,
-    one stressed post is undated."""
+    stressed post (no stressed upvote stats, no whiskers) and one undated
+    stressed post."""
     classified = []
     for i in range(60):
         community = ("r/PhD", "r/GradSchool", "r/Professors")[i % 3]
@@ -318,10 +329,8 @@ def varied_report(config, lexicon):
         classified.append(cp(label, lexicon=lexicon, i=i, community=community,
                              score=(i * 7) % 23 - 5, month=(i % 12) + 1,
                              body=VARIED_BODIES[i % len(VARIED_BODIES)]))
-    if lexicon is None:
-        undated = PostRecord(id="p60", date=None, title="", body="no date", score=1,
-                             community="r/PhD")
-        classified.append(ClassifiedPost(post=undated, label=1, score=1.0, tokens=("date",)))
+    undated = cp(1, lexicon=lexicon, i=60, community="r/PhD", score=1, body=VARIED_BODIES[0])
+    classified.append(replace(undated, post=replace(undated.post, date=None)))
     return build_report(classified, {**GROUP_MAP, "r/Professors": "Professors"},
                         config=config, lexicon=lexicon, top_n=5)
 
@@ -334,7 +343,7 @@ def test_emit_csv_consistent_with_json(config, tmp_path):
     assert any(stats is None for g in groups for stats in g["upvotes"].values())
     assert any(w["q1"] != w["q3"] for g in groups if g["emotions"]
                for w in g["emotions"]["whisker"].values())
-    assert any(g["monthly_unknown"] for g in without["groups"])
+    assert all(any(g["monthly_unknown"] for g in rep["groups"]) for rep in (with_lexicon, without))
     for rep, out in ((with_lexicon, tmp_path / "lexicon"), (without, tmp_path / "none")):
         emit_report(rep, "csv", out)
         _check_csv_tables(rep, out)
