@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import StressKitError
-from .features import FeatureVector, Vocabulary
+from .features import FeatureVector, Vocabulary, vectorize
 
 if TYPE_CHECKING:  # numpy loads only where a trainer computes with it
     import numpy as np
@@ -340,6 +340,12 @@ def predict(model: LinearModel, x: FeatureVector) -> Prediction:
     the score is its sigmoid for logistic and naive Bayes, the margin for svm."""
     z = decision_value(model, x)
     return Prediction(score=z if model.kind == "svm" else sigmoid(z), label=1 if z >= 0 else 0)
+
+
+def predict_doc(model: LinearModel, doc: str) -> Prediction:
+    """Predict a preprocessed document, vectorized with the model's own
+    vocabulary and feature kind."""
+    return predict(model, vectorize(doc, model.vocabulary, model.feature_kind))
 
 
 def save_model(model: LinearModel, path: str | Path) -> None:

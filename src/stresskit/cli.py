@@ -18,7 +18,7 @@ import warnings
 from pathlib import Path
 
 from . import annotate, classify, corpus, emotion, evaluate, features, report, textprep
-from .errors import StressKitError, atomic_outputs, open_text
+from .errors import StressKitError, atomic_outputs
 
 log = logging.getLogger("stresskit")
 
@@ -181,34 +181,17 @@ def cmd_train(args) -> int:
         (features.vectorize(doc, vocab, args.features), ex.label)
         for doc, ex in zip(docs, examples)
     ]
+    trainer, hyper = {
+        "logistic": (classify.train_logistic, classify.LogisticHyper(
+            learning_rate=args.lr, epochs=args.epochs, l2=args.l2, seed=args.seed)),
+        "nb": (classify.train_naive_bayes, args.alpha),
+        "svm": (classify.train_svm,
+                classify.SvmHyper(lam=args.lam, epochs=args.svm_epochs, seed=args.seed)),
+    }[args.classifier]
     fingerprint = config.fingerprint()
     started = time.perf_counter()
-    if args.classifier == "logistic":
-        model = classify.train_logistic(
-            pairs,
-            classify.LogisticHyper(
-                learning_rate=args.lr, epochs=args.epochs, l2=args.l2, seed=args.seed
-            ),
-            vocabulary=vocab,
-            fingerprint=fingerprint,
-            feature_kind=args.features,
-        )
-    elif args.classifier == "nb":
-        model = classify.train_naive_bayes(
-            pairs,
-            args.alpha,
-            vocabulary=vocab,
-            fingerprint=fingerprint,
-            feature_kind=args.features,
-        )
-    else:
-        model = classify.train_svm(
-            pairs,
-            classify.SvmHyper(lam=args.lam, epochs=args.svm_epochs, seed=args.seed),
-            vocabulary=vocab,
-            fingerprint=fingerprint,
-            feature_kind=args.features,
-        )
+    model = trainer(pairs, hyper, vocabulary=vocab, fingerprint=fingerprint,
+                    feature_kind=args.features)
     elapsed = time.perf_counter() - started
     with atomic_outputs(args.model_out) as [partial]:
         classify.save_model(model, partial)
@@ -217,11 +200,8 @@ def cmd_train(args) -> int:
         f"vocabulary {vocab.size}, {elapsed:.1f}s -> {args.model_out}"
     )
     if held_out is not None:
-        predicted = [
-            classify.predict(model, features.vectorize(
-                textprep.preprocess(ex.text, config), vocab, args.features)).label
-            for ex in held_out
-        ]
+        predicted = [classify.predict_doc(model, textprep.preprocess(ex.text, config)).label
+                     for ex in held_out]
         rep = evaluate.metrics(evaluate.confusion(predicted, [ex.label for ex in held_out]))
         feature_name = "BoW" if args.features == "bow" else "TF-IDF"
         clf_name = {"logistic": "Logistic Regression", "nb": "Naive Bayes", "svm": "SVM"}[
@@ -247,22 +227,15 @@ def cmd_predict(args) -> int:
             if writer is None:
                 writer = csv.writer(handle)
                 writer.writerow([*fieldnames, "label", "probability"])
-            summary.rows_read += 1
-            if record is None:
-                summary.rows_skipped += 1
-                summary.errors.append(reason)
-                writer.writerow([*(raw.get(f, "") for f in fieldnames), "", ""])
-                continue
-            doc = textprep.preprocess(record.text, config)
-            pred = classify.predict(
-                model, features.vectorize(doc, model.vocabulary, model.feature_kind)
-            )
-            writer.writerow([*(raw.get(f, "") for f in fieldnames), pred.label, repr(pred.score)])
-            summary.rows_kept += 1
-        if writer is None:  # empty input: still emit a header
-            with open_text(args.posts_csv) as src:
-                header = next(csv.reader(src), [])
-            csv.writer(handle).writerow([*header, "label", "probability"])
+            cells = [raw.get(f, "") for f in fieldnames]
+            if summary.count(reason):
+                pred = classify.predict_doc(model, textprep.preprocess(record.text, config))
+                writer.writerow([*cells, pred.label, repr(pred.score)])
+            else:
+                writer.writerow([*cells, "", ""])
+        if writer is None:  # no data rows: still emit the header
+            with corpus.open_rows(args.posts_csv, ()) as reader:
+                csv.writer(handle).writerow([*reader.fieldnames, "label", "probability"])
     if args.summary:
         print(summary.to_json())
     print(f"wrote {args.out} ({summary.rows_kept} classified, {summary.rows_skipped} skipped)")
@@ -356,30 +329,18 @@ def cmd_emotions(args) -> int:
     _require(args.input_csv, "input file")
     lexicon = _lexicon(args)
     negative = list(emotion.NEGATIVE_AFFECTS)
-    with open_text(args.input_csv) as src:
-        reader = csv.DictReader(src)
-        fields = reader.fieldnames or []
-        if fields and "text" not in fields:
-            raise StressKitError(f"{args.input_csv}: no 'text' column in header")
-        with atomic_outputs(args.out) as [partial], \
-                open(partial, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["id", "anger", "fear", "sadness", "disgust", "surprise",
-                             "prevailing"])
-            for rownum, row in enumerate(reader, start=2):
-                text = (row.get("text") or "").strip()
-                title = (row.get("title") or "").strip()
-                combined = f"{title} {text}".strip()
-                profile = emotion.score_emotions(textprep.surface_tokens(combined), lexicon)
-                prevailing = emotion.prevailing_emotion(profile, negative)
-                writer.writerow(
-                    [
-                        (row.get("id") or "").strip() or str(rownum - 1),
-                        *(repr(profile.get(a)) for a in
-                          ("anger", "fear", "sadness", "disgust", "surprise")),
-                        prevailing or "",
-                    ]
-                )
+    affects = ("anger", "fear", "sadness", "disgust", "surprise")
+    with corpus.open_rows(args.input_csv, ("text",)) as reader, \
+            atomic_outputs(args.out) as [partial], \
+            open(partial, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["id", *affects, "prevailing"])
+        for rownum, row in enumerate(reader, start=2):
+            combined = f"{corpus.cell(row, 'title')} {corpus.cell(row, 'text')}".strip()
+            profile = emotion.score_emotions(textprep.surface_tokens(combined), lexicon)
+            prevailing = emotion.prevailing_emotion(profile, negative)
+            writer.writerow([corpus.cell(row, "id") or str(rownum - 1),
+                             *(repr(profile.get(a)) for a in affects), prevailing or ""])
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -391,17 +352,7 @@ def cmd_stats(args) -> int:
     stats = corpus.corpus_stats(posts, config)
     if args.summary:
         print(summary.to_json())
-    print(
-        json.dumps(
-            {
-                "record_count": stats.record_count,
-                "per_community": dict(stats.per_community),
-                "per_tag": dict(stats.per_tag),
-                "unique_words": stats.unique_words,
-            },
-            indent=2,
-        )
-    )
+    print(json.dumps(stats, indent=2))
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ import contextlib
 import csv
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -89,27 +89,25 @@ class LoadSummary:
     rows_skipped: int = 0
     errors: list[str] = field(default_factory=list)
 
+    def count(self, skip_reason: str | None) -> bool:
+        """Tally one row read: kept when skip_reason is None, otherwise
+        skipped for that reason. Returns whether the row was kept."""
+        self.rows_read += 1
+        if skip_reason is None:
+            self.rows_kept += 1
+            return True
+        self.rows_skipped += 1
+        self.errors.append(skip_reason)
+        return False
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "rows_read": self.rows_read,
-                "rows_kept": self.rows_kept,
-                "rows_skipped": self.rows_skipped,
-                "errors": self.errors,
-            }
-        )
-
-
-@dataclass(frozen=True)
-class CorpusStats:
-    record_count: int
-    per_community: Mapping[str, int]
-    per_tag: Mapping[str, int]
-    unique_words: int
+        return json.dumps(asdict(self))
 
 
 @contextlib.contextmanager
-def _open_rows(path: str | Path, required: Sequence[str]):
+def open_rows(path: str | Path, required: Sequence[str]):
+    """A csv.DictReader over the file, once its header row is known to
+    hold every required column."""
     with open_text(path) as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
@@ -121,31 +119,28 @@ def _open_rows(path: str | Path, required: Sequence[str]):
         yield reader
 
 
-def _cell(row: Mapping[str, str | None], column: str) -> str:
+def cell(row: Mapping[str, str | None], column: str) -> str:
     return (row.get(column) or "").strip()
 
 
 def load_labeled_with_summary(path: str | Path) -> tuple[list[LabeledExample], LoadSummary]:
     summary = LoadSummary()
     examples: list[LabeledExample] = []
-    with _open_rows(path, required=("text", "label")) as reader:
+    with open_rows(path, required=("text", "label")) as reader:
         for rownum, row in enumerate(reader, start=2):  # 1 is the header line
-            summary.rows_read += 1
-            text = _cell(row, "text")
-            if not text:
-                summary.rows_skipped += 1
-                summary.errors.append(f"row {rownum}: empty text (skipped)")
+            text = cell(row, "text")
+            if not summary.count(None if text else f"row {rownum}: empty text (skipped)"):
                 log.warning("%s: row %d skipped: empty text", path, rownum)
                 continue
-            raw_label = _cell(row, "label")
+            raw_label = cell(row, "label")
             if raw_label == "1":
                 label = 1
             elif raw_label == "0":
                 label = 0
             else:
                 raise BadLabel(f"{path}: row {rownum}: label {raw_label!r} is not 0/1")
-            example_id = _cell(row, "id")
-            domain = _cell(row, "domain")
+            example_id = cell(row, "id")
+            domain = cell(row, "domain")
             examples.append(
                 LabeledExample(
                     id=example_id or str(rownum - 1),
@@ -154,7 +149,6 @@ def load_labeled_with_summary(path: str | Path) -> tuple[list[LabeledExample], L
                     domain=domain or None,
                 )
             )
-            summary.rows_kept += 1
     return examples, summary
 
 
@@ -187,30 +181,30 @@ def parse_date(cell: str) -> datetime:
 def iter_post_rows(path: str | Path):
     """Yield (fieldnames, raw_row, record_or_None, skip_reason_or_None) per
     data row, preserving file order. Unparseable dates/fields abort."""
-    with _open_rows(path, required=("date", "text", "community")) as reader:
+    with open_rows(path, required=("date", "text", "community")) as reader:
         for rownum, row in enumerate(reader, start=2):
-            title = _cell(row, "title")
-            body = _cell(row, "text")
+            title = cell(row, "title")
+            body = cell(row, "text")
             if not (title or body):
                 yield reader.fieldnames, row, None, f"row {rownum}: title and body both empty (skipped)"
                 continue
             try:
-                date = parse_date(_cell(row, "date"))
+                date = parse_date(cell(row, "date"))
             except BadDate as exc:
                 raise BadDate(f"{path}: row {rownum}: {exc}") from None
-            raw_score = _cell(row, "score")
+            raw_score = cell(row, "score")
             try:
                 score = int(raw_score) if raw_score else 0
             except ValueError:
                 raise BadField(f"{path}: row {rownum}: score {raw_score!r} is not an integer")
-            raw_kind = _cell(row, "kind").lower()
+            raw_kind = cell(row, "kind").lower()
             if raw_kind and raw_kind not in POST_KINDS:
                 raise BadField(f"{path}: row {rownum}: kind {raw_kind!r} not in {POST_KINDS}")
-            community = _cell(row, "community")
+            community = cell(row, "community")
             if not community:
                 raise BadField(f"{path}: row {rownum}: community is empty")
-            tag = _cell(row, "tag")
-            record_id = _cell(row, "id")
+            tag = cell(row, "tag")
+            record_id = cell(row, "id")
             record = PostRecord(
                 id=record_id or str(rownum - 1),
                 date=date,
@@ -228,14 +222,10 @@ def load_posts_with_summary(path: str | Path) -> tuple[list[PostRecord], LoadSum
     summary = LoadSummary()
     records: list[PostRecord] = []
     for _fields, _row, record, reason in iter_post_rows(path):
-        summary.rows_read += 1
-        if record is None:
-            summary.rows_skipped += 1
-            summary.errors.append(reason)
+        if summary.count(reason):
+            records.append(record)
+        else:
             log.warning("%s: %s", path, reason)
-            continue
-        records.append(record)
-        summary.rows_kept += 1
     return records, summary
 
 
@@ -269,9 +259,9 @@ def write_posts(records: Sequence[PostRecord], path: str | Path) -> None:
 def corpus_stats(
     records: Sequence[PostRecord],
     config: textprep.PipelineConfig | None = None,
-) -> CorpusStats:
-    """Exact per-community/per-tag counts plus the distinct preprocessed
-    token count across all titles and bodies."""
+) -> dict:
+    """The stats JSON document: exact per-community/per-tag counts plus the
+    distinct preprocessed token count across all titles and bodies."""
     config = config or textprep.PipelineConfig.default()
     per_community: dict[str, int] = {}
     per_tag: dict[str, int] = {}
@@ -281,9 +271,9 @@ def corpus_stats(
         if rec.tag is not None:
             per_tag[rec.tag] = per_tag.get(rec.tag, 0) + 1
         vocabulary.update(textprep.preprocess(rec.text, config).split())
-    return CorpusStats(
-        record_count=len(records),
-        per_community=dict(sorted(per_community.items())),
-        per_tag=dict(sorted(per_tag.items())),
-        unique_words=len(vocabulary),
-    )
+    return {
+        "record_count": len(records),
+        "per_community": dict(sorted(per_community.items())),
+        "per_tag": dict(sorted(per_tag.items())),
+        "unique_words": len(vocabulary),
+    }

@@ -32,7 +32,6 @@ from typing import Mapping, Sequence
 from . import classify, emotion, textprep
 from .corpus import PostRecord
 from .errors import FingerprintMismatchWarning, StressKitError, atomic_outputs, open_text
-from .features import vectorize
 
 log = logging.getLogger(__name__)
 
@@ -95,8 +94,7 @@ def classify_corpus(
     classified = []
     for post in posts:
         stages = textprep.preprocess_stages(post.text, config)
-        pred = classify.predict(
-            model, vectorize(stages["text"], model.vocabulary, model.feature_kind))
+        pred = classify.predict_doc(model, stages["text"])
         profile = None
         if lexicon is not None and pred.label == 1:
             profile = emotion.score_emotions(stages["tokens"], lexicon)

@@ -171,18 +171,18 @@ def test_corpus_stats_counts(config):
         )
 
     stats = corpus_stats([post(1, "a"), post(2, "a", "t"), post(3, "b")], config)
-    assert stats.record_count == 3
-    assert stats.per_community == {"a": 2, "b": 1}
-    assert stats.per_tag == {"t": 1}
-    assert stats.unique_words == 3  # cat, hit, dog
-    assert sum(stats.per_community.values()) == stats.record_count
+    assert stats["record_count"] == 3
+    assert stats["per_community"] == {"a": 2, "b": 1}
+    assert stats["per_tag"] == {"t": 1}
+    assert stats["unique_words"] == 3  # cat, hit, dog
+    assert sum(stats["per_community"].values()) == stats["record_count"]
 
 
 def test_corpus_stats_empty(config):
     stats = corpus_stats([], config)
-    assert stats.record_count == 0
-    assert stats.per_community == {}
-    assert stats.unique_words == 0
+    assert stats["record_count"] == 0
+    assert stats["per_community"] == {}
+    assert stats["unique_words"] == 0
 
 
 def test_invalid_record_construction():
