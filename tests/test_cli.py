@@ -1,12 +1,17 @@
 import ast
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stresskit import cli
 
@@ -378,6 +383,17 @@ def test_emotions_empty_input_header_only(write_csv, tmp_path):
     assert len(rows) == 1
 
 
+@pytest.mark.parametrize("rows", [[], [["id", "title", "body"], ["a", "", "fire"]]],
+                         ids=["zero-byte", "no-text-column"])
+def test_emotions_without_a_text_header_is_data_error(rows, write_csv, tmp_path, capsys):
+    src = write_csv(rows, name="texts.csv")
+    out = tmp_path / "emotions.csv"
+    assert run(["emotions", src, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(src) in err
+    assert not out.exists()
+
+
 def test_emotions_bad_lexicon_is_data_error(write_csv, tmp_path):
     lex = tmp_path / "lex.tsv"
     lex.write_text("word\tjoy\t2\n", encoding="utf-8")
@@ -393,6 +409,49 @@ def test_stats_reports_counts(capsys):
     stats = json.loads(stats_json)
     assert stats["record_count"] == 100
     assert sum(stats["per_community"].values()) == 100
+
+
+LABELED_WITH_BLANK = [["id", "text", "label"], ["a", "deadline panic", "1"], ["b", "  ", "1"],
+                      ["c", "calm walk", "0"]]
+POSTS_WITH_BLANK = [["id", "date", "title", "text", "score", "community"],
+                    ["p1", "2023-01-01", "", "deadline panic", "1", "r/PhD"],
+                    ["p2", "2023-01-02", " ", "  ", "0", "r/PhD"],
+                    ["p3", "2023-01-03", "calm", "walk", "2", "r/GradSchool"]]
+
+
+@pytest.mark.parametrize(
+    "argv,rows,reason",
+    [(["train", "{src}", "--epochs", "5", "--model-out", "{out}/m.json"], LABELED_WITH_BLANK,
+      "row 3: empty text (skipped)"),
+     (["predict", GOLDEN_MODEL, "{src}", "--out", "{out}/p.csv"], POSTS_WITH_BLANK,
+      "row 3: title and body both empty (skipped)"),
+     (["analyze", GOLDEN_MODEL, "{src}", "--out-dir", "{out}"], POSTS_WITH_BLANK,
+      "row 3: title and body both empty (skipped)"),
+     (["stats", "{src}"], POSTS_WITH_BLANK, "row 3: title and body both empty (skipped)")],
+    ids=["train", "predict", "analyze", "stats"],
+)
+def test_summary_line_counts_a_blank_row(argv, rows, reason, write_csv, tmp_path, capsys):
+    src = write_csv(rows)
+    filled = [str(a).replace("{src}", str(src)).replace("{out}", str(tmp_path)) for a in argv]
+    assert run([*filled, "--summary"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == json.dumps(
+        {"rows_read": 3, "rows_kept": 2, "rows_skipped": 1, "errors": [reason]})
+
+
+def test_predict_and_analyze_print_the_same_summary(write_csv, tmp_path, capsys):
+    with open(FIXTURES / "posts_100.csv", newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    title, text = rows[0].index("title"), rows[0].index("text")
+    for row in rows[5::17]:
+        row[title], row[text] = "", " "
+    src = write_csv(rows)
+    lines = []
+    for argv in (["predict", GOLDEN_MODEL, src, "--out", tmp_path / "p.csv"],
+                 ["analyze", GOLDEN_MODEL, src, "--out-dir", tmp_path / "reports"]):
+        assert run([*argv, "--summary"]) == 0
+        lines.append(capsys.readouterr().out.splitlines()[0])
+    assert json.loads(lines[0])["rows_skipped"] == len(rows[5::17])
+    assert lines[0] == lines[1]
 
 
 # ------------------------------------------------ exit-code contract, imports
@@ -481,6 +540,58 @@ def test_non_utf8_input_is_data_error(argv, bad, output, tmp_path, capsys):
     assert str(bad_path) in err
     if output is not None:
         assert not out.exists()
+
+
+MUTATED_COMMANDS = {
+    "train": (FIXTURES / "labeled_train.csv",
+              ["train", "{bad}", "--epochs", "5", "--model-out", "{out}/m.json"]),
+    "predict": (FIXTURES / "posts_100.csv",
+                ["predict", GOLDEN_MODEL, "{bad}", "--out", "{out}/p.csv"]),
+    "analyze": (FIXTURES / "posts_100.csv", ["analyze", GOLDEN_MODEL, "{bad}", "--out-dir", "{out}"]),
+    "annotate": (FIXTURES / "annotations.csv", ["annotate", "{bad}", "--out-dir", "{out}"]),
+    "emotions": (FIXTURES / "posts_100.csv", ["emotions", "{bad}", "--out", "{out}/e.csv"]),
+    "stats": (FIXTURES / "posts_100.csv", ["stats", "{bad}"]),
+}
+
+
+@st.composite
+def mutated(draw, data: bytes) -> bytes:
+    """The bytes truncated, with a NUL inserted, re-encoded as UTF-16, with
+    one byte replaced, or with the header's columns shuffled."""
+    kind = draw(st.sampled_from(["truncate", "nul", "utf-16", "replace-byte", "shuffle-header"]))
+    at = draw(st.integers(0, len(data)))
+    if kind == "truncate":
+        return data[:at]
+    if kind == "nul":
+        return data[:at] + b"\0" + data[at:]
+    if kind == "utf-16":
+        return data.decode("utf-8").encode("utf-16")
+    if kind == "replace-byte":
+        return data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
+    header, newline, rest = data.partition(b"\r\n")
+    return b",".join(draw(st.permutations(header.split(b",")))) + newline + rest
+
+
+@pytest.mark.parametrize("command", sorted(MUTATED_COMMANDS))
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_input_keeps_the_exit_code_contract(command, data):
+    source, argv = MUTATED_COMMANDS[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        bad, out = Path(tmp) / source.name, Path(tmp) / "out"
+        bad.write_bytes(data.draw(mutated(source.read_bytes())))
+        out.mkdir()
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            try:
+                code = run([str(a).replace("{bad}", str(bad)).replace("{out}", str(out))
+                            for a in argv])
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+        assert code in (0, 2, 64)
+        assert "Traceback" not in stderr.getvalue()
+        if code != 0:
+            assert [p.relative_to(out) for p in out.rglob("*") if p.is_file()] == []
 
 
 @pytest.mark.parametrize(
