@@ -102,14 +102,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="tree-ish of the parent")
     parser.add_argument("--change", default="HEAD", help="tree-ish of the change (HEAD)")
-    parser.add_argument("--seeds", required=True, help="FIRST-LAST or a comma list")
+    parser.add_argument("--seeds", required=True, type=parse_seeds,
+                        help="FIRST-LAST or a comma list, at least two seeds")
     parser.add_argument("--what", default="", help="what the change is, for the JSON")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
+    if len(args.seeds) < 2:  # the quartiles of one run per side are undefined
+        parser.error(f"--seeds names {len(args.seeds)} seed(s); at least two are needed")
 
     revisions = {side: git("rev-parse", "--short", rev).decode().strip()
                  for side, rev in (("parent", args.parent), ("change", args.change))}
-    seeds = parse_seeds(args.seeds)
     with tempfile.TemporaryDirectory(prefix="ab_bench_") as tmp:
         checkouts = {side: export(rev, Path(tmp) / side) for side, rev in revisions.items()}
         spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text("utf-8"))
@@ -118,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
         results = {w: {"parent": [], "change": []} for w in workloads}
         machine = {}
         for workload in workloads:
-            for seed in seeds:
+            for seed in args.seeds:
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
                 for side in order:
                     machine, result = run_once(checkouts[side], workload, seed, seconds)
@@ -143,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
             f"--seed S --seconds {seconds:g} --trace 0`, each side run from its own "
             f"`git archive` export; odd seeds ran the parent first, even seeds the change "
             f"first. Parent: {revisions['parent']}. Change: {revisions['change']}. {args.what}")
-    document = {"what": what.strip(), "seeds": seeds, "run_seconds": seconds,
+    document = {"what": what.strip(), "seeds": args.seeds, "run_seconds": seconds,
                 "machine": machine, "workloads": report}
     args.out.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")

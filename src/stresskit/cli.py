@@ -232,6 +232,7 @@ def cmd_predict(args) -> int:
                 pred = classify.predict_doc(model, textprep.preprocess(record.text, config))
                 writer.writerow([*cells, pred.label, repr(pred.score)])
             else:
+                log.warning("%s: %s", args.posts_csv, reason)
                 writer.writerow([*cells, "", ""])
         if writer is None:  # no data rows: still emit the header
             with corpus.open_rows(args.posts_csv, ()) as reader:

@@ -129,8 +129,9 @@ def load_labeled_with_summary(path: str | Path) -> tuple[list[LabeledExample], L
     with open_rows(path, required=("text", "label")) as reader:
         for rownum, row in enumerate(reader, start=2):  # 1 is the header line
             text = cell(row, "text")
-            if not summary.count(None if text else f"row {rownum}: empty text (skipped)"):
-                log.warning("%s: row %d skipped: empty text", path, rownum)
+            reason = None if text else f"row {rownum}: empty text (skipped)"
+            if not summary.count(reason):
+                log.warning("%s: %s", path, reason)
                 continue
             raw_label = cell(row, "label")
             if raw_label == "1":

@@ -10,7 +10,12 @@ Every condition reads the word's consonant/vowel pattern, e.g. "trouble"
 or after a vowel, and a vowel after a consonant; any other character is a
 consonant, digits and apostrophes included, so "don't" passes through
 untouched. A stem of the form [C](VC)^m[V] has measure m = pattern.count("vc").
-"""
+
+As in Porter's C version, steps 2-4 read only the rules whose suffix ends
+in the word's last letter, one bucket per letter built at import from the
+rule tables. A table lists a suffix that ends another one first (ational
+before tional, ement before ment before ent), so a bucket's first match is
+the longest."""
 
 from __future__ import annotations
 
@@ -40,10 +45,9 @@ def step1a(word: str) -> str:
     return word
 
 
-def _step1b_cleanup(stem: str) -> str:
+def _step1b_cleanup(stem: str, pattern: str) -> str:
     if stem.endswith(("at", "bl", "iz")):
         return stem + "e"
-    pattern = _pattern(stem)
     # *d (a double consonant) other than ll, ss or zz loses a letter
     if stem[-2:] == stem[-1] * 2 and pattern.endswith("c") and stem[-1] not in "lsz":
         return stem[:-1]
@@ -58,7 +62,8 @@ def step1b(word: str) -> str:
     for suffix in ("ed", "ing"):
         if word.endswith(suffix):
             stem = word[: -len(suffix)]
-            return _step1b_cleanup(stem) if "v" in _pattern(stem) else word
+            pattern = _pattern(stem)
+            return _step1b_cleanup(stem, pattern) if "v" in pattern else word
     return word
 
 
@@ -68,8 +73,6 @@ def step1c(word: str) -> str:
     return word
 
 
-# In each table a suffix that ends another one comes first (ational before
-# tional, ement before ment before ent), so the first match is the longest.
 _STEP2_RULES = (
     ("ational", "ate"),
     ("tional", "tion"),
@@ -109,8 +112,20 @@ _STEP4_SUFFIXES = (
 )
 
 
-def _replace_suffix(word: str, rules) -> str:
-    for suffix, replacement in rules:
+def _by_last_letter(rules) -> dict:
+    buckets = {}
+    for rule in rules:
+        buckets.setdefault((rule if isinstance(rule, str) else rule[0])[-1], []).append(rule)
+    return {letter: tuple(bucket) for letter, bucket in buckets.items()}
+
+
+_STEP2_BY_LETTER = _by_last_letter(_STEP2_RULES)
+_STEP3_BY_LETTER = _by_last_letter(_STEP3_RULES)
+_STEP4_BY_LETTER = _by_last_letter(_STEP4_SUFFIXES)
+
+
+def _replace_suffix(word: str, by_letter) -> str:
+    for suffix, replacement in by_letter.get(word[-1:], ()):
         if word.endswith(suffix):
             stem = word[: -len(suffix)]
             return stem + replacement if _measure(stem) > 0 else word
@@ -118,15 +133,15 @@ def _replace_suffix(word: str, rules) -> str:
 
 
 def step2(word: str) -> str:
-    return _replace_suffix(word, _STEP2_RULES)
+    return _replace_suffix(word, _STEP2_BY_LETTER)
 
 
 def step3(word: str) -> str:
-    return _replace_suffix(word, _STEP3_RULES)
+    return _replace_suffix(word, _STEP3_BY_LETTER)
 
 
 def step4(word: str) -> str:
-    for suffix in _STEP4_SUFFIXES:
+    for suffix in _STEP4_BY_LETTER.get(word[-1:], ()):
         if word.endswith(suffix):
             stem = word[: -len(suffix)]
             if suffix == "ion" and not stem.endswith(("s", "t")):

@@ -4,13 +4,16 @@ import csv
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stresskit import cli
@@ -419,7 +422,7 @@ POSTS_WITH_BLANK = [["id", "date", "title", "text", "score", "community"],
                     ["p3", "2023-01-03", "calm", "walk", "2", "r/GradSchool"]]
 
 
-@pytest.mark.parametrize(
+BLANK_ROW_COMMANDS = pytest.mark.parametrize(
     "argv,rows,reason",
     [(["train", "{src}", "--epochs", "5", "--model-out", "{out}/m.json"], LABELED_WITH_BLANK,
       "row 3: empty text (skipped)"),
@@ -430,12 +433,29 @@ POSTS_WITH_BLANK = [["id", "date", "title", "text", "score", "community"],
      (["stats", "{src}"], POSTS_WITH_BLANK, "row 3: title and body both empty (skipped)")],
     ids=["train", "predict", "analyze", "stats"],
 )
+
+
+def _fill(argv, src, out):
+    return [str(a).replace("{src}", str(src)).replace("{out}", str(out)) for a in argv]
+
+
+@BLANK_ROW_COMMANDS
 def test_summary_line_counts_a_blank_row(argv, rows, reason, write_csv, tmp_path, capsys):
     src = write_csv(rows)
-    filled = [str(a).replace("{src}", str(src)).replace("{out}", str(tmp_path)) for a in argv]
-    assert run([*filled, "--summary"]) == 0
+    assert run([*_fill(argv, src, tmp_path), "--summary"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == json.dumps(
         {"rows_read": 3, "rows_kept": 2, "rows_skipped": 1, "errors": [reason]})
+
+
+@BLANK_ROW_COMMANDS
+def test_stderr_names_a_blank_row_with_its_summary_reason(argv, rows, reason, write_csv,
+                                                          tmp_path):
+    src = write_csv(rows)
+    filled = _fill(argv, src, tmp_path)
+    result = run_in_subprocess(
+        f"import sys\nfrom stresskit import cli\nsys.exit(cli.main({filled!r}))\n", tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert f"WARNING: {src}: {reason}" in result.stderr.splitlines()
 
 
 def test_predict_and_analyze_print_the_same_summary(write_csv, tmp_path, capsys):
@@ -547,6 +567,8 @@ MUTATED_COMMANDS = {
               ["train", "{bad}", "--epochs", "5", "--model-out", "{out}/m.json"]),
     "predict": (FIXTURES / "posts_100.csv",
                 ["predict", GOLDEN_MODEL, "{bad}", "--out", "{out}/p.csv"]),
+    "model": (GOLDEN_MODEL,
+              ["predict", "{bad}", FIXTURES / "posts_100.csv", "--out", "{out}/p.csv"]),
     "analyze": (FIXTURES / "posts_100.csv", ["analyze", GOLDEN_MODEL, "{bad}", "--out-dir", "{out}"]),
     "annotate": (FIXTURES / "annotations.csv", ["annotate", "{bad}", "--out-dir", "{out}"]),
     "emotions": (FIXTURES / "posts_100.csv", ["emotions", "{bad}", "--out", "{out}/e.csv"]),
@@ -554,32 +576,53 @@ MUTATED_COMMANDS = {
 }
 
 
-@st.composite
-def mutated(draw, data: bytes) -> bytes:
-    """The bytes truncated, with a NUL inserted, re-encoded as UTF-16, with
-    one byte replaced, or with the header's columns shuffled."""
-    kind = draw(st.sampled_from(["truncate", "nul", "utf-16", "replace-byte", "shuffle-header"]))
-    at = draw(st.integers(0, len(data)))
-    if kind == "truncate":
-        return data[:at]
-    if kind == "nul":
-        return data[:at] + b"\0" + data[at:]
-    if kind == "utf-16":
-        return data.decode("utf-8").encode("utf-16")
-    if kind == "replace-byte":
-        return data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
-    header, newline, rest = data.partition(b"\r\n")
-    return b",".join(draw(st.permutations(header.split(b",")))) + newline + rest
+class Mutation(NamedTuple):
+    """One edit of a fixture's bytes: truncated, with a NUL inserted,
+    re-encoded as UTF-16, with one byte replaced by `value`, or with the
+    header's columns shuffled by `seed`; `where` in [0, 1] places the cut,
+    the NUL or the byte. `first-coef`, used by the explicit examples, sets a
+    model file's first weight to the JSON text `value` (no other file has
+    one)."""
+    kind: str
+    where: float = 0.0
+    value: int | bytes = 0
+    seed: int = 0
+
+    def apply(self, data: bytes) -> bytes:
+        at = round(self.where * len(data))
+        if self.kind == "truncate":
+            return data[:at]
+        if self.kind == "nul":
+            return data[:at] + b"\0" + data[at:]
+        if self.kind == "utf-16":
+            return data.decode("utf-8").encode("utf-16")
+        if self.kind == "replace-byte":
+            return data[:at] + bytes([self.value]) + data[at + 1:]
+        if self.kind == "first-coef":
+            return re.sub(rb'("coef": \[)[^,\]]*', rb"\g<1>" + self.value, data, count=1)
+        header, newline, rest = data.partition(b"\r\n")
+        columns = header.split(b",")
+        random.Random(self.seed).shuffle(columns)
+        return b",".join(columns) + newline + rest
+
+
+MUTATIONS = st.builds(
+    Mutation, st.sampled_from(["truncate", "nul", "utf-16", "replace-byte", "shuffle-header"]),
+    st.floats(0, 1), st.integers(0, 255), st.integers(0, 2 ** 32))
 
 
 @pytest.mark.parametrize("command", sorted(MUTATED_COMMANDS))
 @settings(max_examples=50, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_mutated_input_keeps_the_exit_code_contract(command, data):
+@given(mutation=MUTATIONS)
+# a first model weight that is valid (0), not finite (NaN) or too large for a float
+@example(mutation=Mutation("first-coef", value=b"0"))
+@example(mutation=Mutation("first-coef", value=b"NaN"))
+@example(mutation=Mutation("first-coef", value=b"1" + b"0" * 400))
+def test_mutated_input_keeps_the_exit_code_contract(command, mutation):
     source, argv = MUTATED_COMMANDS[command]
     with tempfile.TemporaryDirectory() as tmp:
         bad, out = Path(tmp) / source.name, Path(tmp) / "out"
-        bad.write_bytes(data.draw(mutated(source.read_bytes())))
+        bad.write_bytes(mutation.apply(source.read_bytes()))
         out.mkdir()
         stderr = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):

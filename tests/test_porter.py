@@ -5,13 +5,14 @@ step is cross-checked against tests/porter_reference.py."""
 
 import importlib.util
 import itertools
+import random
 import string
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stresskit import porter
+from stresskit import porter, textprep
 
 import porter_reference as reference
 from conftest import REPO_ROOT
@@ -242,12 +243,26 @@ def test_matches_reference_on_bases_times_rule_suffixes():
     assert _mismatches(words) == []
 
 
-def test_matches_reference_on_the_benchmark_vocabulary():
+def _perfbench_gen():
     spec = importlib.util.spec_from_file_location(
         "perfbench_gen", REPO_ROOT / "perfbench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    assert _mismatches(gen.Vocabulary().types) == []
+    return gen
+
+
+def test_matches_reference_on_the_benchmark_vocabulary():
+    assert _mismatches(_perfbench_gen().Vocabulary().types) == []
+
+
+def test_matches_reference_on_benchmark_one_off_tokens():
+    """The typos, @-handles and x...ing ids that predict-cold's posts carry,
+    as the stemmer sees them: after surface_tokens."""
+    gen = _perfbench_gen()
+    rng = random.Random(1414)
+    words = [t for _ in range(5000) for t in textprep.surface_tokens(gen._one_off(rng))]
+    assert len(words) >= 5000
+    assert _mismatches(words) == []
 
 
 _pieces = st.sampled_from(list(string.ascii_lowercase) + ["'", "1", "é"] + list(RULE_SUFFIXES))
@@ -260,8 +275,28 @@ def test_matches_reference_on_lowercase_text(word):
     assert _mismatches([word]) == []
 
 
+_TABLES = (
+    (porter._STEP2_RULES, porter._STEP2_BY_LETTER),
+    (porter._STEP3_RULES, porter._STEP3_BY_LETTER),
+    (porter._STEP4_SUFFIXES, porter._STEP4_BY_LETTER),
+)
+
+
+def _suffix(rule):
+    return rule if isinstance(rule, str) else rule[0]
+
+
 def test_first_table_match_is_the_longest():
-    for suffixes in ([s for s, _ in porter._STEP2_RULES], [s for s, _ in porter._STEP3_RULES],
-                     porter._STEP4_SUFFIXES):
-        for i, suffix in enumerate(suffixes):
-            assert not any(suffix.endswith(earlier) for earlier in suffixes[:i]), suffix
+    for rules, by_letter in _TABLES:
+        for bucket in (rules, *by_letter.values()):
+            suffixes = [_suffix(rule) for rule in bucket]
+            for i, suffix in enumerate(suffixes):
+                assert not any(suffix.endswith(earlier) for earlier in suffixes[:i]), suffix
+
+
+def test_each_rule_lands_in_exactly_one_bucket():
+    for rules, by_letter in _TABLES:
+        for letter, bucket in by_letter.items():
+            assert all(_suffix(rule).endswith(letter) for rule in bucket), letter
+            assert list(bucket) == [rule for rule in rules if rule in bucket], letter
+        assert sorted(r for bucket in by_letter.values() for r in bucket) == sorted(rules)
