@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+from .corpus import cell, open_rows
 from .errors import StressKitError, open_text
 
 if TYPE_CHECKING:  # numpy loads only in the functions that compute with it
@@ -312,21 +313,21 @@ def load_annotations(
 
 def load_weights(path: str | Path) -> dict[str, float]:
     """Sidecar CSV annotator_id,weight; absent annotators default to 1.0.
-    Every weight must be a finite number greater than 0."""
+    An id is matched exactly as the sheet header spells it, so it is not
+    stripped, and it is listed once. Every weight must be a finite number
+    greater than 0."""
     weights = {}
-    with open_text(path) as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not {"annotator_id", "weight"} <= set(reader.fieldnames):
-            raise BadScore(f"{path}: weights file needs header annotator_id,weight")
+    with open_rows(path, ("annotator_id", "weight")) as reader:
         for rownum, row in enumerate(reader, start=2):
+            annotator, raw = row["annotator_id"] or "", cell(row, "weight")
             try:
-                weight = float(row["weight"])
-            except (TypeError, ValueError):
+                weight = float(raw)
+            except ValueError:
                 weight = math.nan
             if not (math.isfinite(weight) and weight > 0):
                 raise BadScore(
-                    f"{path}: row {rownum}: bad weight {row.get('weight')!r} "
-                    "(must be a finite number > 0)"
-                )
-            weights[row["annotator_id"]] = weight
+                    f"{path}: row {rownum}: bad weight {raw!r} (must be a finite number > 0)")
+            if annotator in weights:
+                raise BadScore(f"{path}: row {rownum}: annotator {annotator!r} is listed twice")
+            weights[annotator] = weight
     return weights

@@ -20,8 +20,6 @@ from pathlib import Path
 from . import annotate, classify, corpus, emotion, evaluate, features, report, textprep
 from .errors import StressKitError, atomic_outputs
 
-log = logging.getLogger("stresskit")
-
 EXIT_OK = 0
 EXIT_DATA = 2
 EXIT_USAGE = 64
@@ -220,23 +218,19 @@ def cmd_predict(args) -> int:
     config = _pipeline_config(args)
     report.check_fingerprint(model, config)
     summary = corpus.LoadSummary()
-    with atomic_outputs(args.out) as [partial], \
+    with corpus.open_rows(args.posts_csv, corpus.POST_COLUMNS) as reader, \
+            atomic_outputs(args.out) as [partial], \
             open(partial, "w", newline="", encoding="utf-8") as handle:
-        writer = None
-        for fieldnames, raw, record, reason in corpus.iter_post_rows(args.posts_csv):
-            if writer is None:
-                writer = csv.writer(handle)
-                writer.writerow([*fieldnames, "label", "probability"])
+        fieldnames = reader.fieldnames
+        writer = csv.writer(handle)
+        writer.writerow([*fieldnames, "label", "probability"])
+        for _, raw, record in corpus.iter_post_rows(reader, args.posts_csv, summary):
             cells = [raw.get(f, "") for f in fieldnames]
-            if summary.count(reason):
+            if record is None:
+                writer.writerow([*cells, "", ""])
+            else:
                 pred = classify.predict_doc(model, textprep.preprocess(record.text, config))
                 writer.writerow([*cells, pred.label, repr(pred.score)])
-            else:
-                log.warning("%s: %s", args.posts_csv, reason)
-                writer.writerow([*cells, "", ""])
-        if writer is None:  # no data rows: still emit the header
-            with corpus.open_rows(args.posts_csv, ()) as reader:
-                csv.writer(handle).writerow([*reader.fieldnames, "label", "probability"])
     if args.summary:
         print(summary.to_json())
     print(f"wrote {args.out} ({summary.rows_kept} classified, {summary.rows_skipped} skipped)")

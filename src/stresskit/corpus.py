@@ -1,10 +1,14 @@
 """Corpus ingestion: labeled training examples and unlabeled post records
 from CSV files (RFC-4180, UTF-8, header row mandatory).
 
-Columns are found by their header names; an absent optional column reads
-as empty. Rows with empty text are skipped, not fatal; the skip
-count is surfaced in the load summary. Unparseable labels/dates abort the
-load with the offending row number.
+`open_rows` and `cell` are the package's one way to read a CSV with named
+columns: the posts and labeled files here, the emotions input, the group
+map and the annotator weights. A required column absent from the header
+exits as MissingColumn naming the file and the column; cells are read
+stripped, and an absent optional column reads as empty. Rows with empty
+text are skipped, not fatal: `LoadSummary.count` tallies each one and logs
+it as `PATH: reason`. Unparseable labels/dates abort the load with the
+offending row number.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import logging
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import StressKitError, open_text
 from . import textprep
@@ -37,10 +41,12 @@ class BadDate(StressKitError):
 
 
 class BadField(StressKitError):
-    """A cell that should parse to a typed value (score, kind) does not."""
+    """A required cell is empty, repeats a key, or does not parse to its
+    typed value (score, kind)."""
 
 
 POST_KINDS = ("post", "comment")
+POST_COLUMNS = ("date", "text", "community")  # the columns a posts file must have
 
 
 @dataclass(frozen=True)
@@ -89,15 +95,17 @@ class LoadSummary:
     rows_skipped: int = 0
     errors: list[str] = field(default_factory=list)
 
-    def count(self, skip_reason: str | None) -> bool:
-        """Tally one row read: kept when skip_reason is None, otherwise
-        skipped for that reason. Returns whether the row was kept."""
+    def count(self, path: str | Path, skip_reason: str | None) -> bool:
+        """Tally one row read from path: kept when skip_reason is None,
+        otherwise skipped for that reason and logged. Returns whether the
+        row was kept."""
         self.rows_read += 1
         if skip_reason is None:
             self.rows_kept += 1
             return True
         self.rows_skipped += 1
         self.errors.append(skip_reason)
+        log.warning("%s: %s", path, skip_reason)
         return False
 
     def to_json(self) -> str:
@@ -129,9 +137,7 @@ def load_labeled_with_summary(path: str | Path) -> tuple[list[LabeledExample], L
     with open_rows(path, required=("text", "label")) as reader:
         for rownum, row in enumerate(reader, start=2):  # 1 is the header line
             text = cell(row, "text")
-            reason = None if text else f"row {rownum}: empty text (skipped)"
-            if not summary.count(reason):
-                log.warning("%s: %s", path, reason)
+            if not summary.count(path, None if text else f"row {rownum}: empty text (skipped)"):
                 continue
             raw_label = cell(row, "label")
             if raw_label == "1":
@@ -179,54 +185,45 @@ def parse_date(cell: str) -> datetime:
         raise BadDate(f"epoch seconds {cell!r} out of range ({exc})") from None
 
 
-def iter_post_rows(path: str | Path):
-    """Yield (fieldnames, raw_row, record_or_None, skip_reason_or_None) per
-    data row, preserving file order. Unparseable dates/fields abort."""
-    with open_rows(path, required=("date", "text", "community")) as reader:
-        for rownum, row in enumerate(reader, start=2):
-            title = cell(row, "title")
-            body = cell(row, "text")
-            if not (title or body):
-                yield reader.fieldnames, row, None, f"row {rownum}: title and body both empty (skipped)"
-                continue
-            try:
-                date = parse_date(cell(row, "date"))
-            except BadDate as exc:
-                raise BadDate(f"{path}: row {rownum}: {exc}") from None
-            raw_score = cell(row, "score")
-            try:
-                score = int(raw_score) if raw_score else 0
-            except ValueError:
-                raise BadField(f"{path}: row {rownum}: score {raw_score!r} is not an integer")
-            raw_kind = cell(row, "kind").lower()
-            if raw_kind and raw_kind not in POST_KINDS:
-                raise BadField(f"{path}: row {rownum}: kind {raw_kind!r} not in {POST_KINDS}")
-            community = cell(row, "community")
-            if not community:
-                raise BadField(f"{path}: row {rownum}: community is empty")
-            tag = cell(row, "tag")
-            record_id = cell(row, "id")
-            record = PostRecord(
-                id=record_id or str(rownum - 1),
-                date=date,
-                title=title,
-                body=body,
-                score=score,
-                community=community,
-                tag=tag or None,
-                kind=raw_kind or "post",
-            )
-            yield reader.fieldnames, row, record, None
+def iter_post_rows(reader: Iterable[Mapping[str, str | None]], path: str | Path,
+                   summary: LoadSummary):
+    """Yield (rownum, raw_row, record_or_None) per data row of reader, an
+    open_rows reader over path with the POST_COLUMNS, in file order. Each
+    row is tallied in summary; a row with no title or body is skipped (its
+    record is None). Unparseable dates/fields abort."""
+    for rownum, row in enumerate(reader, start=2):
+        title = cell(row, "title")
+        body = cell(row, "text")
+        if not summary.count(path, None if (title or body)
+                             else f"row {rownum}: title and body both empty (skipped)"):
+            yield rownum, row, None
+            continue
+        try:
+            date = parse_date(cell(row, "date"))
+        except BadDate as exc:
+            raise BadDate(f"{path}: row {rownum}: {exc}") from None
+        raw_score = cell(row, "score")
+        try:
+            score = int(raw_score) if raw_score else 0
+        except ValueError:
+            raise BadField(f"{path}: row {rownum}: score {raw_score!r} is not an integer")
+        raw_kind = cell(row, "kind").lower()
+        if raw_kind and raw_kind not in POST_KINDS:
+            raise BadField(f"{path}: row {rownum}: kind {raw_kind!r} not in {POST_KINDS}")
+        community = cell(row, "community")
+        if not community:
+            raise BadField(f"{path}: row {rownum}: community is empty")
+        yield rownum, row, PostRecord(
+            id=cell(row, "id") or str(rownum - 1), date=date, title=title, body=body,
+            score=score, community=community, tag=cell(row, "tag") or None,
+            kind=raw_kind or "post")
 
 
 def load_posts_with_summary(path: str | Path) -> tuple[list[PostRecord], LoadSummary]:
     summary = LoadSummary()
-    records: list[PostRecord] = []
-    for _fields, _row, record, reason in iter_post_rows(path):
-        if summary.count(reason):
-            records.append(record)
-        else:
-            log.warning("%s: %s", path, reason)
+    with open_rows(path, POST_COLUMNS) as reader:
+        records = [record for _, _, record in iter_post_rows(reader, path, summary)
+                   if record is not None]
     return records, summary
 
 

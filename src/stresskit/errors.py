@@ -2,7 +2,9 @@
 opens an input text file, and the one way it writes output files.
 
 Concrete data errors subclass StressKitError so the CLI can map any of
-them to a single "data error" exit code.
+them to a single "data error" exit code; each names the file, and the row
+where there is one. A CSV with named columns is opened through
+corpus.open_rows, which builds on open_text.
 """
 
 from __future__ import annotations

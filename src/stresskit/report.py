@@ -30,8 +30,8 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import classify, emotion, textprep
-from .corpus import PostRecord
-from .errors import FingerprintMismatchWarning, StressKitError, atomic_outputs, open_text
+from .corpus import BadField, PostRecord, cell, open_rows
+from .errors import FingerprintMismatchWarning, StressKitError, atomic_outputs
 
 log = logging.getLogger(__name__)
 
@@ -375,12 +375,16 @@ def emit_report(report: dict, format: str, path: str | Path) -> list[Path]:
 
 
 def load_group_map(path: str | Path) -> dict[str, str]:
-    """CSV community,group."""
+    """CSV community,group, cells stripped. Both cells are required, and a
+    community is listed once."""
     mapping = {}
-    with open_text(path) as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not {"community", "group"} <= set(reader.fieldnames):
-            raise StressKitError(f"{path}: group map needs header community,group")
-        for row in reader:
-            mapping[row["community"]] = row["group"]
+    with open_rows(path, ("community", "group")) as reader:
+        for rownum, row in enumerate(reader, start=2):
+            community, group = cell(row, "community"), cell(row, "group")
+            if not (community and group):
+                raise BadField(f"{path}: row {rownum}: "
+                               f"{'group' if community else 'community'} is empty")
+            if community in mapping:
+                raise BadField(f"{path}: row {rownum}: community {community!r} is listed twice")
+            mapping[community] = group
     return mapping

@@ -26,6 +26,7 @@ from stresskit.annotate import (
     outlier_rates,
     weighted_consensus,
 )
+from stresskit.corpus import MissingColumn
 
 
 def matrix_from_rows(rows, weights=None, annotators=None):
@@ -391,6 +392,28 @@ def test_load_weights_rejects_weight_that_is_not_finite_and_positive(write_csv, 
     with pytest.raises(BadScore, match="row 3") as err:
         load_weights(path)
     assert str(path) in str(err.value)
+
+
+def test_load_weights_names_the_file_and_the_missing_column(write_csv):
+    path = write_csv([["annotator_id", "wieght"], ["a1", "2.0"]], name="weights.csv")
+    with pytest.raises(MissingColumn, match="'weight' not in header") as err:
+        load_weights(path)
+    assert str(path) in str(err.value)
+
+
+def test_load_weights_rejects_an_annotator_listed_twice(write_csv):
+    path = write_csv([["annotator_id", "weight"], ["a1", "2.0"], ["a2", "1.0"], ["a1", "3.0"]],
+                     name="weights.csv")
+    with pytest.raises(BadScore, match="row 4: annotator 'a1' is listed twice") as err:
+        load_weights(path)
+    assert str(path) in str(err.value)
+
+
+def test_load_weights_matches_ids_as_the_sheet_header_spells_them(write_csv):
+    sheet = write_csv([["item_id", "text", " a1", "a2"], ["x1", "t", "1", "2"]], name="sheet.csv")
+    weights = write_csv([["annotator_id", "weight"], [" a1", " 2.0 "], ["a2", "3"]],
+                        name="weights.csv")
+    assert load_annotations(sheet, load_weights(weights)).weights == (2.0, 3.0)
 
 
 @pytest.mark.parametrize("cell", [" +3 ", "03", "-0", "\u0663", " ", "-5", "5"])

@@ -254,7 +254,29 @@ def test_analyze_mapping_without_required_columns_is_data_error(
     code = run(["analyze", trained_model, FIXTURES / "posts_100.csv",
                 "--mapping", mapping, "--out-dir", tmp_path / "reports"])
     assert code == 2
-    assert "community,group" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(mapping) in err and "'community' not in header" in err
+
+
+@pytest.mark.parametrize(
+    "rows,where",
+    [([["r/PhD"]], "row 2: group is empty"),
+     ([["r/PhD", "PhD students"], [" r/PhD", "Professors"]],
+      "row 3: community 'r/PhD' is listed twice")],
+    ids=["no-group-cell", "repeated-community"],
+)
+def test_analyze_mapping_row_error_names_the_file_and_the_row(
+    rows, where, trained_model, write_csv, tmp_path, capsys
+):
+    mapping = write_csv([["community", "group"], *rows], name="mapping.csv")
+    outdir = tmp_path / "reports"
+    code = run(["analyze", trained_model, FIXTURES / "posts_100.csv",
+                "--mapping", mapping, "--out-dir", outdir])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(mapping) in err and where in err
+    assert not outdir.exists()
 
 
 def test_analyze_empty_posts_valid_report(trained_model, write_csv, tmp_path):
@@ -308,7 +330,8 @@ def test_annotate_weights_without_required_columns_is_data_error(write_csv, tmp_
     code = run(["annotate", FIXTURES / "annotations.csv", "--weights", weights,
                 "--out-dir", tmp_path])
     assert code == 2
-    assert "annotator_id,weight" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(weights) in err and "'annotator_id' not in header" in err
 
 
 @pytest.mark.parametrize("weight", ["0", "-1", "nan", "inf"])
@@ -322,6 +345,17 @@ def test_annotate_weight_not_finite_and_positive_is_data_error(
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert str(weights) in err and "row 2" in err
+    assert not (tmp_path / "consensus.csv").exists()
+
+
+def test_annotate_weights_listing_an_annotator_twice_is_data_error(write_csv, tmp_path, capsys):
+    weights = write_csv([["annotator_id", "weight"], ["a1", "2.0"], ["a1", "3.0"]],
+                        name="weights.csv")
+    code = run(["annotate", FIXTURES / "annotations.csv", "--weights", weights,
+                "--out-dir", tmp_path])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(weights) in err and "row 3: annotator 'a1' is listed twice" in err
     assert not (tmp_path / "consensus.csv").exists()
 
 
@@ -573,6 +607,18 @@ MUTATED_COMMANDS = {
     "annotate": (FIXTURES / "annotations.csv", ["annotate", "{bad}", "--out-dir", "{out}"]),
     "emotions": (FIXTURES / "posts_100.csv", ["emotions", "{bad}", "--out", "{out}/e.csv"]),
     "stats": (FIXTURES / "posts_100.csv", ["stats", "{bad}"]),
+    "mapping": (FIXTURES / "communities.csv",
+                ["analyze", GOLDEN_MODEL, FIXTURES / "posts_100.csv", "--mapping", "{bad}",
+                 "--out-dir", "{out}"]),
+    "weights": (FIXTURES / "weights.csv",
+                ["annotate", FIXTURES / "annotations.csv", "--weights", "{bad}",
+                 "--out-dir", "{out}"]),
+    "lexicon": (PACKAGE_DATA / "emotion_lexicon.tsv",
+                ["analyze", GOLDEN_MODEL, FIXTURES / "posts_100.csv", "--lexicon", "{bad}",
+                 "--out-dir", "{out}"]),
+    "stopwords": (PACKAGE_DATA / "stopwords_en.txt",
+                  ["predict", GOLDEN_MODEL, FIXTURES / "posts_100.csv", "--stopwords", "{bad}",
+                   "--out", "{out}/p.csv"]),
 }
 
 
@@ -580,9 +626,11 @@ class Mutation(NamedTuple):
     """One edit of a fixture's bytes: truncated, with a NUL inserted,
     re-encoded as UTF-16, with one byte replaced by `value`, or with the
     header's columns shuffled by `seed`; `where` in [0, 1] places the cut,
-    the NUL or the byte. `first-coef`, used by the explicit examples, sets a
-    model file's first weight to the JSON text `value` (no other file has
-    one)."""
+    the NUL or the byte. Two kinds are used by the explicit examples only:
+    `first-coef` sets a model file's first weight to the JSON text `value`
+    (no other file has one), and `short-row` cuts the bytes from the last
+    comma up to the final line end, so a CSV's last row loses its last
+    cell."""
     kind: str
     where: float = 0.0
     value: int | bytes = 0
@@ -600,6 +648,9 @@ class Mutation(NamedTuple):
             return data[:at] + bytes([self.value]) + data[at + 1:]
         if self.kind == "first-coef":
             return re.sub(rb'("coef": \[)[^,\]]*', rb"\g<1>" + self.value, data, count=1)
+        if self.kind == "short-row":
+            body = data.rstrip(b"\r\n")
+            return body[:body.rfind(b",")] + data[len(body):]
         header, newline, rest = data.partition(b"\r\n")
         columns = header.split(b",")
         random.Random(self.seed).shuffle(columns)
@@ -618,6 +669,8 @@ MUTATIONS = st.builds(
 @example(mutation=Mutation("first-coef", value=b"0"))
 @example(mutation=Mutation("first-coef", value=b"NaN"))
 @example(mutation=Mutation("first-coef", value=b"1" + b"0" * 400))
+# a group map whose last row has no group cell
+@example(mutation=Mutation("short-row"))
 def test_mutated_input_keeps_the_exit_code_contract(command, mutation):
     source, argv = MUTATED_COMMANDS[command]
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,3 +1,4 @@
+import ast
 from datetime import datetime, timezone
 
 import pytest
@@ -18,6 +19,8 @@ from stresskit.corpus import (
     write_labeled,
     write_posts,
 )
+
+from conftest import REPO_ROOT
 
 
 def test_load_labeled_two_rows(write_csv):
@@ -199,3 +202,36 @@ def test_invalid_record_construction():
             score=0,
             community="c",
         )
+
+
+def _calls_in_package(matches) -> list[str]:
+    """Where each call in src/stresskit that `matches` is made, as
+    module.function (or module.Class.method), in file order."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}"
+            else:
+                inner = where
+            if isinstance(child, ast.Call) and matches(child):
+                found.append(inner)
+            visit(child, inner)
+
+    for path in sorted((REPO_ROOT / "src" / "stresskit").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def _named(name):
+    return lambda call: ast.unparse(call.func).split(".")[-1] == name
+
+
+def test_package_reads_csv_through_one_reader_and_logs_skips_in_one_place():
+    assert _calls_in_package(_named("DictReader")) == ["corpus.open_rows"]
+    assert _calls_in_package(_named("reader")) == ["annotate.load_annotations"]
+    skipped_row_log = _calls_in_package(
+        lambda call: _named("warning")(call) and call.args
+        and ast.unparse(call.args[0]) == "'%s: %s'")
+    assert skipped_row_log == ["corpus.LoadSummary.count"]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from stresskit import classify, corpus, emotion, features, report, textprep
 from stresskit.corpus import PostRecord
-from stresskit.errors import FingerprintMismatchWarning
+from stresskit.errors import FingerprintMismatchWarning, StressKitError
 from stresskit.report import (
     MONTHS,
     ClassifiedPost,
@@ -411,6 +411,31 @@ def test_report_numbers_round_trip_at_full_precision(config, tmp_path):
 def test_load_group_map(write_csv):
     path = write_csv([["community", "group"], ["r/PhD", "PhD students"]])
     assert report.load_group_map(path) == {"r/PhD": "PhD students"}
+
+
+def test_load_group_map_strips_cells_so_padded_communities_match(write_csv):
+    path = write_csv([["community", "group"], [" r/PhD ", " PhD students\t"]])
+    group_map = report.load_group_map(path)
+    assert group_map == {"r/PhD": "PhD students"}
+    rows = stress_summary([cp(1, community="r/PhD")], group_map)
+    assert list(rows) == ["PhD students"] and rows["PhD students"]["stressed"] == 1
+
+
+@pytest.mark.parametrize("row,column", [(["r/PhD"], "group"), (["r/PhD", " "], "group"),
+                                        (["", "PhD students"], "community")])
+def test_load_group_map_rejects_a_row_without_both_cells(write_csv, row, column):
+    path = write_csv([["community", "group"], row])
+    with pytest.raises(StressKitError, match=f"row 2: {column} is empty") as err:
+        report.load_group_map(path)
+    assert str(path) in str(err.value)
+
+
+def test_load_group_map_rejects_a_community_listed_twice(write_csv):
+    path = write_csv([["community", "group"], ["r/PhD", "PhD students"],
+                      ["r/PhD ", "Professors"]])
+    with pytest.raises(StressKitError, match="row 3: community 'r/PhD' is listed twice") as err:
+        report.load_group_map(path)
+    assert str(path) in str(err.value)
 
 
 @st.composite
