@@ -4,7 +4,7 @@ from CSV files (RFC-4180, UTF-8, header row mandatory).
 `open_rows` and `cell` are the package's one way to read a CSV with named
 columns: the posts and labeled files here, the emotions input, the group
 map and the annotator weights. A required column absent from the header
-exits as MissingColumn naming the file and the column; cells are read
+raises MissingColumn naming the file and the column; cells are read
 stripped, and an absent optional column reads as empty. Rows with empty
 text are skipped, not fatal: `LoadSummary.count` tallies each one and logs
 it as `PATH: reason`. Unparseable labels/dates abort the load with the
