@@ -275,7 +275,7 @@ def load_annotations(
     weights: Mapping[str, float] | None = None,
 ) -> AnnotationMatrix:
     """CSV with header item_id,text,<annotator>...; blank cell = missing.
-    The text column is not read."""
+    The text column is not read; every id in `weights` names a column."""
     import numpy as np
     with open_text(path) as handle:
         reader = csv.reader(handle)
@@ -289,6 +289,9 @@ def load_annotations(
         repeated = [a for i, a in enumerate(annotators) if a in annotators[:i]]
         if repeated:
             raise BadScore(f"{path}: annotator {repeated[0]!r} appears more than once in the header")
+        unknown = [a for a in weights or {} if a not in annotators]
+        if unknown:
+            raise BadScore(f"{path}: weights name annotator {unknown[0]!r}, which has no column")
         item_ids, values = [], []  # values: every score, row by row
         cell_value = _CELLS.get
         for rownum, row in enumerate(reader, start=2):

@@ -17,10 +17,10 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import StressKitError
-from .features import FeatureVector, Vocabulary, vectorize
+from .features import FeatureVector, Vocabulary, tfidf_weights
 
 if TYPE_CHECKING:  # numpy loads only where a trainer computes with it
     import numpy as np
@@ -342,10 +342,16 @@ def predict(model: LinearModel, x: FeatureVector) -> Prediction:
     return Prediction(score=z if model.kind == "svm" else sigmoid(z), label=1 if z >= 0 else 0)
 
 
-def predict_doc(model: LinearModel, doc: str) -> Prediction:
-    """Predict a preprocessed document, vectorized with the model's own
-    vocabulary and feature kind."""
-    return predict(model, vectorize(doc, model.vocabulary, model.feature_kind))
+def predict_entries(model: LinearModel, entries: Iterable[tuple[str, int | None]]) -> Prediction:
+    """Predict a document from its textprep.TokenTable entries over the model's vocabulary
+    index; counts keep vectorize's first-occurrence order, so scores are bit-identical."""
+    counts: FeatureVector = {}
+    for _, i in entries:
+        if i is not None:
+            counts[i] = counts.get(i, 0.0) + 1.0
+    if model.feature_kind == "tfidf":
+        counts = tfidf_weights(counts, model.vocabulary)
+    return predict(model, counts)
 
 
 def save_model(model: LinearModel, path: str | Path) -> None:

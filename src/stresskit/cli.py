@@ -198,8 +198,10 @@ def cmd_train(args) -> int:
         f"vocabulary {vocab.size}, {elapsed:.1f}s -> {args.model_out}"
     )
     if held_out is not None:
-        predicted = [classify.predict_doc(model, textprep.preprocess(ex.text, config)).label
-                     for ex in held_out]
+        table = textprep.TokenTable(config.stopwords, vocab.index)
+        predicted = [
+            classify.predict_entries(model, table.kept(textprep.surface_tokens(ex.text))).label
+            for ex in held_out]
         rep = evaluate.metrics(evaluate.confusion(predicted, [ex.label for ex in held_out]))
         feature_name = "BoW" if args.features == "bow" else "TF-IDF"
         clf_name = {"logistic": "Logistic Regression", "nb": "Naive Bayes", "svm": "SVM"}[
@@ -217,6 +219,7 @@ def cmd_predict(args) -> int:
     model = classify.load_model(args.model)
     config = _pipeline_config(args)
     report.check_fingerprint(model, config)
+    table = textprep.TokenTable(config.stopwords, model.vocabulary.index)
     summary = corpus.LoadSummary()
     with corpus.open_rows(args.posts_csv, corpus.POST_COLUMNS) as reader, \
             atomic_outputs(args.out) as [partial], \
@@ -229,7 +232,8 @@ def cmd_predict(args) -> int:
             if record is None:
                 writer.writerow([*cells, "", ""])
             else:
-                pred = classify.predict_doc(model, textprep.preprocess(record.text, config))
+                pred = classify.predict_entries(
+                    model, table.kept(textprep.surface_tokens(record.text)))
                 writer.writerow([*cells, pred.label, repr(pred.score)])
     if args.summary:
         print(summary.to_json())

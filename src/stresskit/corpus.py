@@ -140,22 +140,11 @@ def load_labeled_with_summary(path: str | Path) -> tuple[list[LabeledExample], L
             if not summary.count(path, None if text else f"row {rownum}: empty text (skipped)"):
                 continue
             raw_label = cell(row, "label")
-            if raw_label == "1":
-                label = 1
-            elif raw_label == "0":
-                label = 0
-            else:
+            if raw_label not in ("0", "1"):
                 raise BadLabel(f"{path}: row {rownum}: label {raw_label!r} is not 0/1")
-            example_id = cell(row, "id")
-            domain = cell(row, "domain")
-            examples.append(
-                LabeledExample(
-                    id=example_id or str(rownum - 1),
-                    text=text,
-                    label=label,
-                    domain=domain or None,
-                )
-            )
+            examples.append(LabeledExample(
+                id=cell(row, "id") or str(rownum - 1), text=text, label=int(raw_label),
+                domain=cell(row, "domain") or None))
     return examples, summary
 
 
@@ -227,40 +216,10 @@ def load_posts_with_summary(path: str | Path) -> tuple[list[PostRecord], LoadSum
     return records, summary
 
 
-def write_labeled(examples: Sequence[LabeledExample], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id", "text", "label", "domain"])
-        for ex in examples:
-            writer.writerow([ex.id, ex.text, ex.label, ex.domain or ""])
-
-
-def write_posts(records: Sequence[PostRecord], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id", "date", "title", "text", "score", "tag", "community", "kind"])
-        for rec in records:
-            writer.writerow(
-                [
-                    rec.id,
-                    rec.date.isoformat(),
-                    rec.title,
-                    rec.body,
-                    rec.score,
-                    rec.tag or "",
-                    rec.community,
-                    rec.kind,
-                ]
-            )
-
-
-def corpus_stats(
-    records: Sequence[PostRecord],
-    config: textprep.PipelineConfig | None = None,
-) -> dict:
+def corpus_stats(records: Sequence[PostRecord], config: textprep.PipelineConfig) -> dict:
     """The stats JSON document: exact per-community/per-tag counts plus the
     distinct preprocessed token count across all titles and bodies."""
-    config = config or textprep.PipelineConfig.default()
+    table = textprep.TokenTable(config.stopwords)
     per_community: dict[str, int] = {}
     per_tag: dict[str, int] = {}
     vocabulary: set[str] = set()
@@ -268,7 +227,7 @@ def corpus_stats(
         per_community[rec.community] = per_community.get(rec.community, 0) + 1
         if rec.tag is not None:
             per_tag[rec.tag] = per_tag.get(rec.tag, 0) + 1
-        vocabulary.update(textprep.preprocess(rec.text, config).split())
+        vocabulary.update(stem for stem, _ in table.kept(textprep.surface_tokens(rec.text)))
     return {
         "record_count": len(records),
         "per_community": dict(sorted(per_community.items())),

@@ -37,6 +37,11 @@ class Vocabulary:
     def index(self) -> Mapping[str, int]:
         return {token: i for i, token in enumerate(self.tokens)}
 
+    @cached_property
+    def idf(self) -> tuple[float, ...]:
+        """Smoothed inverse document frequency per index: ln((1+N)/(1+df)) + 1."""
+        return tuple(math.log((1 + self.n_docs) / (1 + df)) + 1.0 for df in self.doc_freq)
+
     @property
     def size(self) -> int:
         return len(self.tokens)
@@ -80,13 +85,14 @@ def vectorize_bow(doc: str, vocab: Vocabulary) -> FeatureVector:
     return vec
 
 
-def idf(vocab: Vocabulary, i: int) -> float:
-    """Smoothed inverse document frequency: ln((1+N)/(1+df)) + 1."""
-    return math.log((1 + vocab.n_docs) / (1 + vocab.doc_freq[i])) + 1.0
+def tfidf_weights(counts: FeatureVector, vocab: Vocabulary) -> FeatureVector:
+    """Term counts to tf-idf weights, in the same order."""
+    idf = vocab.idf
+    return {i: tf * idf[i] for i, tf in counts.items()}
 
 
 def vectorize_tfidf(doc: str, vocab: Vocabulary) -> FeatureVector:
-    return {i: tf * idf(vocab, i) for i, tf in vectorize_bow(doc, vocab).items()}
+    return tfidf_weights(vectorize_bow(doc, vocab), vocab)
 
 
 def vectorize(doc: str, vocab: Vocabulary, kind: str) -> FeatureVector:

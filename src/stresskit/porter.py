@@ -15,12 +15,19 @@ As in Porter's C version, steps 2-4 read only the rules whose suffix ends
 in the word's last letter, one bucket per letter built at import from the
 rule tables. A table lists a suffix that ends another one first (ational
 before tional, ement before ment before ent), so a bucket's first match is
-the longest."""
+the longest. A step can change a word only if it ends in the last letter
+of one of the step's suffixes, so `stem_word` calls a step only then."""
 
 from __future__ import annotations
 
 
+# An ASCII word without y maps to its pattern one character at a time.
+_ASCII_PATTERN = {i: "v" if chr(i) in "aeiou" else "c" for i in range(128) if chr(i) != "y"}
+
+
 def _pattern(word: str) -> str:
+    if word.isascii() and "y" not in word:
+        return word.translate(_ASCII_PATTERN)
     pattern = ""
     for ch in word:
         vowel = ch in "aeiou" or (ch == "y" and pattern.endswith("c"))
@@ -166,10 +173,25 @@ def step5b(word: str) -> str:
     return word
 
 
+_STEPS = (
+    (step1a, frozenset("s")),
+    (step1b, frozenset("dg")),
+    (step1c, frozenset("y")),
+    (step2, frozenset(_STEP2_BY_LETTER)),
+    (step3, frozenset(_STEP3_BY_LETTER)),
+    (step4, frozenset(_STEP4_BY_LETTER)),
+    (step5a, frozenset("e")),
+    (step5b, frozenset("l")),
+)
+
+
 def stem_word(word: str) -> str:
     """Stem a single lowercase token."""
     if len(word) <= 2:
         return word
-    for step in (step1a, step1b, step1c, step2, step3, step4, step5a, step5b):
-        word = step(word)
+    last = word[-1]
+    for step, last_letters in _STEPS:
+        if last in last_letters:
+            word = step(word)
+            last = word[-1]
     return word

@@ -2,8 +2,8 @@
 stress report: per-group stress percentages, academic-year monthly series,
 upvote statistics, top stressed-text words, and emotion summaries.
 
-Each post is preprocessed once: its surface tokens feed emotion scoring and
-its stems feed the classifier and the top-word counts.
+Each post is tokenized once: its surface tokens feed emotion scoring, and
+one textprep.TokenTable per run gives their stems and vocabulary indices.
 
 Months are bucketed September through August to match the academic year.
 The upvote median uses the mean-of-two convention for even counts and the
@@ -86,21 +86,23 @@ def classify_corpus(
     lexicon: emotion.EmotionLexicon | None = None,
 ) -> list[ClassifiedPost]:
     """One ClassifiedPost per input, in order. Classification input text is
-    the title and body joined with one space, preprocessed once: the stems
-    are classified and kept on the result (posts share the stem memo's
-    strings), and with a lexicon the surface tokens of a stressed post are
-    emotion-scored."""
+    the title and body joined with one space, tokenized once and read
+    through one token table: the kept tokens' stems are classified and kept
+    on the result (posts share the table's strings), and with a lexicon the
+    surface tokens of a stressed post are emotion-scored."""
     check_fingerprint(model, config)
+    table = textprep.TokenTable(config.stopwords, model.vocabulary.index)
     classified = []
     for post in posts:
-        stages = textprep.preprocess_stages(post.text, config)
-        pred = classify.predict_doc(model, stages["text"])
+        tokens = textprep.surface_tokens(post.text)
+        kept = table.kept(tokens)
+        pred = classify.predict_entries(model, kept)
         profile = None
         if lexicon is not None and pred.label == 1:
-            profile = emotion.score_emotions(stages["tokens"], lexicon)
+            profile = emotion.score_emotions(tokens, lexicon)
         classified.append(
             ClassifiedPost(post=post, label=pred.label, score=pred.score,
-                           tokens=tuple(stages["stemmed"]), emotions=profile)
+                           tokens=tuple(stem for stem, _ in kept), emotions=profile)
         )
     return classified
 

@@ -5,13 +5,12 @@ Every stage is a pure function so each can be tested on its own; `preprocess`
 is exactly their composition. The character-removal stage keeps letters,
 digits, whitespace and apostrophes and turns everything else (including
 HTML tags, '@' and '_') into single spaces. The first three stages give a
-post's surface tokens (`surface_tokens`); `preprocess_stages` returns them
-with the later stages, so one pass over a post feeds both the classifier
-and emotion scoring.
+post's surface tokens (`surface_tokens`, one split of the stripped text).
 
 A token's Porter stem depends on nothing else, so `stem` memoizes stems in
 one dict per process, shared by every configuration: each distinct token is
-stemmed once.
+stemmed once. The read path looks each surface token up in one
+`TokenTable` per run instead, for its stem and vocabulary index at once.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from . import porter
 from .errors import open_text
@@ -98,8 +97,8 @@ def tokenize(text: str) -> TokenList:
 
 
 def surface_tokens(text: str) -> TokenList:
-    """Lowercased, stripped tokens, before stopword removal and stemming."""
-    return tokenize(strip_noncharacters(lowercase(text)))
+    """tokenize(strip_noncharacters(lowercase(text))), with one split."""
+    return _NONCHAR_RE.sub(" ", text.lower()).split()
 
 
 def remove_stopwords(tokens: TokenList, config: PipelineConfig) -> TokenList:
@@ -119,6 +118,24 @@ _STEMS = _StemMemo()
 
 def stem(tokens: TokenList) -> TokenList:
     return [_STEMS[t] for t in tokens]
+
+
+class TokenTable(dict):
+    """surface token -> None for a stopword, otherwise (stem, index of the stem in
+    `index`, or None); a token is stemmed on its first lookup, so once per table."""
+
+    def __init__(self, stopwords: Iterable[str], index: Mapping[str, int] | None = None):
+        super().__init__(dict.fromkeys(stopwords))
+        self.index = index or {}
+
+    def __missing__(self, token: str) -> tuple[str, int | None]:
+        stemmed = porter.stem_word(token)
+        entry = self[token] = (stemmed, self.index.get(stemmed))
+        return entry
+
+    def kept(self, tokens: TokenList) -> list[tuple[str, int | None]]:
+        """The entries of the tokens that are not stopwords, in order."""
+        return [entry for entry in map(self.__getitem__, tokens) if entry is not None]
 
 
 def preprocess_stages(text: str, config: PipelineConfig) -> dict[str, object]:

@@ -416,6 +416,13 @@ def test_load_weights_matches_ids_as_the_sheet_header_spells_them(write_csv):
     assert load_annotations(sheet, load_weights(weights)).weights == (2.0, 3.0)
 
 
+def test_load_annotations_rejects_a_weights_id_that_names_no_column(write_csv):
+    sheet = write_csv([["item_id", "text", "a1", "psy"], ["x1", "t", "1", "2"]], name="sheet.csv")
+    with pytest.raises(BadScore, match="annotator 'psy ', which has no column") as err:
+        load_annotations(sheet, {"a1": 1.0, "psy ": 2.0})
+    assert str(sheet) in str(err.value)
+
+
 @pytest.mark.parametrize("cell", [" +3 ", "03", "-0", "\u0663", " ", "-5", "5"])
 def test_load_annotations_reads_a_cell_as_int_does(write_csv, cell):
     sheet = write_csv([["item_id", "text", "a1", "a2"], ["x1", "t", cell, "1"]], name="cell.csv")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from stresskit import classify
+from stresskit import classify, corpus, textprep
 from stresskit.classify import (
     MODEL_FORMAT_VERSION,
     CorruptFile,
@@ -30,7 +30,9 @@ from stresskit.classify import (
     train_naive_bayes,
     train_svm,
 )
-from stresskit.features import Vocabulary, fit_vocabulary, vectorize_bow
+from stresskit.features import Vocabulary, fit_vocabulary, vectorize, vectorize_bow
+
+from conftest import FIXTURES, REPO_ROOT
 
 
 def small_vocab(n=2) -> Vocabulary:
@@ -448,3 +450,62 @@ def test_golden_model_load_save_round_trip_is_byte_identical(name, tmp_path):
     save_model(load_model(GOLDEN / name), tmp_path / "once.json")
     save_model(load_model(tmp_path / "once.json"), tmp_path / "twice.json")
     assert (tmp_path / "once.json").read_bytes() == (tmp_path / "twice.json").read_bytes()
+
+
+# --------------------------------------------------- the token-table read path
+
+GOLDEN = REPO_ROOT / "tests" / "golden"
+EDGE_TEXTS = {
+    "stopwords only": "The and of, to it is!",
+    "empty after strip": "<p>@@ __ !!</p> -- ...",
+    "out of vocabulary only": "zzqxv qqzvw vvxqz",
+    "repeated tokens": "Exams exams EXAM stress exams, stressed stress exam exam",
+}
+
+
+def _tfidf_model(trainer, hyper):
+    config = textprep.PipelineConfig.default()
+    examples = corpus.load_labeled(FIXTURES / "labeled_train.csv")
+    docs = [textprep.preprocess(ex.text, config) for ex in examples]
+    vocab = fit_vocabulary(docs)
+    pairs = [(vectorize(doc, vocab, "tfidf"), ex.label) for doc, ex in zip(docs, examples)]
+    return trainer(pairs, hyper, vocabulary=vocab, feature_kind="tfidf")
+
+
+def read_path_models():
+    models = {name: load_model(GOLDEN / f"model_{name}.json") for name in ("logistic", "nb", "svm")}
+    models["logistic tfidf"] = _tfidf_model(train_logistic, LogisticHyper(epochs=50))
+    models["nb tfidf"] = _tfidf_model(train_naive_bayes, 1.0)
+    return models
+
+
+@pytest.fixture(scope="module")
+def read_models():
+    return read_path_models()
+
+
+def test_edge_texts_are_what_they_say(read_models):
+    config = textprep.PipelineConfig.default()
+    index = read_models["logistic"].vocabulary.index
+    tokens = textprep.surface_tokens(EDGE_TEXTS["stopwords only"])
+    assert tokens and all(t in config.stopwords for t in tokens)
+    assert textprep.surface_tokens(EDGE_TEXTS["empty after strip"]) == []
+    stems = textprep.preprocess(EDGE_TEXTS["out of vocabulary only"], config).split()
+    assert stems and not any(s in index for s in stems)
+    stems = textprep.preprocess(EDGE_TEXTS["repeated tokens"], config).split()
+    assert len(set(stems)) < len(stems) and any(s in index for s in stems)
+
+
+@pytest.mark.parametrize("name", ["logistic", "nb", "svm", "logistic tfidf", "nb tfidf"])
+def test_table_prediction_is_bit_identical_to_vectorize_and_predict(name, read_models):
+    model = read_models[name]
+    config = textprep.PipelineConfig.default()
+    posts = corpus.load_posts_with_summary(FIXTURES / "posts_100.csv")[0]
+    texts = [post.text for post in posts] + list(EDGE_TEXTS.values())
+    table = textprep.TokenTable(config.stopwords, model.vocabulary.index)
+    for text in texts:
+        doc = textprep.preprocess(text, config)
+        expected = predict(model, vectorize(doc, model.vocabulary, model.feature_kind))
+        got = classify.predict_entries(model, table.kept(textprep.surface_tokens(text)))
+        assert got.score.hex() == expected.score.hex(), text
+        assert got.label == expected.label, text

@@ -359,6 +359,17 @@ def test_annotate_weights_listing_an_annotator_twice_is_data_error(write_csv, tm
     assert not (tmp_path / "consensus.csv").exists()
 
 
+def test_annotate_weights_naming_no_annotator_column_is_data_error(tmp_path, capsys):
+    weights = tmp_path / "weights.csv"
+    weights.write_bytes((FIXTURES / "weights.csv").read_bytes().replace(b"psy,", b"psy ,"))
+    out = tmp_path / "out"
+    assert run(["annotate", FIXTURES / "annotations.csv", "--weights", weights,
+                "--out-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert "'psy '" in err and str(FIXTURES / "annotations.csv") in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_annotate_duplicate_annotator_id_is_data_error(write_csv, tmp_path, capsys):
     rows = [["item_id", "text", "a1", "a1", "a2"]]
     rows += [[f"x{j}", "t", 1, -4, 1] for j in range(10)]
@@ -626,11 +637,12 @@ class Mutation(NamedTuple):
     """One edit of a fixture's bytes: truncated, with a NUL inserted,
     re-encoded as UTF-16, with one byte replaced by `value`, or with the
     header's columns shuffled by `seed`; `where` in [0, 1] places the cut,
-    the NUL or the byte. Two kinds are used by the explicit examples only:
+    the NUL or the byte. Three kinds are used by the explicit examples only:
     `first-coef` sets a model file's first weight to the JSON text `value`
-    (no other file has one), and `short-row` cuts the bytes from the last
+    (no other file has one), `short-row` cuts the bytes from the last
     comma up to the final line end, so a CSV's last row loses its last
-    cell."""
+    cell, and `pad-cell` adds a blank after the first cell `value` that a
+    comma ends."""
     kind: str
     where: float = 0.0
     value: int | bytes = 0
@@ -648,6 +660,8 @@ class Mutation(NamedTuple):
             return data[:at] + bytes([self.value]) + data[at + 1:]
         if self.kind == "first-coef":
             return re.sub(rb'("coef": \[)[^,\]]*', rb"\g<1>" + self.value, data, count=1)
+        if self.kind == "pad-cell":
+            return data.replace(self.value + b",", self.value + b" ,", 1)
         if self.kind == "short-row":
             body = data.rstrip(b"\r\n")
             return body[:body.rfind(b",")] + data[len(body):]
@@ -671,6 +685,8 @@ MUTATIONS = st.builds(
 @example(mutation=Mutation("first-coef", value=b"1" + b"0" * 400))
 # a group map whose last row has no group cell
 @example(mutation=Mutation("short-row"))
+# a weights file whose id "psy " names no annotator column
+@example(mutation=Mutation("pad-cell", value=b"psy"))
 def test_mutated_input_keeps_the_exit_code_contract(command, mutation):
     source, argv = MUTATED_COMMANDS[command]
     with tempfile.TemporaryDirectory() as tmp:

@@ -16,8 +16,6 @@ from stresskit.corpus import (
     load_labeled_with_summary,
     load_posts_with_summary,
     parse_date,
-    write_labeled,
-    write_posts,
 )
 
 from conftest import REPO_ROOT
@@ -142,22 +140,25 @@ def test_load_posts_order_preserved(fixtures_dir):
     assert [r.id for r in records] == [f"p{i:03d}" for i in range(100)]
 
 
-def test_round_trip_labeled(write_csv, tmp_path):
+def test_round_trip_labeled(write_csv):
     path = write_csv(
         [["id", "text", "label", "domain"],
          ["a", 'text with, "quotes"', "1", "social"],
          ["b", "plain", "0", ""]]
     )
     examples = load_labeled(path)
-    out = tmp_path / "round.csv"
-    write_labeled(examples, out)
+    out = write_csv([["id", "text", "label", "domain"],
+                     *([ex.id, ex.text, ex.label, ex.domain or ""] for ex in examples)],
+                    name="round.csv")
     assert load_labeled(out) == examples
 
 
-def test_round_trip_posts(fixtures_dir, tmp_path):
+def test_round_trip_posts(fixtures_dir, write_csv):
     records = load_posts_with_summary(fixtures_dir / "posts_100.csv")[0]
-    out = tmp_path / "round.csv"
-    write_posts(records, out)
+    out = write_csv([["id", "date", "title", "text", "score", "tag", "community", "kind"],
+                     *([rec.id, rec.date.isoformat(), rec.title, rec.body, rec.score,
+                        rec.tag or "", rec.community, rec.kind] for rec in records)],
+                    name="round.csv")
     assert load_posts_with_summary(out)[0] == records
 
 

@@ -300,3 +300,61 @@ def test_each_rule_lands_in_exactly_one_bucket():
             assert all(_suffix(rule).endswith(letter) for rule in bucket), letter
             assert list(bucket) == [rule for rule in rules if rule in bucket], letter
         assert sorted(r for bucket in by_letter.values() for r in bucket) == sorted(rules)
+
+
+# stem_word calls a step only when the word's last letter is in the step's
+# set in porter._STEPS; these check that the skip never changes a stem.
+STEP_SETS = {step.__name__: last_letters for step, last_letters in porter._STEPS}
+STEP_SUFFIXES = {
+    "step1a": ("sses", "ies", "s"),
+    "step1b": ("eed", "ed", "ing"),
+    "step1c": ("y",),
+    "step2": tuple(s for s, _ in porter._STEP2_RULES),
+    "step3": tuple(s for s, _ in porter._STEP3_RULES),
+    "step4": porter._STEP4_SUFFIXES,
+    "step5a": ("e",),
+    "step5b": ("ll",),
+}
+
+
+def test_steps_are_the_eight_in_order():
+    assert [step.__name__ for step, _ in porter._STEPS] == list(FUNCTIONS)
+
+
+def test_every_suffix_ends_in_a_letter_of_its_steps_set():
+    for name, suffixes in STEP_SUFFIXES.items():
+        for suffix in suffixes:
+            assert suffix[-1] in STEP_SETS[name], (name, suffix)
+
+
+_step_words = st.text(st.sampled_from("aeiouy" + SUFFIX_CONSONANTS + "wx1'é"),
+                      min_size=1, max_size=12)
+
+
+@settings(max_examples=300)
+@given(st.one_of(_step_words, st.lists(_pieces, min_size=1, max_size=5).map("".join)))
+def test_a_step_leaves_a_word_outside_its_set_unchanged(word):
+    for step, last_letters in porter._STEPS:
+        if word[-1] not in last_letters:
+            assert step(word) == word, step.__name__
+
+
+def _all_eight_steps(word):
+    if len(word) <= 2:
+        return word
+    for name in FUNCTIONS:
+        word = getattr(porter, name)(word)
+    return word
+
+
+_chars = st.sampled_from("aeiouy" + "bcdglmnrstz" + "0123456789'")
+
+
+@settings(max_examples=500)
+@given(st.one_of(
+    st.text(_chars, min_size=1, max_size=12),
+    # most random words fire no step, so half of them end in a rule's suffix
+    st.builds(str.__add__, st.text(_chars, max_size=5), st.sampled_from(RULE_SUFFIXES)),
+))
+def test_stem_word_equals_running_all_eight_steps(word):
+    assert porter.stem_word(word) == _all_eight_steps(word)

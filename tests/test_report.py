@@ -222,8 +222,8 @@ def test_classify_corpus_carries_the_one_pass_tokens_and_profiles(fixtures_dir, 
 def test_classify_corpus_strips_each_post_once(fixtures_dir, config, monkeypatch):
     model = classify.load_model(REPO_ROOT / "tests" / "golden" / "model_logistic.json")
     posts = corpus.load_posts_with_summary(fixtures_dir / "posts_100.csv")[0]
-    real, calls = textprep.strip_noncharacters, []
-    monkeypatch.setattr(textprep, "strip_noncharacters",
+    real, calls = textprep.surface_tokens, []
+    monkeypatch.setattr(textprep, "surface_tokens",
                         lambda text: calls.append(text) or real(text))
     classified = classify_corpus(model, posts, config, lexicon=emotion.default_lexicon())
     assert any(item.emotions is not None for item in classified)

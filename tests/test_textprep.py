@@ -69,6 +69,45 @@ def test_surface_tokens_examples():
     assert surface_tokens("") == []
 
 
+# Text with tags, '_', '@', apostrophes, non-ASCII letters and capitals.
+surface_strategy = st.text(
+    alphabet=st.one_of(
+        st.sampled_from("<>_@' \t\nABCabcÉéßİıΣσ"),
+        st.characters(categories=["L", "Nd", "Zs"]),
+        st.characters(),
+    ),
+    max_size=120,
+)
+
+
+@settings(max_examples=500)
+@given(st.one_of(text_strategy, markup_strategy, surface_strategy))
+def test_surface_tokens_is_the_stage_composition(text):
+    assert surface_tokens(text) == tokenize(strip_noncharacters(lowercase(text)))
+
+
+def test_token_table_entries(monkeypatch):
+    real, calls = porter.stem_word, []
+    monkeypatch.setattr(porter, "stem_word", lambda word: calls.append(word) or real(word))
+    memo = dict(textprep._STEMS)
+    table = textprep.TokenTable({"the", "and"}, {"hit": 0, "citi": 1})
+    tokens = ["the", "hitting", "city", "and", "cats", "hitting", "the", "city"]
+    assert table.kept(tokens) == [("hit", 0), ("citi", 1), ("cat", None), ("hit", 0),
+                                  ("citi", 1)]
+    assert table["the"] is None and table["and"] is None
+    assert calls == ["hitting", "city", "cats"]  # once per distinct kept token
+    assert textprep._STEMS == memo  # the table keeps its own stems
+    assert textprep.TokenTable({"the"}).kept(["the", "cats"]) == [("cat", None)]
+
+
+def test_token_table_stems_are_preprocess_stems(config):
+    table = textprep.TokenTable(config.stopwords)
+    for text in ("No place in my city has shelter space for us", "", "The the THE",
+                 "<b>Running</b> runners ran; don't @stop_now"):
+        stems = [stem for stem, _ in table.kept(surface_tokens(text))]
+        assert stems == preprocess(text, config).split()
+
+
 def test_tokenize_examples():
     assert tokenize("mom hit newspaper") == ["mom", "hit", "newspaper"]
     assert tokenize("") == []
