@@ -463,29 +463,21 @@ EDGE_TEXTS = {
 }
 
 
-def _tfidf_model(trainer, hyper):
-    config = textprep.PipelineConfig.default()
+@pytest.fixture(scope="module")
+def read_models(config):
+    """The three golden models, and tf-idf logistic and NB models trained here."""
+    models = {name: load_model(GOLDEN / f"model_{name}.json") for name in ("logistic", "nb", "svm")}
     examples = corpus.load_labeled(FIXTURES / "labeled_train.csv")
     docs = [textprep.preprocess(ex.text, config) for ex in examples]
     vocab = fit_vocabulary(docs)
     pairs = [(vectorize(doc, vocab, "tfidf"), ex.label) for doc, ex in zip(docs, examples)]
-    return trainer(pairs, hyper, vocabulary=vocab, feature_kind="tfidf")
-
-
-def read_path_models():
-    models = {name: load_model(GOLDEN / f"model_{name}.json") for name in ("logistic", "nb", "svm")}
-    models["logistic tfidf"] = _tfidf_model(train_logistic, LogisticHyper(epochs=50))
-    models["nb tfidf"] = _tfidf_model(train_naive_bayes, 1.0)
+    for name, trainer, hyper in (("logistic tfidf", train_logistic, LogisticHyper(epochs=50)),
+                                 ("nb tfidf", train_naive_bayes, 1.0)):
+        models[name] = trainer(pairs, hyper, vocabulary=vocab, feature_kind="tfidf")
     return models
 
 
-@pytest.fixture(scope="module")
-def read_models():
-    return read_path_models()
-
-
-def test_edge_texts_are_what_they_say(read_models):
-    config = textprep.PipelineConfig.default()
+def test_edge_texts_are_what_they_say(read_models, config):
     index = read_models["logistic"].vocabulary.index
     tokens = textprep.surface_tokens(EDGE_TEXTS["stopwords only"])
     assert tokens and all(t in config.stopwords for t in tokens)
@@ -497,9 +489,8 @@ def test_edge_texts_are_what_they_say(read_models):
 
 
 @pytest.mark.parametrize("name", ["logistic", "nb", "svm", "logistic tfidf", "nb tfidf"])
-def test_table_prediction_is_bit_identical_to_vectorize_and_predict(name, read_models):
+def test_table_prediction_is_bit_identical_to_vectorize_and_predict(name, read_models, config):
     model = read_models[name]
-    config = textprep.PipelineConfig.default()
     posts = corpus.load_posts_with_summary(FIXTURES / "posts_100.csv")[0]
     texts = [post.text for post in posts] + list(EDGE_TEXTS.values())
     table = textprep.TokenTable(config.stopwords, model.vocabulary.index)
