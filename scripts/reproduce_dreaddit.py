@@ -22,7 +22,6 @@ from pathlib import Path
 from stresskit import classify, corpus, evaluate, features, textprep
 
 
-
 def locate() -> tuple[Path, Path]:
     base = Path(os.environ.get("DREADDIT_DIR", Path(__file__).resolve().parent.parent / "data" / "dreaddit"))
     train, test = base / "dreaddit-train.csv", base / "dreaddit-test.csv"
@@ -42,13 +41,13 @@ def main() -> None:
     print(f"train: {len(train)} examples, test: {len(test)} examples")
 
     started = time.perf_counter()
-    train_docs = [textprep.preprocess(ex.text, config) for ex in train]
-    test_docs = [textprep.preprocess(ex.text, config) for ex in test]
+    table = textprep.TokenTable(config.stopwords)  # as `stresskit train --eval` reads text
+    train_docs = [table.stems(textprep.surface_tokens(ex.text)) for ex in train]
+    test_docs = [table.stems(textprep.surface_tokens(ex.text)) for ex in test]
     vocab = features.fit_vocabulary(train_docs)
     train_pairs = [
-        (features.vectorize_bow(doc, vocab), ex.label) for doc, ex in zip(train_docs, train)
+        (features.vector(doc, vocab, "bow"), ex.label) for doc, ex in zip(train_docs, train)
     ]
-    test_vecs = [features.vectorize_bow(doc, vocab) for doc in test_docs]
     actual = [ex.label for ex in test]
     print(f"vocabulary: {vocab.size} tokens")
 
@@ -64,7 +63,7 @@ def main() -> None:
         "SVM": classify.train_svm(train_pairs, vocabulary=vocab, fingerprint=fingerprint),
     }
     for name, model in models.items():
-        predicted = [classify.predict(model, vec).label for vec in test_vecs]
+        predicted = [classify.predict_stems(model, doc).label for doc in test_docs]
         rows.append(("BoW", name, evaluate.metrics(evaluate.confusion(predicted, actual))))
     print(evaluate.render_table(rows))
     print(f"total time: {time.perf_counter() - started:.1f}s")

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import StressKitError
-from .features import FeatureVector, Vocabulary, tfidf_weights
+from .features import FeatureVector, Vocabulary, vector
 
 if TYPE_CHECKING:  # numpy loads only where a trainer computes with it
     import numpy as np
@@ -342,16 +342,9 @@ def predict(model: LinearModel, x: FeatureVector) -> Prediction:
     return Prediction(score=z if model.kind == "svm" else sigmoid(z), label=1 if z >= 0 else 0)
 
 
-def predict_entries(model: LinearModel, entries: Iterable[tuple[str, int | None]]) -> Prediction:
-    """Predict a document from its textprep.TokenTable entries over the model's vocabulary
-    index; counts keep vectorize's first-occurrence order, so scores are bit-identical."""
-    counts: FeatureVector = {}
-    for _, i in entries:
-        if i is not None:
-            counts[i] = counts.get(i, 0.0) + 1.0
-    if model.feature_kind == "tfidf":
-        counts = tfidf_weights(counts, model.vocabulary)
-    return predict(model, counts)
+def predict_stems(model: LinearModel, stems: Iterable[str]) -> Prediction:
+    """Predict a document from its stems (textprep.TokenTable.stems)."""
+    return predict(model, vector(stems, model.vocabulary, model.feature_kind))
 
 
 def save_model(model: LinearModel, path: str | Path) -> None:

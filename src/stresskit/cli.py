@@ -173,10 +173,11 @@ def cmd_train(args) -> int:
         held_out = corpus.load_labeled(args.eval_csv)
         if not held_out:
             raise StressKitError(f"{args.eval_csv}: no labeled rows with text to evaluate on")
-    docs = [textprep.preprocess(ex.text, config) for ex in examples]
+    table = textprep.TokenTable(config.stopwords)  # one for the training and the eval rows
+    docs = [table.stems(textprep.surface_tokens(ex.text)) for ex in examples]
     vocab = features.fit_vocabulary(docs, min_df=args.min_df, max_size=args.max_vocab)
     pairs = [
-        (features.vectorize(doc, vocab, args.features), ex.label)
+        (features.vector(doc, vocab, args.features), ex.label)
         for doc, ex in zip(docs, examples)
     ]
     trainer, hyper = {
@@ -198,9 +199,8 @@ def cmd_train(args) -> int:
         f"vocabulary {vocab.size}, {elapsed:.1f}s -> {args.model_out}"
     )
     if held_out is not None:
-        table = textprep.TokenTable(config.stopwords, vocab.index)
         predicted = [
-            classify.predict_entries(model, table.kept(textprep.surface_tokens(ex.text))).label
+            classify.predict_stems(model, table.stems(textprep.surface_tokens(ex.text))).label
             for ex in held_out]
         rep = evaluate.metrics(evaluate.confusion(predicted, [ex.label for ex in held_out]))
         feature_name = "BoW" if args.features == "bow" else "TF-IDF"
@@ -219,7 +219,7 @@ def cmd_predict(args) -> int:
     model = classify.load_model(args.model)
     config = _pipeline_config(args)
     report.check_fingerprint(model, config)
-    table = textprep.TokenTable(config.stopwords, model.vocabulary.index)
+    table = textprep.TokenTable(config.stopwords)
     summary = corpus.LoadSummary()
     with corpus.open_rows(args.posts_csv, corpus.POST_COLUMNS) as reader, \
             atomic_outputs(args.out) as [partial], \
@@ -232,8 +232,8 @@ def cmd_predict(args) -> int:
             if record is None:
                 writer.writerow([*cells, "", ""])
             else:
-                pred = classify.predict_entries(
-                    model, table.kept(textprep.surface_tokens(record.text)))
+                pred = classify.predict_stems(
+                    model, table.stems(textprep.surface_tokens(record.text)))
                 writer.writerow([*cells, pred.label, repr(pred.score)])
     if args.summary:
         print(summary.to_json())

@@ -227,7 +227,7 @@ def corpus_stats(records: Sequence[PostRecord], config: textprep.PipelineConfig)
         per_community[rec.community] = per_community.get(rec.community, 0) + 1
         if rec.tag is not None:
             per_tag[rec.tag] = per_tag.get(rec.tag, 0) + 1
-        vocabulary.update(stem for stem, _ in table.kept(textprep.surface_tokens(rec.text)))
+        vocabulary.update(table.stems(textprep.surface_tokens(rec.text)))
     return {
         "record_count": len(records),
         "per_community": dict(sorted(per_community.items())),

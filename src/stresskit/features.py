@@ -1,8 +1,8 @@
 """Vocabulary fitting and sparse feature vectors over preprocessed text.
 
-Documents are whitespace-joined preprocessed strings (see textprep).
-Feature vectors are plain {index: weight} dicts; zero weights are never
-stored and out-of-vocabulary tokens are silently dropped.
+A document is its sequence of stems (textprep.TokenTable.stems). Feature
+vectors are plain {index: weight} dicts in first-occurrence order; zero
+weights are never stored and out-of-vocabulary tokens are silently dropped.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import StressKitError
 
@@ -48,7 +48,7 @@ class Vocabulary:
 
 
 def fit_vocabulary(
-    docs: Sequence[str],
+    docs: Sequence[Sequence[str]],
     min_df: int = 1,
     max_size: int | None = None,
 ) -> Vocabulary:
@@ -61,7 +61,7 @@ def fit_vocabulary(
         raise EmptyCorpus("cannot fit a vocabulary on an empty corpus")
     df: dict[str, int] = {}
     for doc in docs:
-        for token in set(doc.split()):
+        for token in set(doc):
             df[token] = df.get(token, 0) + 1
     kept = [t for t, d in df.items() if d >= min_df]
     if max_size is not None and len(kept) > max_size:
@@ -75,29 +75,22 @@ def fit_vocabulary(
     )
 
 
-def vectorize_bow(doc: str, vocab: Vocabulary) -> FeatureVector:
-    vec: FeatureVector = {}
+def vector(tokens: Iterable[str], vocab: Vocabulary, kind: str) -> FeatureVector:
+    """Counts of the in-vocabulary tokens; for "tfidf", each count times its idf."""
+    counts: FeatureVector = {}
     index = vocab.index
-    for token in doc.split():
+    for token in tokens:
         i = index.get(token)
         if i is not None:
-            vec[i] = vec.get(i, 0.0) + 1.0
-    return vec
-
-
-def tfidf_weights(counts: FeatureVector, vocab: Vocabulary) -> FeatureVector:
-    """Term counts to tf-idf weights, in the same order."""
-    idf = vocab.idf
-    return {i: tf * idf[i] for i, tf in counts.items()}
-
-
-def vectorize_tfidf(doc: str, vocab: Vocabulary) -> FeatureVector:
-    return tfidf_weights(vectorize_bow(doc, vocab), vocab)
+            counts[i] = counts.get(i, 0.0) + 1.0
+    if kind == "bow":
+        return counts
+    if kind == "tfidf":
+        idf = vocab.idf
+        return {i: tf * idf[i] for i, tf in counts.items()}
+    raise ValueError(f"unknown feature kind: {kind!r}")
 
 
 def vectorize(doc: str, vocab: Vocabulary, kind: str) -> FeatureVector:
-    if kind == "bow":
-        return vectorize_bow(doc, vocab)
-    if kind == "tfidf":
-        return vectorize_tfidf(doc, vocab)
-    raise ValueError(f"unknown feature kind: {kind!r}")
+    """`vector` over a whitespace-joined document."""
+    return vector(doc.split(), vocab, kind)

@@ -3,7 +3,7 @@ stress report: per-group stress percentages, academic-year monthly series,
 upvote statistics, top stressed-text words, and emotion summaries.
 
 Each post is tokenized once: its surface tokens feed emotion scoring, and
-one textprep.TokenTable per run gives their stems and vocabulary indices.
+one textprep.TokenTable per run gives their stems.
 
 Months are bucketed September through August to match the academic year.
 The upvote median uses the mean-of-two convention for even counts and the
@@ -91,18 +91,18 @@ def classify_corpus(
     on the result (posts share the table's strings), and with a lexicon the
     surface tokens of a stressed post are emotion-scored."""
     check_fingerprint(model, config)
-    table = textprep.TokenTable(config.stopwords, model.vocabulary.index)
+    table = textprep.TokenTable(config.stopwords)
     classified = []
     for post in posts:
         tokens = textprep.surface_tokens(post.text)
-        kept = table.kept(tokens)
-        pred = classify.predict_entries(model, kept)
+        stems = table.stems(tokens)
+        pred = classify.predict_stems(model, stems)
         profile = None
         if lexicon is not None and pred.label == 1:
             profile = emotion.score_emotions(tokens, lexicon)
         classified.append(
             ClassifiedPost(post=post, label=pred.label, score=pred.score,
-                           tokens=tuple(stem for stem, _ in kept), emotions=profile)
+                           tokens=tuple(stems), emotions=profile)
         )
     return classified
 

@@ -2,15 +2,15 @@
 remove stopwords, stem, recombine.
 
 Every stage is a pure function so each can be tested on its own; `preprocess`
-is exactly their composition. The character-removal stage keeps letters,
-digits, whitespace and apostrophes and turns everything else (including
-HTML tags, '@' and '_') into single spaces. The first three stages give a
-post's surface tokens (`surface_tokens`, one split of the stripped text).
+is exactly their composition, the reference the tests hold the commands to.
+The character-removal stage keeps letters, digits, whitespace and
+apostrophes and turns everything else (including HTML tags, '@' and '_')
+into single spaces. The first three stages give a post's surface tokens
+(`surface_tokens`, one split of the stripped text).
 
-A token's Porter stem depends on nothing else, so `stem` memoizes stems in
-one dict per process, shared by every configuration: each distinct token is
-stemmed once. The read path looks each surface token up in one
-`TokenTable` per run instead, for its stem and vocabulary index at once.
+Every command turns text into stems one way: its surface tokens are looked
+up in one `TokenTable` per run, which drops stopwords and stems each
+distinct token once.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from . import porter
 from .errors import open_text
@@ -105,37 +105,24 @@ def remove_stopwords(tokens: TokenList, config: PipelineConfig) -> TokenList:
     return [t for t in tokens if t not in config.stopwords]
 
 
-class _StemMemo(dict):
-    """token -> Porter stem, filled on first lookup."""
+def stem(tokens: TokenList) -> TokenList:
+    return [porter.stem_word(t) for t in tokens]
+
+
+class TokenTable(dict):
+    """surface token -> None for a stopword, otherwise its Porter stem; a token is
+    stemmed on its first lookup, so once per table."""
+
+    def __init__(self, stopwords: Iterable[str]):
+        super().__init__(dict.fromkeys(stopwords))
 
     def __missing__(self, token: str) -> str:
         stemmed = self[token] = porter.stem_word(token)
         return stemmed
 
-
-_STEMS = _StemMemo()
-
-
-def stem(tokens: TokenList) -> TokenList:
-    return [_STEMS[t] for t in tokens]
-
-
-class TokenTable(dict):
-    """surface token -> None for a stopword, otherwise (stem, index of the stem in
-    `index`, or None); a token is stemmed on its first lookup, so once per table."""
-
-    def __init__(self, stopwords: Iterable[str], index: Mapping[str, int] | None = None):
-        super().__init__(dict.fromkeys(stopwords))
-        self.index = index or {}
-
-    def __missing__(self, token: str) -> tuple[str, int | None]:
-        stemmed = porter.stem_word(token)
-        entry = self[token] = (stemmed, self.index.get(stemmed))
-        return entry
-
-    def kept(self, tokens: TokenList) -> list[tuple[str, int | None]]:
-        """The entries of the tokens that are not stopwords, in order."""
-        return [entry for entry in map(self.__getitem__, tokens) if entry is not None]
+    def stems(self, tokens: TokenList) -> TokenList:
+        """The stems of the tokens that are not stopwords, in order."""
+        return [s for s in map(self.__getitem__, tokens) if s is not None]
 
 
 def preprocess_stages(text: str, config: PipelineConfig) -> dict[str, object]:

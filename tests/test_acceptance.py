@@ -42,13 +42,14 @@ def dreaddit_pipeline(config):
     test = corpus.load_labeled(DREADDIT_DIR / "dreaddit-test.csv")
     assert len(train) == 2838, f"expected 2838 training rows, got {len(train)}"
     assert len(test) == 715, f"expected 715 test rows, got {len(test)}"
-    train_docs = [textprep.preprocess(ex.text, config) for ex in train]
-    test_docs = [textprep.preprocess(ex.text, config) for ex in test]
+    table = textprep.TokenTable(config.stopwords)  # as `stresskit train --eval` reads text
+    train_docs = [table.stems(textprep.surface_tokens(ex.text)) for ex in train]
+    test_docs = [table.stems(textprep.surface_tokens(ex.text)) for ex in test]
     vocab = features.fit_vocabulary(train_docs)
     # independent distinct-token recount over the same preprocessed corpus
-    assert vocab.size == len({t for doc in train_docs for t in doc.split()})
-    pairs = [(features.vectorize_bow(d, vocab), ex.label) for d, ex in zip(train_docs, train)]
-    vecs = [features.vectorize_bow(d, vocab) for d in test_docs]
+    assert vocab.size == len({t for doc in train_docs for t in doc})
+    pairs = [(features.vector(d, vocab, "bow"), ex.label) for d, ex in zip(train_docs, train)]
+    vecs = [features.vector(d, vocab, "bow") for d in test_docs]
     actual = [ex.label for ex in test]
     return vocab, pairs, vecs, actual
 

@@ -30,7 +30,7 @@ from stresskit.classify import (
     train_naive_bayes,
     train_svm,
 )
-from stresskit.features import Vocabulary, fit_vocabulary, vectorize, vectorize_bow
+from stresskit.features import Vocabulary, fit_vocabulary, vector, vectorize
 
 from conftest import FIXTURES, REPO_ROOT
 
@@ -229,13 +229,13 @@ def test_sigmoid_symmetry(z):
 
 # ------------------------------------------------------------- naive bayes
 
-HAND_CORPUS = ["a a", "a b", "a", "b b", "b a", "b"]
+HAND_CORPUS = [["a", "a"], ["a", "b"], ["a"], ["b", "b"], ["b", "a"], ["b"]]
 HAND_LABELS = [0, 0, 0, 1, 1, 1]
 
 
 def hand_pairs():
     vocab = fit_vocabulary(HAND_CORPUS)
-    pairs = [(vectorize_bow(d, vocab), y) for d, y in zip(HAND_CORPUS, HAND_LABELS)]
+    pairs = [(vector(d, vocab, "bow"), y) for d, y in zip(HAND_CORPUS, HAND_LABELS)]
     return pairs, vocab
 
 
@@ -279,8 +279,8 @@ def test_nb_empty_vector_uses_priors():
 
 
 def test_nb_smoothing_keeps_unseen_tokens_positive():
-    vocab = fit_vocabulary(["t u", "u"])
-    pairs = [(vectorize_bow("t u", vocab), 1), (vectorize_bow("u", vocab), 0)]
+    vocab = fit_vocabulary([["t", "u"], ["u"]])
+    pairs = [(vector(["t", "u"], vocab, "bow"), 1), (vector(["u"], vocab, "bow"), 0)]
     _, log_likelihood = naive_bayes_estimate(pairs, 1.0, vocab)
     t = vocab.index["t"]
     p1, p0 = math.exp(log_likelihood[1, t]), math.exp(log_likelihood[0, t])
@@ -288,8 +288,8 @@ def test_nb_smoothing_keeps_unseen_tokens_positive():
 
 
 def test_nb_mirrored_corpus_is_symmetric():
-    vocab = fit_vocabulary(["a a b", "b b a"])
-    pairs = [(vectorize_bow("a a b", vocab), 0), (vectorize_bow("b b a", vocab), 1)]
+    vocab = fit_vocabulary([["a", "a", "b"], ["b", "b", "a"]])
+    pairs = [(vector(["a", "a", "b"], vocab, "bow"), 0), (vector(["b", "b", "a"], vocab, "bow"), 1)]
     log_prior, log_likelihood = naive_bayes_estimate(pairs, 1.0, vocab)
     a, b = vocab.index["a"], vocab.index["b"]
     assert math.isclose(log_prior[0], log_prior[1])
@@ -368,10 +368,10 @@ def test_svm_prediction_margin_rule():
 # ------------------------------------------------------------- persistence
 
 def trained_models():
-    vocab = fit_vocabulary(["cat dog", "dog fish", "cat fish"])
+    vocab = fit_vocabulary([["cat", "dog"], ["dog", "fish"], ["cat", "fish"]])
     docs = ["cat cat dog", "dog fish", "cat", "fish fish", "dog", "cat fish"]
     labels = [1, 0, 1, 0, 0, 1]
-    pairs = [(vectorize_bow(d, vocab), y) for d, y in zip(docs, labels)]
+    pairs = [(vector(d.split(), vocab, "bow"), y) for d, y in zip(docs, labels)]
     fp = "fingerprint"
     return [
         train_logistic(pairs, LogisticHyper(epochs=50), vocabulary=vocab, fingerprint=fp),
@@ -468,9 +468,9 @@ def read_models(config):
     """The three golden models, and tf-idf logistic and NB models trained here."""
     models = {name: load_model(GOLDEN / f"model_{name}.json") for name in ("logistic", "nb", "svm")}
     examples = corpus.load_labeled(FIXTURES / "labeled_train.csv")
-    docs = [textprep.preprocess(ex.text, config) for ex in examples]
+    docs = [textprep.preprocess(ex.text, config).split() for ex in examples]
     vocab = fit_vocabulary(docs)
-    pairs = [(vectorize(doc, vocab, "tfidf"), ex.label) for doc, ex in zip(docs, examples)]
+    pairs = [(vector(doc, vocab, "tfidf"), ex.label) for doc, ex in zip(docs, examples)]
     for name, trainer, hyper in (("logistic tfidf", train_logistic, LogisticHyper(epochs=50)),
                                  ("nb tfidf", train_naive_bayes, 1.0)):
         models[name] = trainer(pairs, hyper, vocabulary=vocab, feature_kind="tfidf")
@@ -493,10 +493,10 @@ def test_table_prediction_is_bit_identical_to_vectorize_and_predict(name, read_m
     model = read_models[name]
     posts = corpus.load_posts_with_summary(FIXTURES / "posts_100.csv")[0]
     texts = [post.text for post in posts] + list(EDGE_TEXTS.values())
-    table = textprep.TokenTable(config.stopwords, model.vocabulary.index)
+    table = textprep.TokenTable(config.stopwords)
     for text in texts:
         doc = textprep.preprocess(text, config)
         expected = predict(model, vectorize(doc, model.vocabulary, model.feature_kind))
-        got = classify.predict_entries(model, table.kept(textprep.surface_tokens(text)))
+        got = classify.predict_stems(model, table.stems(textprep.surface_tokens(text)))
         assert got.score.hex() == expected.score.hex(), text
         assert got.label == expected.label, text

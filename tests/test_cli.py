@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stresskit import cli
+from stresskit import cli, corpus, porter, textprep
 
 from conftest import FIXTURES, REPO_ROOT
 
@@ -52,6 +53,20 @@ def test_train_with_eval_prints_table(tmp_path, capsys):
     document = json.loads(out.read_text())
     assert document["kind"] == "logistic"
     assert document["hyperparameters"]["seed"] == 42
+
+
+def test_train_eval_stems_each_distinct_token_once(tmp_path, monkeypatch, config):
+    """Training and evaluation read through one token table: every distinct
+    non-stopword surface token of both files is stemmed exactly once."""
+    real, calls = porter.stem_word, Counter()
+    monkeypatch.setattr(porter, "stem_word", lambda word: calls.update([word]) or real(word))
+    paths = [FIXTURES / "labeled_train.csv", FIXTURES / "labeled_eval.csv"]
+    assert run(["train", paths[0], "--eval", paths[1], "--classifier", "nb",
+                "--model-out", tmp_path / "model.json"]) == 0
+    texts = [ex.text for path in paths for ex in corpus.load_labeled(path)]
+    distinct = {t for text in texts for t in textprep.surface_tokens(text)} - config.stopwords
+    assert set(calls) == distinct
+    assert set(calls.values()) == {1}
 
 
 def test_train_unknown_classifier_is_usage_error(tmp_path):

@@ -61,10 +61,10 @@ GROUP_MAP = {"r/PhD": "PhD students", "r/GradSchool": "Graduate students"}
 # -------------------------------------------------------- classify_corpus
 
 def toy_model(config):
-    vocab = features.fit_vocabulary(["stress deadline", "calm garden"])
+    vocab = features.fit_vocabulary([["stress", "deadline"], ["calm", "garden"]])
     pairs = [
-        (features.vectorize_bow("stress deadline", vocab), 1),
-        (features.vectorize_bow("calm garden", vocab), 0),
+        (features.vector(["stress", "deadline"], vocab, "bow"), 1),
+        (features.vector(["calm", "garden"], vocab, "bow"), 0),
     ]
     return classify.train_logistic(
         pairs,

@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stresskit import porter, textprep
@@ -89,23 +89,27 @@ def test_surface_tokens_is_the_stage_composition(text):
 def test_token_table_entries(monkeypatch):
     real, calls = porter.stem_word, []
     monkeypatch.setattr(porter, "stem_word", lambda word: calls.append(word) or real(word))
-    memo = dict(textprep._STEMS)
-    table = textprep.TokenTable({"the", "and"}, {"hit": 0, "citi": 1})
+    table = textprep.TokenTable({"the", "and"})
     tokens = ["the", "hitting", "city", "and", "cats", "hitting", "the", "city"]
-    assert table.kept(tokens) == [("hit", 0), ("citi", 1), ("cat", None), ("hit", 0),
-                                  ("citi", 1)]
+    assert table.stems(tokens) == ["hit", "citi", "cat", "hit", "citi"]
     assert table["the"] is None and table["and"] is None
+    assert table["hitting"] == "hit" and table["cats"] == "cat"
     assert calls == ["hitting", "city", "cats"]  # once per distinct kept token
-    assert textprep._STEMS == memo  # the table keeps its own stems
-    assert textprep.TokenTable({"the"}).kept(["the", "cats"]) == [("cat", None)]
+    assert textprep.TokenTable({"the"}).stems(["the", "cats"]) == ["cat"]
+    assert textprep.TokenTable(set()).stems([]) == []
 
 
-def test_token_table_stems_are_preprocess_stems(config):
-    table = textprep.TokenTable(config.stopwords)
-    for text in ("No place in my city has shelter space for us", "", "The the THE",
-                 "<b>Running</b> runners ran; don't @stop_now"):
-        stems = [stem for stem, _ in table.kept(surface_tokens(text))]
-        assert stems == preprocess(text, config).split()
+@settings(max_examples=300)
+@given(st.one_of(text_strategy, markup_strategy, surface_strategy))
+@example("No place in my city has shelter space for us")
+@example("")
+@example("The the THE")
+@example("<b>Running</b> runners ran; don't @stop_now")
+def test_token_table_stems_are_preprocess_stems(config, text):
+    stems = textprep.TokenTable(config.stopwords).stems(surface_tokens(text))
+    assert stems == preprocess(text, config).split()
+    # so a list of stems and its whitespace-joined string are the same document
+    assert all(s and not any(c.isspace() for c in s) for s in stems)
 
 
 def test_tokenize_examples():
@@ -130,16 +134,19 @@ def test_stem_preserves_length():
     assert len(stem(tokens)) == len(tokens)
 
 
-def test_stem_memo_matches_porter_cold_and_warm(monkeypatch):
-    monkeypatch.setattr(textprep, "_STEMS", textprep._StemMemo())
+def test_token_table_matches_porter_cold_and_warm(monkeypatch):
     real = porter.stem_word
     calls = []
     monkeypatch.setattr(porter, "stem_word", lambda word: calls.append(word) or real(word))
     tokens = REFERENCE_VOC + REFERENCE_VOC[::-1]
     expected = [real(t) for t in tokens]
     assert expected == REFERENCE_OUT + REFERENCE_OUT[::-1]
-    assert stem(tokens) == expected  # cold: every stem computed
-    assert stem(tokens) == expected  # warm: every stem from the memo
+    assert stem(tokens) == expected  # the reference composition: one call per token
+    assert len(calls) == len(tokens)
+    calls.clear()
+    table = textprep.TokenTable(())
+    assert table.stems(tokens) == expected  # cold: every stem computed
+    assert table.stems(tokens) == expected  # warm: every stem from the table
     assert sorted(calls) == sorted(set(REFERENCE_VOC))  # once per distinct token
 
 
