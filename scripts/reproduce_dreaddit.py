@@ -8,8 +8,10 @@ and place them under data/dreaddit/, or point DREADDIT_DIR at them:
     DREADDIT_DIR=/path/to/dreaddit python scripts/reproduce_dreaddit.py
 
 Trains BoW + {logistic regression, naive bayes, svm} on the train split
-and prints the metrics table for the test split. Reference points:
-logistic 77.78% accuracy / 0.79 F1, naive bayes 71.31%, svm 69.90%.
+through `classify.train`, the path `stresskit train --eval` takes with its
+default options, and prints the metrics table for the test split.
+Reference points: logistic 77.78% accuracy / 0.79 F1, naive bayes 71.31%,
+svm 69.90%.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 import time
 from pathlib import Path
 
-from stresskit import classify, corpus, evaluate, features, textprep
+from stresskit import classify, corpus, evaluate, textprep
 
 
 def locate() -> tuple[Path, Path]:
@@ -44,27 +46,16 @@ def main() -> None:
     table = textprep.TokenTable(config.stopwords)  # as `stresskit train --eval` reads text
     train_docs = [table.stems(textprep.surface_tokens(ex.text)) for ex in train]
     test_docs = [table.stems(textprep.surface_tokens(ex.text)) for ex in test]
-    vocab = features.fit_vocabulary(train_docs)
-    train_pairs = [
-        (features.vector(doc, vocab, "bow"), ex.label) for doc, ex in zip(train_docs, train)
-    ]
-    actual = [ex.label for ex in test]
-    print(f"vocabulary: {vocab.size} tokens")
+    labels, actual = [ex.label for ex in train], [ex.label for ex in test]
 
     rows = []
-    fingerprint = config.fingerprint()
-    models = {
-        "Logistic Regression": classify.train_logistic(
-            train_pairs, vocabulary=vocab, fingerprint=fingerprint
-        ),
-        "Naive Bayes": classify.train_naive_bayes(
-            train_pairs, vocabulary=vocab, fingerprint=fingerprint
-        ),
-        "SVM": classify.train_svm(train_pairs, vocabulary=vocab, fingerprint=fingerprint),
-    }
-    for name, model in models.items():
+    for name, hyper in (("Logistic Regression", classify.LogisticHyper()),
+                        ("Naive Bayes", classify.NaiveBayesHyper()),
+                        ("SVM", classify.SvmHyper())):
+        model = classify.train(train_docs, labels, hyper, fingerprint=config.fingerprint())
         predicted = [classify.predict_stems(model, doc).label for doc in test_docs]
         rows.append(("BoW", name, evaluate.metrics(evaluate.confusion(predicted, actual))))
+    print(f"vocabulary: {model.vocabulary.size} tokens")
     print(evaluate.render_table(rows))
     print(f"total time: {time.perf_counter() - started:.1f}s")
 

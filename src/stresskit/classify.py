@@ -1,11 +1,13 @@
 """From-scratch classifiers over sparse feature vectors: logistic regression
 (full-batch gradient descent), multinomial Naive Bayes with Laplace
 smoothing, and a linear SVM trained by pegasos-style stochastic subgradient
-descent. All trainers are deterministic given their seeds, and all three
-return one LinearModel that decides on bias + weights . x. They share one
+descent. `train` is the one way to build a model: it fits the vocabulary on
+stem lists, vectorizes them and calls the trainer that the type of its
+hyperparameters names. The trainers are deterministic given their seeds,
+return one LinearModel that decides on bias + weights . x, and share one
 design matrix, a sparse row store in plain numpy arrays. Numpy is imported
-only by the code that trains; a model's weights are plain floats, so loading
-a model and predicting never import it.
+only by the code that trains, so loading a model and predicting never
+import it.
 
 Models persist as single self-describing JSON documents (format 2; format 1
 files still load); load(save(m)) reproduces predictions bit-identically.
@@ -20,7 +22,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import StressKitError
-from .features import FeatureVector, Vocabulary, vector
+from .features import EmptyCorpus, FeatureVector, Vocabulary, fit_vocabulary, vector
 
 if TYPE_CHECKING:  # numpy loads only where a trainer computes with it
     import numpy as np
@@ -151,9 +153,11 @@ def _assemble(
     return X, y
 
 
-def _check_two_classes(y: np.ndarray) -> None:
+def _check_trainable(X: _SparseRows, y: np.ndarray) -> None:
     if len(y) == 0 or y.min() == y.max():
         raise SingleClassCorpus("training data must contain both classes")
+    if X.shape[1] == 0:
+        raise EmptyCorpus("empty vocabulary: no stem is in at least min_df training documents")
 
 
 def sigmoid(z: float) -> float:
@@ -209,7 +213,7 @@ def train_logistic(
     """
     import numpy as np
     X, y = _assemble(examples, vocabulary.size)
-    _check_two_classes(y)
+    _check_trainable(X, y)
     lr = hyper.learning_rate
     for _ in range(9):  # initial rate plus up to 8 halvings
         bias = 0.0
@@ -247,7 +251,7 @@ def naive_bayes_estimate(
     if alpha <= 0:
         raise ValueError("smoothing alpha must be positive")
     X, y = _assemble(examples, vocabulary.size)
-    _check_two_classes(y)
+    _check_trainable(X, y)
     V = vocabulary.size
     log_prior = np.empty(2)
     log_likelihood = np.empty((2, V))
@@ -261,7 +265,7 @@ def naive_bayes_estimate(
 
 def train_naive_bayes(
     examples: Sequence[tuple[FeatureVector, int]],
-    alpha: float = 1.0,
+    hyper: NaiveBayesHyper = NaiveBayesHyper(),
     *,
     vocabulary: Vocabulary,
     fingerprint: str = "",
@@ -269,11 +273,11 @@ def train_naive_bayes(
 ) -> LinearModel:
     """Naive Bayes as its log-odds log P(1|x) - log P(0|x): log-likelihood
     differences as weights, the log-prior difference as bias."""
-    log_prior, log_likelihood = naive_bayes_estimate(examples, alpha, vocabulary)
+    log_prior, log_likelihood = naive_bayes_estimate(examples, hyper.alpha, vocabulary)
     return LinearModel(
         kind="naive_bayes", weights=tuple((log_likelihood[1] - log_likelihood[0]).tolist()),
         bias=float(log_prior[1] - log_prior[0]), vocabulary=vocabulary,
-        pipeline_fingerprint=fingerprint, hyper=NaiveBayesHyper(alpha=alpha),
+        pipeline_fingerprint=fingerprint, hyper=hyper,
         feature_kind=feature_kind)
 
 
@@ -293,7 +297,7 @@ def train_svm(
     """
     import numpy as np
     X, y01 = _assemble(examples, vocabulary.size)
-    _check_two_classes(y01)
+    _check_trainable(X, y01)
     y = 2.0 * y01 - 1.0
     n = X.shape[0]
     rng = np.random.default_rng(hyper.seed)
@@ -320,6 +324,21 @@ def train_svm(
     return LinearModel(
         kind="svm", weights=tuple(w.tolist()), bias=float(b), vocabulary=vocabulary,
         pipeline_fingerprint=fingerprint, hyper=hyper, feature_kind=feature_kind)
+
+
+def train(docs: Sequence[Sequence[str]], labels: Sequence[int],
+          hyper: LogisticHyper | NaiveBayesHyper | SvmHyper, *, feature_kind: str = "bow",
+          min_df: int = 1, max_size: int | None = None, fingerprint: str = "") -> LinearModel:
+    """Fit the vocabulary on `docs` (stem lists, textprep.TokenTable.stems),
+    vectorize them and fit the classifier that the type of `hyper` names."""
+    vocabulary = fit_vocabulary(docs, min_df=min_df, max_size=max_size)
+    examples = [(vector(doc, vocabulary, feature_kind), label)
+                for doc, label in zip(docs, labels, strict=True)]
+    # looked up per call, so a trainer replaced by module attribute is the one called
+    trainer = {LogisticHyper: train_logistic, NaiveBayesHyper: train_naive_bayes,
+               SvmHyper: train_svm}[type(hyper)]
+    return trainer(examples, hyper, vocabulary=vocabulary, fingerprint=fingerprint,
+                   feature_kind=feature_kind)
 
 
 def decision_value(model: LinearModel, x: FeatureVector) -> float:

@@ -17,7 +17,7 @@ import time
 import warnings
 from pathlib import Path
 
-from . import annotate, classify, corpus, emotion, evaluate, features, report, textprep
+from . import annotate, classify, corpus, emotion, evaluate, report, textprep
 from .errors import StressKitError, atomic_outputs
 
 EXIT_OK = 0
@@ -173,41 +173,31 @@ def cmd_train(args) -> int:
         held_out = corpus.load_labeled(args.eval_csv)
         if not held_out:
             raise StressKitError(f"{args.eval_csv}: no labeled rows with text to evaluate on")
+    hyper = {
+        "logistic": classify.LogisticHyper(
+            learning_rate=args.lr, epochs=args.epochs, l2=args.l2, seed=args.seed),
+        "nb": classify.NaiveBayesHyper(alpha=args.alpha),
+        "svm": classify.SvmHyper(lam=args.lam, epochs=args.svm_epochs, seed=args.seed),
+    }[args.classifier]
     table = textprep.TokenTable(config.stopwords)  # one for the training and the eval rows
     docs = [table.stems(textprep.surface_tokens(ex.text)) for ex in examples]
-    vocab = features.fit_vocabulary(docs, min_df=args.min_df, max_size=args.max_vocab)
-    pairs = [
-        (features.vector(doc, vocab, args.features), ex.label)
-        for doc, ex in zip(docs, examples)
-    ]
-    trainer, hyper = {
-        "logistic": (classify.train_logistic, classify.LogisticHyper(
-            learning_rate=args.lr, epochs=args.epochs, l2=args.l2, seed=args.seed)),
-        "nb": (classify.train_naive_bayes, args.alpha),
-        "svm": (classify.train_svm,
-                classify.SvmHyper(lam=args.lam, epochs=args.svm_epochs, seed=args.seed)),
-    }[args.classifier]
-    fingerprint = config.fingerprint()
     started = time.perf_counter()
-    model = trainer(pairs, hyper, vocabulary=vocab, fingerprint=fingerprint,
-                    feature_kind=args.features)
+    model = classify.train(docs, [ex.label for ex in examples], hyper,
+                           feature_kind=args.features, min_df=args.min_df,
+                           max_size=args.max_vocab, fingerprint=config.fingerprint())
     elapsed = time.perf_counter() - started
     with atomic_outputs(args.model_out) as [partial]:
         classify.save_model(model, partial)
-    print(
-        f"trained {args.classifier} ({args.features}) on {len(examples)} examples, "
-        f"vocabulary {vocab.size}, {elapsed:.1f}s -> {args.model_out}"
-    )
+    print(f"trained {args.classifier} ({args.features}) on {len(examples)} examples, "
+          f"vocabulary {model.vocabulary.size}, {elapsed:.1f}s -> {args.model_out}")
     if held_out is not None:
         predicted = [
             classify.predict_stems(model, table.stems(textprep.surface_tokens(ex.text))).label
             for ex in held_out]
         rep = evaluate.metrics(evaluate.confusion(predicted, [ex.label for ex in held_out]))
         feature_name = "BoW" if args.features == "bow" else "TF-IDF"
-        clf_name = {"logistic": "Logistic Regression", "nb": "Naive Bayes", "svm": "SVM"}[
-            args.classifier
-        ]
-        print(evaluate.render_table([(feature_name, clf_name, rep)]))
+        clf_name = {"logistic": "Logistic Regression", "nb": "Naive Bayes", "svm": "SVM"}
+        print(evaluate.render_table([(feature_name, clf_name[args.classifier], rep)]))
         matrix = rep.matrix
         print(f"confusion: TP={matrix.tp} FP={matrix.fp} TN={matrix.tn} FN={matrix.fn}")
     return EXIT_OK
@@ -347,8 +337,10 @@ def cmd_emotions(args) -> int:
 def cmd_stats(args) -> int:
     _require(args.posts_csv, "posts file")
     config = _pipeline_config(args)
-    posts, summary = corpus.load_posts_with_summary(args.posts_csv)
-    stats = corpus.corpus_stats(posts, config)
+    summary = corpus.LoadSummary()
+    with corpus.open_rows(args.posts_csv, corpus.POST_COLUMNS) as reader:
+        rows = corpus.iter_post_rows(reader, args.posts_csv, summary)
+        stats = corpus.corpus_stats((rec for _, _, rec in rows if rec is not None), config)
     if args.summary:
         print(summary.to_json())
     print(json.dumps(stats, indent=2))

@@ -216,9 +216,10 @@ def load_posts_with_summary(path: str | Path) -> tuple[list[PostRecord], LoadSum
     return records, summary
 
 
-def corpus_stats(records: Sequence[PostRecord], config: textprep.PipelineConfig) -> dict:
+def corpus_stats(records: Iterable[PostRecord], config: textprep.PipelineConfig) -> dict:
     """The stats JSON document: exact per-community/per-tag counts plus the
-    distinct preprocessed token count across all titles and bodies."""
+    distinct preprocessed token count across all titles and bodies. Reads
+    `records` once, so a stream of them is never held."""
     table = textprep.TokenTable(config.stopwords)
     per_community: dict[str, int] = {}
     per_tag: dict[str, int] = {}
@@ -229,7 +230,7 @@ def corpus_stats(records: Sequence[PostRecord], config: textprep.PipelineConfig)
             per_tag[rec.tag] = per_tag.get(rec.tag, 0) + 1
         vocabulary.update(table.stems(textprep.surface_tokens(rec.text)))
     return {
-        "record_count": len(records),
+        "record_count": sum(per_community.values()),  # one community per record
         "per_community": dict(sorted(per_community.items())),
         "per_tag": dict(sorted(per_tag.items())),
         "unique_words": len(vocabulary),

@@ -83,13 +83,13 @@ def classify_corpus(
     posts: Sequence[PostRecord],
     config: textprep.PipelineConfig,
     *,
-    lexicon: emotion.EmotionLexicon | None = None,
+    lexicon: emotion.EmotionLexicon,
 ) -> list[ClassifiedPost]:
     """One ClassifiedPost per input, in order. Classification input text is
     the title and body joined with one space, tokenized once and read
     through one token table: the kept tokens' stems are classified and kept
-    on the result (posts share the table's strings), and with a lexicon the
-    surface tokens of a stressed post are emotion-scored."""
+    on the result (posts share the table's strings), and the surface tokens
+    of a stressed post are emotion-scored."""
     check_fingerprint(model, config)
     table = textprep.TokenTable(config.stopwords)
     classified = []
@@ -97,13 +97,9 @@ def classify_corpus(
         tokens = textprep.surface_tokens(post.text)
         stems = table.stems(tokens)
         pred = classify.predict_stems(model, stems)
-        profile = None
-        if lexicon is not None and pred.label == 1:
-            profile = emotion.score_emotions(tokens, lexicon)
-        classified.append(
-            ClassifiedPost(post=post, label=pred.label, score=pred.score,
-                           tokens=tuple(stems), emotions=profile)
-        )
+        profile = emotion.score_emotions(tokens, lexicon) if pred.label == 1 else None
+        classified.append(ClassifiedPost(post=post, label=pred.label, score=pred.score,
+                                         tokens=tuple(stems), emotions=profile))
     return classified
 
 
@@ -227,14 +223,9 @@ def emotion_summary(
     for item in classified:
         if item.label != 1:
             continue
-        profile = item.emotions
-        if profile is None:
-            raise ValueError(
-                f"stressed post {item.post.id!r} has no emotion profile: "
-                "classify_corpus ran without a lexicon")
         when = item.post.date
         for affect in affects:
-            value = profile.get(affect)
+            value = item.emotions.get(affect)
             if when is not None:
                 per_month[affect][month_index(when)].append(value)
             overall[affect].append(value)
@@ -253,7 +244,7 @@ def build_report(
     group_map: Mapping[str, str],
     *,
     config: textprep.PipelineConfig,
-    lexicon: emotion.EmotionLexicon | None = None,
+    lexicon: emotion.EmotionLexicon,
     top_n: int = 10,
     model_kind: str = "",
     model_fingerprint: str = "",
@@ -274,7 +265,7 @@ def build_report(
             **monthly_distribution(members),
             "upvotes": upvote_stats(members),
             "top_words": [[token, count] for token, count in top_words(members, top_n)],
-            "emotions": emotion_summary(members) if lexicon else None,
+            "emotions": emotion_summary(members),
         })
     overall = mean_stress_pct([g["stressed_pct"] for g in groups]) if groups else 0
     metadata: dict[str, object] = {
@@ -284,7 +275,7 @@ def build_report(
         "upvote_std": "population",
         "monthly_order": "Sep..Aug",
         "binarization": "stressed iff weighted mean < 0",
-        "lexicon_version": lexicon.version if lexicon else None,
+        "lexicon_version": lexicon.version,
         "preprocessing_fingerprint": config.fingerprint(),
     }
     if seed is not None:
@@ -319,8 +310,6 @@ def _csv_tables(report: dict) -> dict[str, str]:
                                     stats["std"], stats["n"]])
     emotion_rows = []
     for g in groups:
-        if g["emotions"] is None:
-            continue
         for affect, means in sorted(g["emotions"]["monthly"].items()):
             for month, value in zip(MONTHS, means):
                 emotion_rows.append(

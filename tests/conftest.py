@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,14 @@ from stresskit import textprep
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = REPO_ROOT / "data" / "fixtures"
+
+
+def load_script(relative: str):
+    """A script of the repository (scripts/, perfbench/) loaded as a module."""
+    spec = importlib.util.spec_from_file_location(Path(relative).stem, REPO_ROOT / relative)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -1,18 +1,13 @@
 """scripts/ab_bench.py's argument checks, which must fail before any run."""
 
-import importlib.util
-
 import pytest
 
-from conftest import REPO_ROOT
+from conftest import load_script
 
 
 @pytest.fixture
 def ab_bench(monkeypatch):
-    spec = importlib.util.spec_from_file_location(
-        "ab_bench", REPO_ROOT / "scripts" / "ab_bench.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_script("scripts/ab_bench.py")
 
     def no_run(*args):
         raise AssertionError("a benchmark run started")

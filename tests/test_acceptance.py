@@ -12,6 +12,7 @@ import json
 import math
 import os
 import random
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -19,9 +20,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stresskit import annotate, classify, cli, corpus, evaluate, features, porter, report, textprep
+from stresskit import annotate, classify, cli, corpus, evaluate, porter, report, textprep
 
-from conftest import FIXTURES, REPO_ROOT
+from conftest import FIXTURES, REPO_ROOT, load_script
 
 DREADDIT_DIR = Path(os.environ.get("DREADDIT_DIR", REPO_ROOT / "data" / "dreaddit"))
 
@@ -37,7 +38,9 @@ def outcome(criterion: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-def dreaddit_pipeline(config):
+def dreaddit_pipeline(config, *hypers):
+    """One test-split metrics report per hyper, each model trained on the
+    train split by classify.train."""
     train = corpus.load_labeled(DREADDIT_DIR / "dreaddit-train.csv")
     test = corpus.load_labeled(DREADDIT_DIR / "dreaddit-test.csv")
     assert len(train) == 2838, f"expected 2838 training rows, got {len(train)}"
@@ -45,13 +48,15 @@ def dreaddit_pipeline(config):
     table = textprep.TokenTable(config.stopwords)  # as `stresskit train --eval` reads text
     train_docs = [table.stems(textprep.surface_tokens(ex.text)) for ex in train]
     test_docs = [table.stems(textprep.surface_tokens(ex.text)) for ex in test]
-    vocab = features.fit_vocabulary(train_docs)
-    # independent distinct-token recount over the same preprocessed corpus
-    assert vocab.size == len({t for doc in train_docs for t in doc})
-    pairs = [(features.vector(d, vocab, "bow"), ex.label) for d, ex in zip(train_docs, train)]
-    vecs = [features.vector(d, vocab, "bow") for d in test_docs]
     actual = [ex.label for ex in test]
-    return vocab, pairs, vecs, actual
+    reports = []
+    for hyper in hypers:
+        model = classify.train(train_docs, [ex.label for ex in train], hyper)
+        # independent distinct-token recount over the same preprocessed corpus
+        assert model.vocabulary.size == len({t for doc in train_docs for t in doc})
+        predicted = [classify.predict_stems(model, doc).label for doc in test_docs]
+        reports.append(evaluate.metrics(evaluate.confusion(predicted, actual)))
+    return reports
 
 
 @pytest.mark.dreaddit
@@ -60,11 +65,8 @@ def test_criterion_1_dreaddit_logistic_reproduction(config):
         outcome(1, False, "Dreaddit corpus unavailable")
         pytest.fail(MISSING_DREADDIT)
     started = time.perf_counter()
-    vocab, pairs, vecs, actual = dreaddit_pipeline(config)
-    model = classify.train_logistic(pairs, vocabulary=vocab)
-    predicted = [classify.predict(model, v).label for v in vecs]
+    [rep] = dreaddit_pipeline(config, classify.LogisticHyper())
     elapsed = time.perf_counter() - started
-    rep = evaluate.metrics(evaluate.confusion(predicted, actual))
     accuracy_pct = 100 * rep.accuracy
     ok = abs(accuracy_pct - 77.78) <= 3.0 and abs(rep.f1 - 0.79) <= 0.05 and elapsed < 180
     outcome(1, ok, f"logistic accuracy {accuracy_pct:.2f}% (target 77.78 +/- 3.0), "
@@ -79,15 +81,8 @@ def test_criterion_2_dreaddit_secondary_classifiers(config):
     if not (DREADDIT_DIR / "dreaddit-train.csv").exists():
         outcome(2, False, "Dreaddit corpus unavailable")
         pytest.fail(MISSING_DREADDIT)
-    vocab, pairs, vecs, actual = dreaddit_pipeline(config)
-    nb = classify.train_naive_bayes(pairs, vocabulary=vocab)
-    nb_acc = 100 * evaluate.metrics(
-        evaluate.confusion([classify.predict(nb, v).label for v in vecs], actual)
-    ).accuracy
-    svm = classify.train_svm(pairs, vocabulary=vocab)
-    svm_acc = 100 * evaluate.metrics(
-        evaluate.confusion([classify.predict(svm, v).label for v in vecs], actual)
-    ).accuracy
+    nb, svm = dreaddit_pipeline(config, classify.NaiveBayesHyper(), classify.SvmHyper())
+    nb_acc, svm_acc = 100 * nb.accuracy, 100 * svm.accuracy
     ok = abs(nb_acc - 71.31) <= 3.0 and abs(svm_acc - 69.90) <= 4.0
     outcome(2, ok, f"naive bayes {nb_acc:.2f}% (71.31 +/- 3.0), svm {svm_acc:.2f}% (69.90 +/- 4.0)")
     assert abs(nb_acc - 71.31) <= 3.0
@@ -338,32 +333,19 @@ def test_criterion_8_cli_determinism(tmp_path):
     outcome(8, True, "train + analyze byte-identical across runs (timestamp excluded)")
 
 
-def test_criterion_9_end_to_end_demo(tmp_path):
+def test_criterion_9_end_to_end_demo(tmp_path, monkeypatch):
     """Corpus-scale reference statistics depend on a particular private
     scrape and annotation sheets and cannot be re-derived at desk scale;
-    the bundled synthetic fixtures exercise the full workflow instead."""
-    model = tmp_path / "model.json"
-    assert cli.main([
-        "train", str(FIXTURES / "labeled_train.csv"),
-        "--eval", str(FIXTURES / "labeled_eval.csv"), "--model-out", str(model),
-    ]) == 0
-    assert cli.main([
-        "predict", str(model), str(FIXTURES / "posts_100.csv"),
-        "--out", str(tmp_path / "predictions.csv"),
-    ]) == 0
-    assert cli.main([
-        "analyze", str(model), str(FIXTURES / "posts_100.csv"),
-        "--mapping", str(FIXTURES / "communities.csv"),
-        "--out-dir", str(tmp_path / "reports"),
-    ]) == 0
-    assert cli.main([
-        "annotate", str(FIXTURES / "annotations.csv"),
-        "--weights", str(FIXTURES / "weights.csv"), "--out-dir", str(tmp_path / "ann"),
-    ]) == 0
-    assert cli.main([
-        "emotions", str(FIXTURES / "posts_100.csv"), "--out", str(tmp_path / "emo.csv"),
-    ]) == 0
-    assert cli.main(["stats", str(FIXTURES / "posts_100.csv")]) == 0
+    the documented demo (scripts/run_demo.py) runs the full workflow on the
+    bundled synthetic fixtures instead."""
+    monkeypatch.setattr(sys, "argv", ["run_demo.py", str(tmp_path)])
+    load_script("scripts/run_demo.py").main()  # exits on the first failing command
+    written = {str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()}
+    tables = ("report.json", "summary.csv", "monthly.csv", "upvotes.csv", "top_words.csv",
+              "emotions.csv")
+    assert written == {"model.json", "predictions.csv", "emotion_profiles.csv",
+                       "annotation/consensus.csv", "annotation/annotation_summary.json",
+                       *(f"reports/{name}" for name in tables)}
 
     document = json.loads((tmp_path / "reports" / "report.json").read_text())
     assert len(document["groups"]) == 4
@@ -372,7 +354,7 @@ def test_criterion_9_end_to_end_demo(tmp_path):
         assert group["stressed_pct"] + group["not_stressed_pct"] == pytest.approx(100.0, abs=0.1)
         assert len(group["monthly"]) == 12
         assert len(group["top_words"]) <= 10
-    annotation = json.loads((tmp_path / "ann" / "annotation_summary.json").read_text())
+    annotation = json.loads((tmp_path / "annotation" / "annotation_summary.json").read_text())
     assert -1.0 <= annotation["kappa"] <= 1.0
     with open(tmp_path / "predictions.csv", newline="") as handle:
         rows = list(csv.reader(handle))

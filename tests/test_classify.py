@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 from dataclasses import fields
@@ -15,6 +16,7 @@ from stresskit.classify import (
     DimensionMismatch,
     LinearModel,
     LogisticHyper,
+    NaiveBayesHyper,
     SingleClassCorpus,
     SvmHyper,
     VersionMismatch,
@@ -33,6 +35,7 @@ from stresskit.classify import (
 from stresskit.features import Vocabulary, fit_vocabulary, vector, vectorize
 
 from conftest import FIXTURES, REPO_ROOT
+from test_corpus import _in_sources
 
 
 def small_vocab(n=2) -> Vocabulary:
@@ -241,7 +244,7 @@ def hand_pairs():
 
 def hand_nb():
     pairs, vocab = hand_pairs()
-    return train_naive_bayes(pairs, 1.0, vocabulary=vocab), vocab
+    return train_naive_bayes(pairs, NaiveBayesHyper(alpha=1.0), vocabulary=vocab), vocab
 
 
 def test_nb_hand_corpus_parameters():
@@ -319,7 +322,8 @@ def test_nb_scaling_counts_preserves_argmax_with_equal_priors(x, scale):
 def test_nb_rejects_bad_alpha_and_single_class():
     vocab = small_vocab()
     with pytest.raises(ValueError):
-        train_naive_bayes([({0: 1.0}, 1), ({1: 1.0}, 0)], 0.0, vocabulary=vocab)
+        train_naive_bayes([({0: 1.0}, 1), ({1: 1.0}, 0)], NaiveBayesHyper(alpha=0.0),
+                          vocabulary=vocab)
     with pytest.raises(SingleClassCorpus):
         train_naive_bayes([({0: 1.0}, 1)], vocabulary=vocab)
 
@@ -365,19 +369,39 @@ def test_svm_prediction_margin_rule():
     assert pred.label == 0 and pred.score < 0
 
 
+# ------------------------------------------------------------------ train
+
+PETS = [d.split() for d in ("cat cat dog", "dog fish", "cat", "fish fish", "dog", "cat fish")]
+PET_LABELS = [1, 0, 1, 0, 0, 1]
+SMALL_HYPERS = [LogisticHyper(epochs=50), NaiveBayesHyper(), SvmHyper(epochs=5)]
+
+
+@pytest.mark.parametrize("hyper,trainer", zip(SMALL_HYPERS, (train_logistic, train_naive_bayes,
+                                                             train_svm)), ids=["lr", "nb", "svm"])
+def test_train_fits_the_vocabulary_and_calls_the_trainer_its_hyper_names(hyper, trainer):
+    vocab = fit_vocabulary(PETS, max_size=2)
+    pairs = [(vector(doc, vocab, "tfidf"), y) for doc, y in zip(PETS, PET_LABELS)]
+    expected = trainer(pairs, hyper, vocabulary=vocab, fingerprint="fp", feature_kind="tfidf")
+    assert classify.train(PETS, PET_LABELS, hyper, feature_kind="tfidf", max_size=2,
+                          fingerprint="fp") == expected
+
+
+def test_models_are_built_only_through_train():
+    """In src/ and scripts/, the vocabulary fit and the three trainers are
+    named only inside classify.train."""
+    names = {"fit_vocabulary", "train_logistic", "train_naive_bayes", "train_svm"}
+    found = _in_sources(
+        lambda node: (node.id if isinstance(node, ast.Name) else
+                      node.attr if isinstance(node, ast.Attribute) else None) in names,
+        ("src/stresskit", "scripts"))
+    assert found == ["classify.train"] * 4
+
+
 # ------------------------------------------------------------- persistence
 
 def trained_models():
-    vocab = fit_vocabulary([["cat", "dog"], ["dog", "fish"], ["cat", "fish"]])
-    docs = ["cat cat dog", "dog fish", "cat", "fish fish", "dog", "cat fish"]
-    labels = [1, 0, 1, 0, 0, 1]
-    pairs = [(vector(d.split(), vocab, "bow"), y) for d, y in zip(docs, labels)]
-    fp = "fingerprint"
-    return [
-        train_logistic(pairs, LogisticHyper(epochs=50), vocabulary=vocab, fingerprint=fp),
-        train_naive_bayes(pairs, vocabulary=vocab, fingerprint=fp),
-        train_svm(pairs, SvmHyper(epochs=5), vocabulary=vocab, fingerprint=fp),
-    ]
+    return [classify.train(PETS, PET_LABELS, hyper, fingerprint="fingerprint")
+            for hyper in SMALL_HYPERS]
 
 
 @pytest.mark.parametrize("model", trained_models(), ids=lambda m: m.kind)
@@ -469,11 +493,10 @@ def read_models(config):
     models = {name: load_model(GOLDEN / f"model_{name}.json") for name in ("logistic", "nb", "svm")}
     examples = corpus.load_labeled(FIXTURES / "labeled_train.csv")
     docs = [textprep.preprocess(ex.text, config).split() for ex in examples]
-    vocab = fit_vocabulary(docs)
-    pairs = [(vector(doc, vocab, "tfidf"), ex.label) for doc, ex in zip(docs, examples)]
-    for name, trainer, hyper in (("logistic tfidf", train_logistic, LogisticHyper(epochs=50)),
-                                 ("nb tfidf", train_naive_bayes, 1.0)):
-        models[name] = trainer(pairs, hyper, vocabulary=vocab, feature_kind="tfidf")
+    labels = [ex.label for ex in examples]
+    for name, hyper in (("logistic tfidf", LogisticHyper(epochs=50)),
+                        ("nb tfidf", NaiveBayesHyper())):
+        models[name] = classify.train(docs, labels, hyper, feature_kind="tfidf")
     return models
 
 

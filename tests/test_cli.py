@@ -82,6 +82,23 @@ def test_train_single_class_is_data_error(write_csv, tmp_path, capsys):
     assert "class" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("classifier", ["logistic", "nb", "svm"])
+@pytest.mark.parametrize(
+    "rows,options",
+    [(None, ["--min-df", "100000"]),
+     ([["id", "text", "label"], ["a", "the and of", "1"], ["b", "it is to", "0"]], [])],
+    ids=["min-df-above-every-df", "stopwords-only"],
+)
+def test_train_on_an_empty_vocabulary_is_data_error(classifier, rows, options, write_csv,
+                                                   tmp_path, capsys):
+    src = write_csv(rows) if rows else FIXTURES / "labeled_train.csv"
+    code = run(["train", src, "--classifier", classifier, "--model-out", tmp_path / "m.json",
+                *options])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: empty vocabulary")
+    assert sorted(tmp_path.iterdir()) == ([src] if rows else [])  # no model, no partial
+
+
 @pytest.mark.parametrize(
     "rows",
     [[["id", "text", "label"]], [["id", "text", "label"], ["a", "  ", "1"], ["b", "", "0"]]],

@@ -205,9 +205,9 @@ def test_invalid_record_construction():
         )
 
 
-def _calls_in_package(matches) -> list[str]:
-    """Where each call in src/stresskit that `matches` is made, as
-    module.function (or module.Class.method), in file order."""
+def _in_sources(matches, roots=("src/stresskit",)) -> list[str]:
+    """Where each node that `matches` sits in the Python files of `roots`,
+    as module.function (or module.Class.method), in file order."""
     found = []
 
     def visit(node, where):
@@ -216,23 +216,24 @@ def _calls_in_package(matches) -> list[str]:
                 inner = f"{where}.{child.name}"
             else:
                 inner = where
-            if isinstance(child, ast.Call) and matches(child):
+            if matches(child):
                 found.append(inner)
             visit(child, inner)
 
-    for path in sorted((REPO_ROOT / "src" / "stresskit").glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    for root in roots:
+        for path in sorted((REPO_ROOT / root).glob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     return found
 
 
 def _named(name):
-    return lambda call: ast.unparse(call.func).split(".")[-1] == name
+    return lambda node: isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == name
 
 
 def test_package_reads_csv_through_one_reader_and_logs_skips_in_one_place():
-    assert _calls_in_package(_named("DictReader")) == ["corpus.open_rows"]
-    assert _calls_in_package(_named("reader")) == ["annotate.load_annotations"]
-    skipped_row_log = _calls_in_package(
+    assert _in_sources(_named("DictReader")) == ["corpus.open_rows"]
+    assert _in_sources(_named("reader")) == ["annotate.load_annotations"]
+    skipped_row_log = _in_sources(
         lambda call: _named("warning")(call) and call.args
         and ast.unparse(call.args[0]) == "'%s: %s'")
     assert skipped_row_log == ["corpus.LoadSummary.count"]

@@ -3,7 +3,6 @@ original algorithm definition (per step) and against the published sample
 block of the reference vocabulary/output pair (full pipeline), and every
 step is cross-checked against tests/porter_reference.py."""
 
-import importlib.util
 import itertools
 import random
 import string
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 from stresskit import porter, textprep
 
 import porter_reference as reference
-from conftest import REPO_ROOT
+from conftest import load_script
 
 STEP1A = [
     ("caresses", "caress"),
@@ -244,11 +243,7 @@ def test_matches_reference_on_bases_times_rule_suffixes():
 
 
 def _perfbench_gen():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_gen", REPO_ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
+    return load_script("perfbench/gen.py")
 
 
 def test_matches_reference_on_the_benchmark_vocabulary():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stresskit import classify, corpus, emotion, features, report, textprep
+from stresskit import classify, corpus, emotion, report, textprep
 from stresskit.corpus import PostRecord
 from stresskit.errors import FingerprintMismatchWarning, StressKitError
 from stresskit.report import (
@@ -42,14 +42,13 @@ def post(i=0, community="r/PhD", score=0, month=9, title="", body="text body", y
 
 
 CONFIG = textprep.PipelineConfig.default()
+LEXICON = emotion.default_lexicon()
 
 
-def cp(label, lexicon=None, **kwargs):
+def cp(label, lexicon=LEXICON, **kwargs):
     """A classified post carrying what classify_corpus would give it."""
     p = post(**kwargs)
-    profile = None
-    if lexicon is not None and label == 1:
-        profile = emotion.score_emotions(textprep.surface_tokens(p.text), lexicon)
+    profile = emotion.score_emotions(textprep.surface_tokens(p.text), lexicon) if label else None
     return ClassifiedPost(post=p, label=label, score=float(label),
                           tokens=tuple(textprep.preprocess(p.text, CONFIG).split()),
                           emotions=profile)
@@ -61,33 +60,24 @@ GROUP_MAP = {"r/PhD": "PhD students", "r/GradSchool": "Graduate students"}
 # -------------------------------------------------------- classify_corpus
 
 def toy_model(config):
-    vocab = features.fit_vocabulary([["stress", "deadline"], ["calm", "garden"]])
-    pairs = [
-        (features.vector(["stress", "deadline"], vocab, "bow"), 1),
-        (features.vector(["calm", "garden"], vocab, "bow"), 0),
-    ]
-    return classify.train_logistic(
-        pairs,
-        classify.LogisticHyper(epochs=200),
-        vocabulary=vocab,
-        fingerprint=config.fingerprint(),
-    )
+    return classify.train([["stress", "deadline"], ["calm", "garden"]], [1, 0],
+                          classify.LogisticHyper(epochs=200), fingerprint=config.fingerprint())
 
 
 def test_classify_corpus_empty(config):
-    assert classify_corpus(toy_model(config), [], config) == []
+    assert classify_corpus(toy_model(config), [], config, lexicon=LEXICON) == []
 
 
 def test_classify_corpus_oov_post_gets_bias_probability(config):
     model = toy_model(config)
-    out = classify_corpus(model, [post(body="zebra xylophone")], config)
+    out = classify_corpus(model, [post(body="zebra xylophone")], config, lexicon=LEXICON)
     assert out[0].score == pytest.approx(classify.sigmoid(model.bias), abs=1e-12)
 
 
 def test_classify_corpus_partition_and_order(config):
     model = toy_model(config)
     posts = [post(i=i, body="stress deadline" if i % 3 else "calm garden") for i in range(9)]
-    out = classify_corpus(model, posts, config)
+    out = classify_corpus(model, posts, config, lexicon=LEXICON)
     assert [c.post.id for c in out] == [p.id for p in posts]
     ones = sum(c.label for c in out)
     zeros = sum(1 - c.label for c in out)
@@ -96,8 +86,9 @@ def test_classify_corpus_partition_and_order(config):
 
 def test_classify_corpus_title_joined_with_body(config):
     model = toy_model(config)
-    split_across = classify_corpus(model, [post(title="stress", body="deadline")], config)
-    joined = classify_corpus(model, [post(body="stress deadline")], config)
+    split_across = classify_corpus(model, [post(title="stress", body="deadline")], config,
+                                   lexicon=LEXICON)
+    joined = classify_corpus(model, [post(body="stress deadline")], config, lexicon=LEXICON)
     assert split_across[0].score == joined[0].score
 
 
@@ -105,7 +96,7 @@ def test_fingerprint_mismatch_warns(config):
     model = toy_model(config)
     other = textprep.PipelineConfig(stopwords=config.stopwords - {"the"})
     with pytest.warns(FingerprintMismatchWarning):
-        classify_corpus(model, [post()], other)
+        classify_corpus(model, [post()], other, lexicon=LEXICON)
 
 
 # ----------------------------------------------------------- aggregations
@@ -202,8 +193,7 @@ def test_top_words_shuffle_invariant(config):
 def test_classify_corpus_carries_the_one_pass_tokens_and_profiles(fixtures_dir, config):
     model = classify.load_model(REPO_ROOT / "tests" / "golden" / "model_logistic.json")
     posts = corpus.load_posts_with_summary(fixtures_dir / "posts_100.csv")[0]
-    lex = emotion.default_lexicon()
-    classified = classify_corpus(model, posts, config, lexicon=lex)
+    classified = classify_corpus(model, posts, config, lexicon=LEXICON)
     assert 0 < sum(item.label for item in classified) < len(classified)
     recount = Counter()
     for item in classified:
@@ -211,7 +201,7 @@ def test_classify_corpus_carries_the_one_pass_tokens_and_profiles(fixtures_dir, 
         if item.label == 1:
             recount.update(textprep.preprocess(item.post.text, config).split())
             expected_profile = emotion.score_emotions(
-                textprep.surface_tokens(item.post.text), lex)
+                textprep.surface_tokens(item.post.text), LEXICON)
             assert item.emotions == expected_profile
         else:
             assert item.emotions is None
@@ -225,18 +215,9 @@ def test_classify_corpus_strips_each_post_once(fixtures_dir, config, monkeypatch
     real, calls = textprep.surface_tokens, []
     monkeypatch.setattr(textprep, "surface_tokens",
                         lambda text: calls.append(text) or real(text))
-    classified = classify_corpus(model, posts, config, lexicon=emotion.default_lexicon())
+    classified = classify_corpus(model, posts, config, lexicon=LEXICON)
     assert any(item.emotions is not None for item in classified)
     assert len(calls) == len(posts)
-
-
-def test_build_report_with_a_lexicon_needs_classify_corpus_to_have_had_one(
-        fixtures_dir, config):
-    model = classify.load_model(REPO_ROOT / "tests" / "golden" / "model_logistic.json")
-    posts = corpus.load_posts_with_summary(fixtures_dir / "posts_100.csv")[0]
-    classified = classify_corpus(model, posts, config)
-    with pytest.raises(ValueError, match="classify_corpus ran without a lexicon"):
-        build_report(classified, GROUP_MAP, config=config, lexicon=emotion.default_lexicon())
 
 
 # ----------------------------------------------------------------- emotion
@@ -272,15 +253,14 @@ def test_emotion_whisker_outlier_flagging(config):
 # -------------------------------------------------------------- emit/report
 
 def full_report(config):
-    lex = emotion.default_lexicon()
     classified = [
-        cp(i % 2, lexicon=lex, i=i, community="r/PhD" if i % 3 else "r/GradSchool",
+        cp(i % 2, i=i, community="r/PhD" if i % 3 else "r/GradSchool",
            score=i - 5, month=(i % 12) + 1,
            body="deadline panic work" if i % 2 else "calm garden work")
         for i in range(40)
     ]
     return build_report(
-        classified, GROUP_MAP, config=config, lexicon=lex,
+        classified, GROUP_MAP, config=config, lexicon=LEXICON,
         model_kind="logistic", model_fingerprint="fp",
     )
 
@@ -318,7 +298,7 @@ VARIED_BODIES = ("deadline panic work", "afraid angry alone exam", "awful argume
                  "calm garden work", "alone again", "astonished afraid abuse")
 
 
-def varied_report(config, lexicon):
+def varied_report(config):
     """Uneven stressed shares, spread affect values and a group with no
     stressed post (no stressed upvote stats, no whiskers) and one undated
     stressed post."""
@@ -326,27 +306,24 @@ def varied_report(config, lexicon):
     for i in range(60):
         community = ("r/PhD", "r/GradSchool", "r/Professors")[i % 3]
         label = 0 if community == "r/Professors" else int(i % 4 != 0)
-        classified.append(cp(label, lexicon=lexicon, i=i, community=community,
+        classified.append(cp(label, i=i, community=community,
                              score=(i * 7) % 23 - 5, month=(i % 12) + 1,
                              body=VARIED_BODIES[i % len(VARIED_BODIES)]))
-    undated = cp(1, lexicon=lexicon, i=60, community="r/PhD", score=1, body=VARIED_BODIES[0])
+    undated = cp(1, i=60, community="r/PhD", score=1, body=VARIED_BODIES[0])
     classified.append(replace(undated, post=replace(undated.post, date=None)))
     return build_report(classified, {**GROUP_MAP, "r/Professors": "Professors"},
-                        config=config, lexicon=lexicon, top_n=5)
+                        config=config, lexicon=LEXICON, top_n=5)
 
 
 def test_emit_csv_consistent_with_json(config, tmp_path):
-    with_lexicon = varied_report(config, emotion.default_lexicon())
-    without = varied_report(config, None)
-    groups = with_lexicon["groups"]
+    rep = varied_report(config)
+    groups = rep["groups"]
     assert any(g["stressed_pct"] != g["not_stressed_pct"] for g in groups)
     assert any(stats is None for g in groups for stats in g["upvotes"].values())
-    assert any(w["q1"] != w["q3"] for g in groups if g["emotions"]
-               for w in g["emotions"]["whisker"].values())
-    assert all(any(g["monthly_unknown"] for g in rep["groups"]) for rep in (with_lexicon, without))
-    for rep, out in ((with_lexicon, tmp_path / "lexicon"), (without, tmp_path / "none")):
-        emit_report(rep, "csv", out)
-        _check_csv_tables(rep, out)
+    assert any(w["q1"] != w["q3"] for g in groups for w in g["emotions"]["whisker"].values())
+    assert any(g["monthly_unknown"] for g in groups)
+    emit_report(rep, "csv", tmp_path)
+    _check_csv_tables(rep, tmp_path)
 
 
 def _check_csv_tables(rep, directory):
@@ -377,7 +354,7 @@ def _check_csv_tables(rep, directory):
 
     expected = []
     for g in groups:
-        emotions = g["emotions"] or {"monthly": {}, "whisker": {}}
+        emotions = g["emotions"]
         for affect in sorted(emotions["monthly"]):
             expected += [(g["name"], affect, month, mean, *[None] * 6)
                          for month, mean in zip(MONTHS, emotions["monthly"][affect])]
