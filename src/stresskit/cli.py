@@ -242,20 +242,17 @@ def cmd_analyze(args) -> int:
     lexicon = _lexicon(args)
     model = classify.load_model(args.model)
     config = _pipeline_config(args)
-    posts, summary = corpus.load_posts_with_summary(args.posts_csv)
+    report.check_fingerprint(model, config)
+    summary = corpus.LoadSummary()
+    with corpus.open_rows(args.posts_csv, corpus.POST_COLUMNS) as reader:
+        rows = corpus.iter_post_rows(reader, args.posts_csv, summary)
+        posts = (rec for _, _, rec in rows if rec is not None)
+        result = report.build_report(
+            report.classified_posts(model, posts, config, lexicon=lexicon), group_map,
+            config=config, lexicon=lexicon, top_n=args.top_n, model_kind=model.kind,
+            model_fingerprint=model.pipeline_fingerprint, seed=args.seed)
     if args.summary:
         print(summary.to_json())
-    classified = report.classify_corpus(model, posts, config, lexicon=lexicon)
-    result = report.build_report(
-        classified,
-        group_map,
-        config=config,
-        lexicon=lexicon,
-        top_n=args.top_n,
-        model_kind=model.kind,
-        model_fingerprint=model.pipeline_fingerprint,
-        seed=args.seed,
-    )
     outdir = Path(args.out_dir)
     written = report.emit_report(
         result, args.format, outdir / "report.json" if args.format == "json" else outdir)

@@ -8,7 +8,8 @@ raises MissingColumn naming the file and the column; cells are read
 stripped, and an absent optional column reads as empty. Rows with empty
 text are skipped, not fatal: `LoadSummary.count` tallies each one and logs
 it as `PATH: reason`. Unparseable labels/dates abort the load with the
-offending row number.
+offending row number. `iter_post_rows` yields each post as its row is read:
+predict, analyze and stats stream through it and hold no list of posts.
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@ stress report: per-group stress percentages, academic-year monthly series,
 upvote statistics, top stressed-text words, and emotion summaries.
 
 Each post is tokenized once: its surface tokens feed emotion scoring, and
-one textprep.TokenTable per run gives their stems.
+one textprep.TokenTable per run gives their stems. classified_posts
+classifies posts as they are read, and build_report reads them once,
+folding each into its group's GroupTally, so no post outlives its row.
 
 Months are bucketed September through August to match the academic year.
 The upvote median uses the mean-of-two convention for even counts and the
@@ -23,11 +25,11 @@ import json
 import logging
 import statistics
 import warnings
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import classify, emotion, textprep
 from .corpus import BadField, PostRecord, cell, open_rows
@@ -78,57 +80,87 @@ def check_fingerprint(model: classify.LinearModel, config: textprep.PipelineConf
         )
 
 
-def classify_corpus(
+def classified_posts(
     model: classify.LinearModel,
-    posts: Sequence[PostRecord],
+    posts: Iterable[PostRecord],
     config: textprep.PipelineConfig,
     *,
     lexicon: emotion.EmotionLexicon,
-) -> list[ClassifiedPost]:
-    """One ClassifiedPost per input, in order. Classification input text is
-    the title and body joined with one space, tokenized once and read
-    through one token table: the kept tokens' stems are classified and kept
-    on the result (posts share the table's strings), and the surface tokens
-    of a stressed post are emotion-scored."""
-    check_fingerprint(model, config)
+) -> Iterator[ClassifiedPost]:
+    """One ClassifiedPost per input, in order, as each post is read.
+    Classification input text is the title and body joined with one space,
+    tokenized once and read through one token table: the kept tokens' stems
+    are classified and kept on the result (posts share the table's strings),
+    and the surface tokens of a stressed post are emotion-scored."""
     table = textprep.TokenTable(config.stopwords)
-    classified = []
     for post in posts:
         tokens = textprep.surface_tokens(post.text)
         stems = table.stems(tokens)
         pred = classify.predict_stems(model, stems)
         profile = emotion.score_emotions(tokens, lexicon) if pred.label == 1 else None
-        classified.append(ClassifiedPost(post=post, label=pred.label, score=pred.score,
-                                         tokens=tuple(stems), emotions=profile))
-    return classified
+        yield ClassifiedPost(post=post, label=pred.label, score=pred.score,
+                             tokens=tuple(stems), emotions=profile)
 
 
-def group_of(post: PostRecord, group_map: Mapping[str, str]) -> str:
-    return group_map.get(post.community, OTHER_GROUP)
+def classify_corpus(model: classify.LinearModel, posts: Iterable[PostRecord],
+                    config: textprep.PipelineConfig, *,
+                    lexicon: emotion.EmotionLexicon) -> list[ClassifiedPost]:
+    """classified_posts as a list, after the fingerprint check."""
+    check_fingerprint(model, config)
+    return list(classified_posts(model, posts, config, lexicon=lexicon))
 
 
-def stress_summary(
-    classified: Sequence[ClassifiedPost],
-    group_map: Mapping[str, str],
-) -> dict[str, dict[str, float | int]]:
-    """Per-group totals and percentages (rounded to 0.1). Communities not
-    in the map are routed to the "other" group."""
-    rows: dict[str, dict[str, float | int]] = {}
-    unmapped = sorted(
-        {item.post.community for item in classified} - set(group_map)
-    )
-    if unmapped:
-        log.warning("unmapped communities routed to %r: %s", OTHER_GROUP, unmapped)
+class GroupTally:
+    """What the report keeps of one group's classified posts: the upvote
+    scores per label and, of the stressed posts, the stem counts and, in
+    13 buckets (the 12 months, then undated), the post counts and each
+    negative affect's values; those values also overall, in input order."""
+
+    def __init__(self):
+        self.scores: tuple[list[int], list[int]] = ([], [])  # indexed by label
+        self.words: Counter[str] = Counter()
+        self.months = [0] * 13
+        self.affects: dict[str, list[float]] = {a: [] for a in emotion.NEGATIVE_AFFECTS}
+        self.affect_months: dict[str, list[list[float]]] = {
+            a: [[] for _ in range(13)] for a in emotion.NEGATIVE_AFFECTS}
+
+    def add(self, item: ClassifiedPost) -> None:
+        self.scores[item.label].append(item.post.score)
+        if item.label != 1:
+            return
+        self.words.update(item.tokens)
+        month = 12 if item.post.date is None else month_index(item.post.date)
+        self.months[month] += 1
+        for affect, values in self.affects.items():
+            value = item.emotions.get(affect)
+            values.append(value)
+            self.affect_months[affect][month].append(value)
+
+
+def tally_groups(classified: Iterable[ClassifiedPost],
+                 group_map: Mapping[str, str]) -> dict[str, GroupTally]:
+    """One GroupTally per group, sorted by name, from one read of
+    `classified`. Communities not in the map are routed to the "other"
+    group, and named in one warning."""
+    tallies: defaultdict[str, GroupTally] = defaultdict(GroupTally)
+    unmapped = set()
     for item in classified:
-        group = group_of(item.post, group_map)
-        row = rows.setdefault(group, {"total": 0, "stressed": 0})
-        row["total"] += 1
-        row["stressed"] += item.label
-    for row in rows.values():
-        total, stressed = row["total"], row["stressed"]
-        row["stressed_pct"] = round(100.0 * stressed / total, 1)
-        row["not_stressed_pct"] = round(100.0 * (total - stressed) / total, 1)
-    return dict(sorted(rows.items()))
+        community = item.post.community
+        if community not in group_map:
+            unmapped.add(community)
+        tallies[group_map.get(community, OTHER_GROUP)].add(item)
+    if unmapped:
+        log.warning("unmapped communities routed to %r: %s", OTHER_GROUP, sorted(unmapped))
+    return dict(sorted(tallies.items()))
+
+
+def stress_summary(tally: GroupTally) -> dict[str, float | int]:
+    """The group's total, stressed count and percentages (rounded to 0.1)."""
+    stressed = len(tally.scores[1])
+    total = stressed + len(tally.scores[0])
+    return {"total": total, "stressed": stressed,
+            "stressed_pct": round(100.0 * stressed / total, 1),
+            "not_stressed_pct": round(100.0 * (total - stressed) / total, 1)}
 
 
 def mean_stress_pct(group_percentages: Sequence[float]) -> int:
@@ -136,29 +168,19 @@ def mean_stress_pct(group_percentages: Sequence[float]) -> int:
     return round(sum(group_percentages) / len(group_percentages))
 
 
-def monthly_distribution(classified: Sequence[ClassifiedPost]) -> dict:
+def monthly_distribution(tally: GroupTally) -> dict:
     """Counts of stressed items per academic-year month bucket:
     {"monthly": 12 counts, "monthly_unknown": undated count}."""
-    counts = [0] * 12
-    unknown = 0
-    for item in classified:
-        if item.label != 1:
-            continue
-        when = item.post.date
-        if when is None:
-            unknown += 1
-            continue
-        counts[month_index(when)] += 1
-    return {"monthly": counts, "monthly_unknown": unknown}
+    return {"monthly": tally.months[:12], "monthly_unknown": tally.months[12]}
 
 
-def upvote_stats(classified: Sequence[ClassifiedPost]) -> dict[str, dict | None]:
+def upvote_stats(tally: GroupTally) -> dict[str, dict | None]:
     """Mean, median (mean of the middle two for even counts) and population
     std of scores per stress class: {"mean", "median", "std", "n"}, or None
     for a class with no items."""
     out: dict[str, dict | None] = {}
-    for key, wanted in (("stressed", 1), ("not_stressed", 0)):
-        scores = sorted(item.post.score for item in classified if item.label == wanted)
+    for key, label in (("stressed", 1), ("not_stressed", 0)):
+        scores = sorted(tally.scores[label])
         if not scores:
             out[key] = None
             continue
@@ -171,16 +193,12 @@ def upvote_stats(classified: Sequence[ClassifiedPost]) -> dict[str, dict | None]
     return out
 
 
-def top_words(classified: Sequence[ClassifiedPost], n: int) -> list[tuple[str, int]]:
+def top_words(tally: GroupTally, n: int) -> list[tuple[str, int]]:
     """Most frequent preprocessed tokens over stressed texts; count
     descending, ties alphabetical."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    counts: Counter[str] = Counter()
-    for item in classified:
-        if item.label == 1:
-            counts.update(item.tokens)
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    ranked = sorted(tally.words.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked[:n]
 
 
@@ -209,38 +227,22 @@ def _five_number(values: Sequence[float]) -> dict:
             "outliers": outliers}
 
 
-def emotion_summary(
-    classified: Sequence[ClassifiedPost],
-    affects: Sequence[str] = emotion.NEGATIVE_AFFECTS,
-) -> dict:
+def emotion_summary(tally: GroupTally) -> dict:
     """Per-month mean affect frequency and a five-number whisker summary
     (outliers beyond 1.5 IQR) over stressed items, from the profiles that
-    classify_corpus computed: {"monthly": affect -> 12 means or None,
+    classified_posts computed: {"monthly": affect -> 12 means or None,
     "whisker": affect -> _five_number}. An undated item counts in the
     whisker only."""
-    per_month: dict[str, list[list[float]]] = {a: [[] for _ in range(12)] for a in affects}
-    overall: dict[str, list[float]] = {a: [] for a in affects}
-    for item in classified:
-        if item.label != 1:
-            continue
-        when = item.post.date
-        for affect in affects:
-            value = item.emotions.get(affect)
-            if when is not None:
-                per_month[affect][month_index(when)].append(value)
-            overall[affect].append(value)
     monthly = {
-        affect: [(sum(vals) / len(vals)) if vals else None for vals in per_month[affect]]
-        for affect in affects
+        affect: [(sum(vals) / len(vals)) if vals else None for vals in months[:12]]
+        for affect, months in tally.affect_months.items()
     }
-    whisker = {
-        affect: _five_number(vals) for affect, vals in overall.items() if vals
-    }
+    whisker = {affect: _five_number(vals) for affect, vals in tally.affects.items() if vals}
     return {"monthly": monthly, "whisker": whisker}
 
 
 def build_report(
-    classified: Sequence[ClassifiedPost],
+    classified: Iterable[ClassifiedPost],
     group_map: Mapping[str, str],
     *,
     config: textprep.PipelineConfig,
@@ -251,22 +253,16 @@ def build_report(
     seed: int | None = None,
 ) -> dict:
     """The report.json document: schema_version, model, one entry per group
-    (sorted by name), overall and metadata."""
-    summary = stress_summary(classified, group_map)
-    by_group: dict[str, list[ClassifiedPost]] = {}
-    for item in classified:
-        by_group.setdefault(group_of(item.post, group_map), []).append(item)
-    groups = []
-    for name, row in summary.items():  # stress_summary sorts by group name
-        members = by_group[name]
-        groups.append({
-            "name": name,
-            **row,  # total, stressed, stressed_pct, not_stressed_pct
-            **monthly_distribution(members),
-            "upvotes": upvote_stats(members),
-            "top_words": [[token, count] for token, count in top_words(members, top_n)],
-            "emotions": emotion_summary(members),
-        })
+    (sorted by name), overall and metadata. Reads `classified` once and
+    keeps only each group's GroupTally, so a stream of posts is never held."""
+    groups = [{
+        "name": name,
+        **stress_summary(tally),  # total, stressed, stressed_pct, not_stressed_pct
+        **monthly_distribution(tally),
+        "upvotes": upvote_stats(tally),
+        "top_words": [[token, count] for token, count in top_words(tally, top_n)],
+        "emotions": emotion_summary(tally),
+    } for name, tally in tally_groups(classified, group_map).items()]
     overall = mean_stress_pct([g["stressed_pct"] for g in groups]) if groups else 0
     metadata: dict[str, object] = {
         "generated_at": datetime.now(timezone.utc).isoformat(),

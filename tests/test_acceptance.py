@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stresskit import annotate, classify, cli, corpus, evaluate, porter, report, textprep
+from stresskit import (annotate, classify, cli, corpus, emotion, evaluate, porter, report,
+                       textprep)
 
 from conftest import FIXTURES, REPO_ROOT, load_script
 
@@ -246,14 +247,21 @@ def test_criterion_7_report_arithmetic(config):
     assert len(posts) == 100
     group_map = report.load_group_map(FIXTURES / "communities.csv")
     # known labels: every even-positioned row (file order) is stressed
+    lexicon = emotion.default_lexicon()
     classified = [
         report.ClassifiedPost(post=p, label=1 if i % 2 == 0 else 0, score=float(i % 2 == 0),
-                              tokens=tuple(textprep.preprocess(p.text, config).split()))
+                              tokens=tuple(textprep.preprocess(p.text, config).split()),
+                              emotions=emotion.score_emotions(textprep.surface_tokens(p.text),
+                                                              lexicon) if i % 2 == 0 else None)
         for i, p in enumerate(posts)
     ]
+    whole = report.GroupTally()  # the corpus as one group
+    for item in classified:
+        whole.add(item)
 
     # --- stress percentages against a brute-force recount
-    summary = report.stress_summary(classified, group_map)
+    summary = {name: report.stress_summary(tally)
+               for name, tally in report.tally_groups(classified, group_map).items()}
     brute: dict[str, list[int]] = {}
     for item in classified:
         name = group_map.get(item.post.community, "other")
@@ -269,14 +277,14 @@ def test_criterion_7_report_arithmetic(config):
     order = ["Sep", "Oct", "Nov", "Dec", "Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug"]
     month_name = {9: "Sep", 10: "Oct", 11: "Nov", 12: "Dec", 1: "Jan", 2: "Feb",
                   3: "Mar", 4: "Apr", 5: "May", 6: "Jun", 7: "Jul", 8: "Aug"}
-    series = report.monthly_distribution(classified)
+    series = report.monthly_distribution(whole)
     counted = Counter(month_name[c.post.date.month] for c in classified if c.label == 1)
     assert series["monthly"] == [counted.get(m, 0) for m in order]
     assert sum(series["monthly"]) == 50
 
     # --- upvote stats: mean/median/std against direct recomputation;
     #     the even class realizes a .5 median under mean-of-two
-    stats = report.upvote_stats(classified)
+    stats = report.upvote_stats(whole)
     stressed_scores = sorted(c.post.score for c in classified if c.label == 1)
     not_scores = sorted(c.post.score for c in classified if c.label == 0)
     assert len(stressed_scores) == 50
@@ -296,7 +304,7 @@ def test_criterion_7_report_arithmetic(config):
         if item.label == 1:
             words.update(textprep.preprocess(item.post.text, config).split())
     expected = sorted(words.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
-    assert report.top_words(classified, 10) == expected
+    assert report.top_words(whole, 10) == expected
 
     # --- whole-percent mean of the reference group percentages
     assert report.mean_stress_pct([29.3, 31.1, 24.8, 30.5]) == 29

@@ -236,19 +236,21 @@ def test_predict_malformed_model_is_data_error(corrupt, trained_model, tmp_path)
     assert not (tmp_path / "predictions.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["predict", "analyze"])
 def test_predict_fingerprint_mismatch_warns_but_succeeds(
-    trained_model, tmp_path, write_csv, capsys
+    trained_model, tmp_path, write_csv, capsys, command
 ):
     stops = tmp_path / "stops.txt"
     stops.write_text("the\n", encoding="utf-8")
     src = write_csv(
         [["id", "date", "title", "text", "score", "tag", "community", "kind"],
-         ["p1", "2023-01-01", "", "some text", "1", "", "r/PhD", "post"]]
+         ["p1", "2023-01-01", "", "some text", "1", "", "r/PhD", "post"],
+         ["p2", "2023-02-01", "", "other text", "2", "", "r/PhD", "post"]]
     )
-    code = run(["predict", trained_model, src, "--out", tmp_path / "o.csv",
-                "--stopwords", stops])
+    out = {"predict": "--out", "analyze": "--out-dir"}[command]
+    code = run([command, trained_model, src, out, tmp_path / "out", "--stopwords", stops])
     assert code == 0
-    assert "fingerprint" in capsys.readouterr().err
+    assert capsys.readouterr().err.count("fingerprint") == 1  # once, not once per row
 
 
 def test_analyze_full_fixture(trained_model, tmp_path, capsys):

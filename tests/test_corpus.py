@@ -237,3 +237,12 @@ def test_package_reads_csv_through_one_reader_and_logs_skips_in_one_place():
         lambda call: _named("warning")(call) and call.args
         and ast.unparse(call.args[0]) == "'%s: %s'")
     assert skipped_row_log == ["corpus.LoadSummary.count"]
+
+
+def test_posts_are_read_through_one_path():
+    """Every posts command streams its rows through open_rows and
+    iter_post_rows; the list-building readers have no caller in the package."""
+    assert _in_sources(_named("load_posts_with_summary")) == []
+    assert _in_sources(_named("classify_corpus")) == []
+    assert _in_sources(_named("iter_post_rows")) == [
+        "cli.cmd_predict", "cli.cmd_analyze", "cli.cmd_stats", "corpus.load_posts_with_summary"]

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import weakref
 from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -15,6 +16,7 @@ from stresskit.errors import FingerprintMismatchWarning, StressKitError
 from stresskit.report import (
     MONTHS,
     ClassifiedPost,
+    GroupTally,
     UnknownFormat,
     build_report,
     classify_corpus,
@@ -23,6 +25,7 @@ from stresskit.report import (
     month_index,
     monthly_distribution,
     stress_summary,
+    tally_groups,
     top_words,
     upvote_stats,
 )
@@ -55,6 +58,14 @@ def cp(label, lexicon=LEXICON, **kwargs):
 
 
 GROUP_MAP = {"r/PhD": "PhD students", "r/GradSchool": "Graduate students"}
+
+
+def tally(classified):
+    """One group's GroupTally over the items, folded as build_report folds them."""
+    folded = GroupTally()
+    for item in classified:
+        folded.add(item)
+    return folded
 
 
 # -------------------------------------------------------- classify_corpus
@@ -103,8 +114,7 @@ def test_fingerprint_mismatch_warns(config):
 
 def test_stress_summary_reference_percentages():
     classified = [cp(1, i=i) for i in range(5389)] + [cp(0, i=i) for i in range(12992)]
-    rows = stress_summary(classified, GROUP_MAP)
-    row = rows["PhD students"]
+    row = stress_summary(tally_groups(classified, GROUP_MAP)["PhD students"])
     assert row["total"] == 18381
     assert row["stressed_pct"] == 29.3
     assert row["not_stressed_pct"] == 70.7
@@ -115,14 +125,13 @@ def test_group_percentage_mean_rounds_to_29():
 
 
 def test_stress_summary_zero_stressed():
-    rows = stress_summary([cp(0), cp(0)], GROUP_MAP)
-    row = rows["PhD students"]
+    row = stress_summary(tally_groups([cp(0), cp(0)], GROUP_MAP)["PhD students"])
     assert row["stressed_pct"] == 0.0 and row["not_stressed_pct"] == 100.0
 
 
 def test_stress_summary_unmapped_goes_to_other():
-    rows = stress_summary([cp(1, community="r/teachers")], GROUP_MAP)
-    assert rows["other"]["total"] == 1
+    rows = tally_groups([cp(1, community="r/teachers")], GROUP_MAP)
+    assert stress_summary(rows["other"])["total"] == 1
 
 
 def test_month_ordering():
@@ -134,26 +143,26 @@ def test_month_ordering():
 
 def test_monthly_distribution_buckets():
     classified = [cp(1, month=9), cp(1, month=5, year=2023), cp(0, month=1)]
-    series = monthly_distribution(classified)
+    series = monthly_distribution(tally(classified))
     assert series["monthly"][0] == 1
     assert series["monthly"][8] == 1
     assert sum(series["monthly"]) == 2  # only stressed items counted
 
 
 def test_monthly_all_unstressed_is_zero():
-    series = monthly_distribution([cp(0, month=m) for m in range(1, 13)])
+    series = monthly_distribution(tally([cp(0, month=m) for m in range(1, 13)]))
     assert series == {"monthly": [0] * 12, "monthly_unknown": 0}
 
 
 def test_monthly_sums_to_stressed_count(fixtures_dir, config):
     classified = [cp(i % 2, i=i, month=(i % 12) + 1) for i in range(50)]
-    series = monthly_distribution(classified)
+    series = monthly_distribution(tally(classified))
     assert sum(series["monthly"]) + series["monthly_unknown"] == sum(c.label for c in classified)
 
 
 def test_upvote_stats_hand_values():
     classified = [cp(1, i=1, score=1), cp(1, i=2, score=2), cp(1, i=3, score=3)]
-    stats = upvote_stats(classified)["stressed"]
+    stats = upvote_stats(tally(classified))["stressed"]
     assert stats["mean"] == pytest.approx(2.0)
     assert stats["median"] == pytest.approx(2.0)
     assert stats["std"] == pytest.approx(math.sqrt(2 / 3), abs=1e-12)
@@ -162,16 +171,16 @@ def test_upvote_stats_hand_values():
 
 def test_upvote_median_mean_of_two_convention():
     classified = [cp(0, i=1, score=2), cp(0, i=2, score=3)]
-    assert upvote_stats(classified)["not_stressed"]["median"] == 2.5
-    assert upvote_stats(classified)["stressed"] is None
+    assert upvote_stats(tally(classified))["not_stressed"]["median"] == 2.5
+    assert upvote_stats(tally(classified))["stressed"] is None
 
 
 def test_top_words_counting(config):
-    classified = [
+    classified = tally([
         cp(1, i=1, body="work work time"),
         cp(1, i=2, body="work"),
         cp(0, i=3, body="ignored words here"),
-    ]
+    ])
     assert top_words(classified, 10) == [("work", 3), ("time", 1)]
     assert top_words(classified, 1) == [("work", 3)]
     with pytest.raises(ValueError):
@@ -179,14 +188,14 @@ def test_top_words_counting(config):
 
 
 def test_top_words_tie_alphabetical(config):
-    classified = [cp(1, body="zebra apple")]
+    classified = tally([cp(1, body="zebra apple")])
     assert top_words(classified, 5) == [("appl", 1), ("zebra", 1)]
 
 
 def test_top_words_shuffle_invariant(config):
     items = [cp(1, i=i, body=f"word{i % 3} filler") for i in range(9)]
-    a = top_words(items, 5)
-    b = top_words(list(reversed(items)), 5)
+    a = top_words(tally(items), 5)
+    b = top_words(tally(reversed(items)), 5)
     assert a == b
 
 
@@ -206,7 +215,7 @@ def test_classify_corpus_carries_the_one_pass_tokens_and_profiles(fixtures_dir, 
         else:
             assert item.emotions is None
     expected = sorted(recount.items(), key=lambda kv: (-kv[1], kv[0]))
-    assert top_words(classified, len(expected)) == expected
+    assert top_words(tally(classified), len(expected)) == expected
 
 
 def test_classify_corpus_strips_each_post_once(fixtures_dir, config, monkeypatch):
@@ -220,12 +229,43 @@ def test_classify_corpus_strips_each_post_once(fixtures_dir, config, monkeypatch
     assert len(calls) == len(posts)
 
 
+def test_build_report_reads_its_input_once_and_holds_no_post(fixtures_dir, config, caplog):
+    """A one-shot stream of classified posts gives the report a list gives,
+    and each post and classified post is gone once a later one is read."""
+    model = classify.load_model(REPO_ROOT / "tests" / "golden" / "model_logistic.json")
+    path = fixtures_dir / "posts_100.csv"
+    posts = corpus.load_posts_with_summary(path)[0]
+    from_list = build_report(classify_corpus(model, posts, config, lexicon=LEXICON), GROUP_MAP,
+                             config=config, lexicon=LEXICON)
+    refs = []
+
+    def one_shot():
+        with corpus.open_rows(path, corpus.POST_COLUMNS) as reader:
+            rows = corpus.iter_post_rows(reader, path, corpus.LoadSummary())
+            streamed = (record for _, _, record in rows if record is not None)
+            for item in report.classified_posts(model, streamed, config, lexicon=LEXICON):
+                # the reader's loop variable may still hold the item yielded before
+                assert all(ref() is None for ref in refs[:-2])
+                refs.extend((weakref.ref(item), weakref.ref(item.post)))
+                yield item
+
+    from_stream = build_report(one_shot(), GROUP_MAP, config=config, lexicon=LEXICON)
+    assert len(refs) == 2 * len(posts)
+    assert all(ref() is None for ref in refs)
+    unmapped = "unmapped communities routed to 'other': " \
+        "['r/EngineeringStudents', 'r/Professors', 'r/csMajors']"
+    assert caplog.messages == [unmapped, unmapped]  # once per report
+    for document in (from_list, from_stream):
+        document["metadata"].pop("generated_at")
+    assert from_stream == from_list
+
+
 # ----------------------------------------------------------------- emotion
 
 def test_emotion_summary_single_item(config):
     lex = emotion.parse_lexicon(["died\tsadness\t1", "died\tfear\t1"])
     classified = [cp(1, lexicon=lex, month=10, body="he died")]
-    summary = report.emotion_summary(classified)
+    summary = report.emotion_summary(tally(classified))
     assert summary["monthly"]["sadness"][1] == pytest.approx(0.5)  # October bucket
     assert summary["monthly"]["sadness"][0] is None  # no September items
 
@@ -234,7 +274,8 @@ def test_emotion_summary_counts_an_undated_item_in_the_whisker_only(config):
     lex = emotion.parse_lexicon(["died\tsadness\t1"])
     dated = cp(1, lexicon=lex, i=0, month=10, body="he died")
     undated = cp(1, lexicon=lex, i=1, body="calm words")
-    summary = report.emotion_summary([dated, replace(undated, post=replace(undated.post, date=None))])
+    summary = report.emotion_summary(
+        tally([dated, replace(undated, post=replace(undated.post, date=None))]))
     assert summary["monthly"]["sadness"][1] == 1.0  # the dated item alone
     assert summary["monthly"]["sadness"].count(None) == 11
     assert (summary["whisker"]["sadness"]["min"], summary["whisker"]["sadness"]["max"]) == (0.0, 1.0)
@@ -244,7 +285,7 @@ def test_emotion_whisker_outlier_flagging(config):
     lex = emotion.parse_lexicon(["panic\tfear\t1"])
     bodies = ["calm words"] * 4 + ["panic"]
     classified = [cp(1, lexicon=lex, i=i, body=b) for i, b in enumerate(bodies)]
-    summary = report.emotion_summary(classified)
+    summary = report.emotion_summary(tally(classified))
     w = summary["whisker"]["fear"]
     assert w["q1"] == w["median"] == w["q3"] == 0.0
     assert w["outliers"] == [1.0]
@@ -394,8 +435,8 @@ def test_load_group_map_strips_cells_so_padded_communities_match(write_csv):
     path = write_csv([["community", "group"], [" r/PhD ", " PhD students\t"]])
     group_map = report.load_group_map(path)
     assert group_map == {"r/PhD": "PhD students"}
-    rows = stress_summary([cp(1, community="r/PhD")], group_map)
-    assert list(rows) == ["PhD students"] and rows["PhD students"]["stressed"] == 1
+    rows = tally_groups([cp(1, community="r/PhD")], group_map)
+    assert list(rows) == ["PhD students"] and stress_summary(rows["PhD students"])["stressed"] == 1
 
 
 @pytest.mark.parametrize("row,column", [(["r/PhD"], "group"), (["r/PhD", " "], "group"),
