@@ -38,26 +38,6 @@ MIN_OVERLAP = 3
 _CELLS = {str(v): float(v) for v in range(SCORE_MIN, SCORE_MAX + 1)} | {"": math.nan}
 
 
-class TooFewScores(StressKitError):
-    pass
-
-
-class AllExcluded(StressKitError):
-    pass
-
-
-class EmptyItem(StressKitError):
-    pass
-
-
-class NoValidItems(StressKitError):
-    pass
-
-
-class BadScore(StressKitError):
-    pass
-
-
 @dataclass(frozen=True, eq=False)
 class AnnotationMatrix:
     item_ids: tuple[str, ...]
@@ -111,7 +91,7 @@ def detect_outliers(matrix: AnnotationMatrix) -> np.ndarray:
     short = np.flatnonzero(n < 2)
     if short.size:
         j = short[0]
-        raise TooFewScores(f"item {matrix.item_ids[j]!r} has {n[j]} score(s); need at least 2")
+        raise StressKitError(f"item {matrix.item_ids[j]!r} has {n[j]} score(s); need at least 2")
     total = sum(np.where(present, scores, 0.0).T)  # Python's sum: column by column
     deviation = np.where(present, scores - (total / n)[:, None], 0.0)
     std = np.sqrt(sum((deviation * deviation).T) / n)
@@ -142,7 +122,7 @@ def exclude_annotators(
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     keep = [i for i, a in enumerate(matrix.annotator_ids) if rates[a] < threshold]
     if not keep:
-        raise AllExcluded("every annotator is at or above the outlier threshold")
+        raise StressKitError("every annotator is at or above the outlier threshold")
     return AnnotationMatrix(
         item_ids=matrix.item_ids,
         annotator_ids=tuple(matrix.annotator_ids[i] for i in keep),
@@ -158,7 +138,7 @@ def weighted_consensus(matrix: AnnotationMatrix) -> ConsensusResult:
     counts = present.sum(axis=1)
     short = np.flatnonzero(counts == 0)
     if short.size:
-        raise EmptyItem(f"item {matrix.item_ids[short[0]]!r} has no scores")
+        raise StressKitError(f"item {matrix.item_ids[short[0]]!r} has no scores")
     filled = np.where(present, matrix.scores, 0.0)
     num = sum(w * column for w, column in zip(matrix.weights, filled.T))
     den = sum(w * column for w, column in zip(matrix.weights, present.T))
@@ -199,7 +179,7 @@ def fleiss_kappa(
     counts_per_item = (~np.isnan(ratings)).sum(axis=1)
     eligible = counts_per_item[counts_per_item >= 2]
     if not eligible.size:
-        raise NoValidItems("no item carries at least 2 ratings")
+        raise StressKitError("no item carries at least 2 ratings")
     tally = np.bincount(eligible)
     n = len(tally) - 1 - int(np.argmax(tally[::-1]))  # most common count; ties to the larger
     kept = ratings[counts_per_item == n]
@@ -261,12 +241,12 @@ def _parse_cell(path: str | Path, rownum: int, annotator: str, cell: str) -> flo
     try:
         value = int(cell)
     except ValueError:
-        raise BadScore(
+        raise StressKitError(
             f"{path}: row {rownum}: score {cell!r} for {annotator!r} is not an integer"
         ) from None
     if not SCORE_MIN <= value <= SCORE_MAX:
-        raise BadScore(f"{path}: row {rownum}: score {value} for {annotator!r} "
-                       f"outside [{SCORE_MIN}, {SCORE_MAX}]")
+        raise StressKitError(f"{path}: row {rownum}: score {value} for {annotator!r} "
+                             f"outside [{SCORE_MIN}, {SCORE_MAX}]")
     return float(value)
 
 
@@ -282,23 +262,27 @@ def load_annotations(
         try:
             header = next(reader)
         except StopIteration:
-            raise BadScore(f"{path}: empty annotation file") from None
+            raise StressKitError(f"{path}: empty annotation file") from None
         if len(header) < 3 or header[0] != "item_id" or header[1] != "text":
-            raise BadScore(f"{path}: header must start with item_id,text followed by annotators")
+            raise StressKitError(
+                f"{path}: header must start with item_id,text followed by annotators")
         annotators = tuple(header[2:])
         repeated = [a for i, a in enumerate(annotators) if a in annotators[:i]]
         if repeated:
-            raise BadScore(f"{path}: annotator {repeated[0]!r} appears more than once in the header")
+            raise StressKitError(
+                f"{path}: annotator {repeated[0]!r} appears more than once in the header")
         unknown = [a for a in weights or {} if a not in annotators]
         if unknown:
-            raise BadScore(f"{path}: weights name annotator {unknown[0]!r}, which has no column")
+            raise StressKitError(
+                f"{path}: weights name annotator {unknown[0]!r}, which has no column")
         item_ids, values = [], []  # values: every score, row by row
         cell_value = _CELLS.get
         for rownum, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
-                raise BadScore(f"{path}: row {rownum}: expected {len(header)} cells, got {len(row)}")
+                raise StressKitError(
+                    f"{path}: row {rownum}: expected {len(header)} cells, got {len(row)}")
             item_ids.append(row[0])
             parsed = list(map(cell_value, row[2:]))
             if None in parsed:
@@ -328,9 +312,9 @@ def load_weights(path: str | Path) -> dict[str, float]:
             except ValueError:
                 weight = math.nan
             if not (math.isfinite(weight) and weight > 0):
-                raise BadScore(
+                raise StressKitError(
                     f"{path}: row {rownum}: bad weight {raw!r} (must be a finite number > 0)")
             if annotator in weights:
-                raise BadScore(f"{path}: row {rownum}: annotator {annotator!r} is listed twice")
+                raise StressKitError(f"{path}: row {rownum}: annotator {annotator!r} is listed twice")
             weights[annotator] = weight
     return weights

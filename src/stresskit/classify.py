@@ -21,33 +21,13 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import StressKitError
-from .features import EmptyCorpus, FeatureVector, Vocabulary, fit_vocabulary, vector
+from .errors import StressKitError, open_text
+from .features import FeatureVector, Vocabulary, fit_vocabulary, vector
 
 if TYPE_CHECKING:  # numpy loads only where a trainer computes with it
     import numpy as np
 
 MODEL_FORMAT_VERSION = 2
-
-
-class SingleClassCorpus(StressKitError):
-    pass
-
-
-class DimensionMismatch(StressKitError):
-    pass
-
-
-class TrainingDiverged(StressKitError):
-    pass
-
-
-class VersionMismatch(StressKitError):
-    pass
-
-
-class CorruptFile(StressKitError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -86,10 +66,10 @@ class LinearModel:
 
     def __post_init__(self):
         if len(self.weights) != self.vocabulary.size:
-            raise DimensionMismatch(
+            raise StressKitError(
                 f"{len(self.weights)} weights for vocabulary of {self.vocabulary.size}")
         if not all(map(math.isfinite, self.weights)) or not math.isfinite(self.bias):
-            raise ValueError("non-finite model parameters")
+            raise StressKitError("non-finite model parameters")
 
 
 HYPERS = {"logistic": LogisticHyper, "naive_bayes": NaiveBayesHyper, "svm": SvmHyper}
@@ -136,7 +116,7 @@ def _assemble(
     for vec, label in examples:
         for i, v in vec.items():
             if not 0 <= i < n_features:
-                raise DimensionMismatch(f"feature index {i} outside vocabulary of {n_features}")
+                raise StressKitError(f"feature index {i} outside vocabulary of {n_features}")
             indices.append(i)
             data.append(v)
         indptr.append(len(indices))
@@ -155,9 +135,9 @@ def _assemble(
 
 def _check_trainable(X: _SparseRows, y: np.ndarray) -> None:
     if len(y) == 0 or y.min() == y.max():
-        raise SingleClassCorpus("training data must contain both classes")
+        raise StressKitError("training data must contain both classes")
     if X.shape[1] == 0:
-        raise EmptyCorpus("empty vocabulary: no stem is in at least min_df training documents")
+        raise StressKitError("empty vocabulary: no stem is in at least min_df training documents")
 
 
 def sigmoid(z: float) -> float:
@@ -207,7 +187,7 @@ def train_logistic(
 
     The training-loss trajectory must be non-increasing; if an epoch raises
     the loss the learning rate is halved and training restarts, up to 8
-    halvings, after which TrainingDiverged is raised. Each epoch computes
+    halvings, after which StressKitError is raised. Each epoch computes
     X . coef once: the decision values behind one epoch's loss are the next
     epoch's gradient input.
     """
@@ -237,7 +217,7 @@ def train_logistic(
                 pipeline_fingerprint=fingerprint, hyper=hyper, feature_kind=feature_kind,
                 effective_learning_rate=lr)
         lr /= 2.0
-    raise TrainingDiverged("loss still increasing after 8 learning-rate halvings")
+    raise StressKitError("loss still increasing after 8 learning-rate halvings")
 
 
 def naive_bayes_estimate(
@@ -349,7 +329,7 @@ def decision_value(model: LinearModel, x: FeatureVector) -> float:
     size = model.vocabulary.size
     for i, v in x.items():
         if not 0 <= i < size:
-            raise DimensionMismatch(f"feature index {i} outside vocabulary of {size}")
+            raise StressKitError(f"feature index {i} outside vocabulary of {size}")
         z += weights[i] * v
     return float(z)
 
@@ -429,20 +409,22 @@ def _hyper(kind: str, hyper: dict):
 
 def load_model(path: str | Path) -> LinearModel:
     """Read a model file of the current format, or of format 1. Every field
-    prediction reads is type-checked; a malformed one raises CorruptFile."""
+    prediction reads is type-checked; a malformed one raises StressKitError
+    naming the file."""
     try:
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CorruptFile(f"{path}: not a valid model file: {exc}") from None
+        with open_text(path) as handle:
+            document = json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise StressKitError(f"{path}: not a valid model file: {exc}") from None
     if not isinstance(document, dict) or "format_version" not in document:
-        raise CorruptFile(f"{path}: not a model document")
+        raise StressKitError(f"{path}: not a model document")
     version = document["format_version"]
     if version not in (1, MODEL_FORMAT_VERSION):
-        raise VersionMismatch(f"{path}: format version {version} "
-                              f"(this reader supports 1 and {MODEL_FORMAT_VERSION})")
+        raise StressKitError(f"{path}: format version {version} "
+                             f"(this reader supports 1 and {MODEL_FORMAT_VERSION})")
     kind = document.get("kind")
     if kind not in tuple(HYPERS):  # not a dict test, so an unhashable kind is just unknown
-        raise CorruptFile(f"{path}: unknown classifier kind {kind!r}")
+        raise StressKitError(f"{path}: unknown classifier kind {kind!r}")
     try:
         hyper = dict(document["hyperparameters"])
         params = document["parameters"]
@@ -474,8 +456,8 @@ def load_model(path: str | Path) -> LinearModel:
             feature_kind=hyper.get("features", "bow"),
             effective_learning_rate=rate,
         )
-    except (LookupError, TypeError, ValueError, OverflowError) as exc:
-        raise CorruptFile(f"{path}: malformed model document: {exc}") from None
+    except (LookupError, TypeError, ValueError, OverflowError, StressKitError) as exc:
+        raise StressKitError(f"{path}: malformed model document: {exc}") from None
     if model.feature_kind not in ("bow", "tfidf"):
-        raise CorruptFile(f"{path}: unknown feature kind {model.feature_kind!r}")
+        raise StressKitError(f"{path}: unknown feature kind {model.feature_kind!r}")
     return model

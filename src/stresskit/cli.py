@@ -71,11 +71,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:  # worded as argparse words a bad `type=int` value
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("must not be negative")
+    return value
+
+
 def build_parser() -> Parser:
     parser = Parser(prog="stresskit", description=__doc__)
     # Each subcommand takes only the shared options its handler reads.
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
+    seeded.add_argument("--seed", type=_nonnegative_int, default=42, help="RNG seed (default 42)")
     loading = argparse.ArgumentParser(add_help=False)
     loading.add_argument("--stopwords", metavar="FILE",
                          help="stopword list (default: vendored 179-word English list)")

@@ -4,7 +4,7 @@ from CSV files (RFC-4180, UTF-8, header row mandatory).
 `open_rows` and `cell` are the package's one way to read a CSV with named
 columns: the posts and labeled files here, the emotions input, the group
 map and the annotator weights. A required column absent from the header
-raises MissingColumn naming the file and the column; cells are read
+raises StressKitError naming the file and the column; cells are read
 stripped, and an absent optional column reads as empty. Rows with empty
 text are skipped, not fatal: `LoadSummary.count` tallies each one and logs
 it as `PATH: reason`. Unparseable labels/dates abort the load with the
@@ -27,23 +27,6 @@ from .errors import StressKitError, open_text
 from . import textprep
 
 log = logging.getLogger(__name__)
-
-
-class MissingColumn(StressKitError):
-    pass
-
-
-class BadLabel(StressKitError):
-    pass
-
-
-class BadDate(StressKitError):
-    pass
-
-
-class BadField(StressKitError):
-    """A required cell is empty, repeats a key, or does not parse to its
-    typed value (score, kind)."""
 
 
 POST_KINDS = ("post", "comment")
@@ -120,10 +103,10 @@ def open_rows(path: str | Path, required: Sequence[str]):
     with open_text(path) as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
-            raise MissingColumn(f"{path}: file has no header row")
+            raise StressKitError(f"{path}: file has no header row")
         missing = [column for column in required if column not in reader.fieldnames]
         if missing:
-            raise MissingColumn(
+            raise StressKitError(
                 f"{path}: column {missing[0]!r} not in header {list(reader.fieldnames)}")
         yield reader
 
@@ -142,7 +125,7 @@ def load_labeled_with_summary(path: str | Path) -> tuple[list[LabeledExample], L
                 continue
             raw_label = cell(row, "label")
             if raw_label not in ("0", "1"):
-                raise BadLabel(f"{path}: row {rownum}: label {raw_label!r} is not 0/1")
+                raise StressKitError(f"{path}: row {rownum}: label {raw_label!r} is not 0/1")
             examples.append(LabeledExample(
                 id=cell(row, "id") or str(rownum - 1), text=text, label=int(raw_label),
                 domain=cell(row, "domain") or None))
@@ -168,11 +151,11 @@ def parse_date(cell: str) -> datetime:
     try:
         epoch = int(cell)
     except ValueError:
-        raise BadDate(f"date {cell!r} is neither ISO-8601 nor epoch seconds")
+        raise StressKitError(f"date {cell!r} is neither ISO-8601 nor epoch seconds")
     try:
         return datetime.fromtimestamp(epoch, tz=timezone.utc)
     except (ValueError, OverflowError, OSError) as exc:
-        raise BadDate(f"epoch seconds {cell!r} out of range ({exc})") from None
+        raise StressKitError(f"epoch seconds {cell!r} out of range ({exc})") from None
 
 
 def iter_post_rows(reader: Iterable[Mapping[str, str | None]], path: str | Path,
@@ -190,19 +173,19 @@ def iter_post_rows(reader: Iterable[Mapping[str, str | None]], path: str | Path,
             continue
         try:
             date = parse_date(cell(row, "date"))
-        except BadDate as exc:
-            raise BadDate(f"{path}: row {rownum}: {exc}") from None
+        except StressKitError as exc:
+            raise StressKitError(f"{path}: row {rownum}: {exc}") from None
         raw_score = cell(row, "score")
         try:
             score = int(raw_score) if raw_score else 0
         except ValueError:
-            raise BadField(f"{path}: row {rownum}: score {raw_score!r} is not an integer")
+            raise StressKitError(f"{path}: row {rownum}: score {raw_score!r} is not an integer")
         raw_kind = cell(row, "kind").lower()
         if raw_kind and raw_kind not in POST_KINDS:
-            raise BadField(f"{path}: row {rownum}: kind {raw_kind!r} not in {POST_KINDS}")
+            raise StressKitError(f"{path}: row {rownum}: kind {raw_kind!r} not in {POST_KINDS}")
         community = cell(row, "community")
         if not community:
-            raise BadField(f"{path}: row {rownum}: community is empty")
+            raise StressKitError(f"{path}: row {rownum}: community is empty")
         yield rownum, row, PostRecord(
             id=cell(row, "id") or str(rownum - 1), date=date, title=title, body=body,
             score=score, community=community, tag=cell(row, "tag") or None,

@@ -35,10 +35,6 @@ AFFECTS = (
 NEGATIVE_AFFECTS = ("anger", "disgust", "fear", "sadness", "surprise")
 
 
-class BadRow(StressKitError):
-    pass
-
-
 @dataclass(frozen=True)
 class EmotionLexicon:
     word_affects: Mapping[str, frozenset[str]]
@@ -71,12 +67,12 @@ def parse_lexicon(lines: Iterable[str], *, source: str = "<memory>") -> EmotionL
             continue
         parts = stripped.split("\t")
         if len(parts) != 3:
-            raise BadRow(f"{source}: line {lineno}: expected word<TAB>affect<TAB>flag")
+            raise StressKitError(f"{source}: line {lineno}: expected word<TAB>affect<TAB>flag")
         word, affect, flag = parts
         if affect not in AFFECTS:
-            raise BadRow(f"{source}: line {lineno}: unknown affect {affect!r}")
+            raise StressKitError(f"{source}: line {lineno}: unknown affect {affect!r}")
         if flag not in ("0", "1"):
-            raise BadRow(f"{source}: line {lineno}: flag must be 0 or 1, got {flag!r}")
+            raise StressKitError(f"{source}: line {lineno}: flag must be 0 or 1, got {flag!r}")
         n_rows += 1
         if flag == "1":
             word_affects.setdefault(word.lower(), set()).add(affect)

@@ -1,10 +1,10 @@
-"""Exception and warning types shared across the package, the one way it
-opens an input text file, and the one way it writes output files.
+"""The package's one error type, the one way it opens an input text file,
+and the one way it writes output files.
 
-Concrete data errors subclass StressKitError so the CLI can map any of
-them to a single "data error" exit code; each names the file, and the row
-where there is one. A CSV with named columns is opened through
-corpus.open_rows, which builds on open_text.
+Every data error is a StressKitError, which the CLI maps to its single
+"data error" exit code; its message names the file, and the row where
+there is one. A CSV with named columns is opened through corpus.open_rows,
+which builds on open_text.
 """
 
 from __future__ import annotations
@@ -17,28 +17,21 @@ from typing import Iterator, TextIO
 
 
 class StressKitError(Exception):
-    """Base class for all data and usage errors raised by this package."""
-
-
-class NotUtf8Text(StressKitError):
-    pass
-
-
-class FingerprintMismatchWarning(UserWarning):
-    """Model was trained under a different preprocessing configuration."""
+    """A data error: an input file, model or argument this package cannot use."""
 
 
 @contextlib.contextmanager
 def open_text(path: str | Path) -> Iterator[TextIO]:
     """Open an input file for reading as UTF-8, with newlines kept as they
     are (what the csv module expects). A byte that is not UTF-8, met while
-    the block reads the file, raises NotUtf8Text naming the file."""
+    the block reads the file, raises StressKitError naming the file."""
     with open(path, newline="", encoding="utf-8") as handle:
         try:
             yield handle
         except UnicodeDecodeError as exc:
             byte = exc.object[exc.start]
-            raise NotUtf8Text(f"{path}: not UTF-8 text: byte 0x{byte:02x} ({exc.reason})") from None
+            raise StressKitError(
+                f"{path}: not UTF-8 text: byte 0x{byte:02x} ({exc.reason})") from None
 
 
 @contextlib.contextmanager

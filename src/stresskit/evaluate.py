@@ -13,14 +13,6 @@ from typing import Sequence
 from .errors import StressKitError
 
 
-class LengthMismatch(StressKitError):
-    pass
-
-
-class EmptyInput(StressKitError):
-    pass
-
-
 @dataclass(frozen=True)
 class ConfusionMatrix:
     tp: int
@@ -45,9 +37,9 @@ class MetricsReport:
 
 def confusion(predicted: Sequence[int], actual: Sequence[int]) -> ConfusionMatrix:
     if len(predicted) != len(actual):
-        raise LengthMismatch(f"{len(predicted)} predictions vs {len(actual)} labels")
+        raise StressKitError(f"{len(predicted)} predictions vs {len(actual)} labels")
     if not predicted:
-        raise EmptyInput("no prediction/label pairs")
+        raise StressKitError("no prediction/label pairs")
     tp = fp = tn = fn = 0
     for p, a in zip(predicted, actual):
         if p == 1 and a == 1:
@@ -65,7 +57,7 @@ def confusion(predicted: Sequence[int], actual: Sequence[int]) -> ConfusionMatri
 
 def metrics(matrix: ConfusionMatrix) -> MetricsReport:
     if matrix.total <= 0:
-        raise EmptyInput("confusion matrix has no counts")
+        raise StressKitError("confusion matrix has no counts")
     degenerate = set()
 
     def ratio(num: int, den: int, name: str) -> float:

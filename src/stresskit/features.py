@@ -17,10 +17,6 @@ from .errors import StressKitError
 FeatureVector = dict[int, float]
 
 
-class EmptyCorpus(StressKitError):
-    pass
-
-
 @dataclass(frozen=True)
 class Vocabulary:
     """Token -> index map with per-token document frequencies.
@@ -58,7 +54,7 @@ def fit_vocabulary(
     broken lexicographically) before the final lexicographic indexing.
     """
     if not docs:
-        raise EmptyCorpus("cannot fit a vocabulary on an empty corpus")
+        raise StressKitError("cannot fit a vocabulary on an empty corpus")
     df: dict[str, int] = {}
     for doc in docs:
         for token in set(doc):

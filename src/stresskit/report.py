@@ -32,8 +32,8 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import classify, emotion, textprep
-from .corpus import BadField, PostRecord, cell, open_rows
-from .errors import FingerprintMismatchWarning, StressKitError, atomic_outputs
+from .corpus import PostRecord, cell, open_rows
+from .errors import StressKitError, atomic_outputs
 
 log = logging.getLogger(__name__)
 
@@ -50,10 +50,6 @@ DEFAULT_GROUP_MAP: Mapping[str, str] = {
     "r/PhD": "PhD students",
     "r/Professors": "Professors",
 }
-
-
-class UnknownFormat(StressKitError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -75,7 +71,6 @@ def check_fingerprint(model: classify.LinearModel, config: textprep.PipelineConf
     if model.pipeline_fingerprint and model.pipeline_fingerprint != config.fingerprint():
         warnings.warn(
             "model preprocessing fingerprint does not match current configuration",
-            FingerprintMismatchWarning,
             stacklevel=3,
         )
 
@@ -344,7 +339,7 @@ def emit_report(report: dict, format: str, path: str | Path) -> list[Path]:
     files appear together or, on failure, none of them does
     (errors.atomic_outputs). Returns the written paths."""
     if format not in ("json", "csv", "both"):
-        raise UnknownFormat(f"unknown report format {format!r} (expected json, csv or both)")
+        raise StressKitError(f"unknown report format {format!r} (expected json, csv or both)")
     path = Path(path)
     outputs: dict[Path, str] = {}
     if format != "csv":
@@ -369,9 +364,9 @@ def load_group_map(path: str | Path) -> dict[str, str]:
         for rownum, row in enumerate(reader, start=2):
             community, group = cell(row, "community"), cell(row, "group")
             if not (community and group):
-                raise BadField(f"{path}: row {rownum}: "
-                               f"{'group' if community else 'community'} is empty")
+                raise StressKitError(f"{path}: row {rownum}: "
+                                     f"{'group' if community else 'community'} is empty")
             if community in mapping:
-                raise BadField(f"{path}: row {rownum}: community {community!r} is listed twice")
+                raise StressKitError(f"{path}: row {rownum}: community {community!r} is listed twice")
             mapping[community] = group
     return mapping

@@ -17,7 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from stresskit.annotate import MIN_OVERLAP, AllExcluded, EmptyItem, NoValidItems, TooFewScores
+from stresskit.annotate import MIN_OVERLAP
+from stresskit.errors import StressKitError
 
 
 class Sheet(NamedTuple):
@@ -32,7 +33,7 @@ def detect_outliers(sheet: Sheet) -> list[list[bool]]:
     for j, row in enumerate(sheet.scores):
         present = [(i, s) for i, s in enumerate(row) if s is not None]
         if len(present) < 2:
-            raise TooFewScores(
+            raise StressKitError(
                 f"item {sheet.item_ids[j]!r} has {len(present)} score(s); need at least 2"
             )
         values = np.array([s for _, s in present], dtype=float)
@@ -57,7 +58,7 @@ def outlier_rates(sheet: Sheet, flags: list[list[bool]]) -> dict[str, float]:
 def exclude_annotators(sheet: Sheet, rates: dict[str, float], threshold: float) -> Sheet:
     keep = [i for i, a in enumerate(sheet.annotator_ids) if rates[a] < threshold]
     if not keep:
-        raise AllExcluded("every annotator is at or above the outlier threshold")
+        raise StressKitError("every annotator is at or above the outlier threshold")
     return Sheet(
         item_ids=sheet.item_ids,
         annotator_ids=tuple(sheet.annotator_ids[i] for i in keep),
@@ -79,7 +80,7 @@ def weighted_consensus(sheet: Sheet) -> tuple[list[float], list[int], list[int]]
             den += sheet.weights[i]
             n += 1
         if n == 0:
-            raise EmptyItem(f"item {sheet.item_ids[j]!r} has no scores")
+            raise StressKitError(f"item {sheet.item_ids[j]!r} has no scores")
         mean = num / den
         means.append(mean)
         labels.append(1 if mean < 0 else 0)
@@ -95,7 +96,7 @@ def fleiss_kappa(ratings, categories) -> float:
     counts_per_item = [sum(1 for r in row if r is not None) for row in ratings]
     eligible = [c for c in counts_per_item if c >= 2]
     if not eligible:
-        raise NoValidItems("no item carries at least 2 ratings")
+        raise StressKitError("no item carries at least 2 ratings")
     n = max(sorted(set(eligible)), key=lambda c: (eligible.count(c), c))
     kept_rows = [row for row, c in zip(ratings, counts_per_item) if c == n]
     cat_index = {c: k for k, c in enumerate(categories)}

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -9,12 +10,7 @@ from hypothesis import strategies as st
 import annotate_reference as reference
 
 from stresskit.annotate import (
-    AllExcluded,
     AnnotationMatrix,
-    BadScore,
-    EmptyItem,
-    NoValidItems,
-    TooFewScores,
     aggregate,
     annotator_correlation,
     binarize_scores,
@@ -26,7 +22,7 @@ from stresskit.annotate import (
     outlier_rates,
     weighted_consensus,
 )
-from stresskit.corpus import MissingColumn
+from stresskit.errors import StressKitError
 
 
 def matrix_from_rows(rows, weights=None, annotators=None):
@@ -61,7 +57,7 @@ def test_moderate_disagreement_flags_only_the_deviant():
 
 
 def test_single_score_item_rejected():
-    with pytest.raises(TooFewScores):
+    with pytest.raises(StressKitError, match=re.escape("'item0' has 1 score(s); need at least 2")):
         detect_outliers(matrix_from_rows([[3, None, None]]))
 
 
@@ -115,7 +111,7 @@ def test_exclusion_boundary_is_inclusive():
 def test_all_excluded_raises():
     matrix = full_matrix(4)
     flags = [[True, True] for _ in range(4)]
-    with pytest.raises(AllExcluded):
+    with pytest.raises(StressKitError, match="every annotator is at or above the outlier threshold"):
         exclude_annotators(matrix, outlier_rates(matrix, flags), 0.40)
 
 
@@ -158,7 +154,7 @@ def test_consensus_single_positive_score():
 
 
 def test_consensus_empty_item_rejected():
-    with pytest.raises(EmptyItem):
+    with pytest.raises(StressKitError, match="'item0' has no scores"):
         weighted_consensus(matrix_from_rows([[None, None]]))
 
 
@@ -213,7 +209,7 @@ def test_kappa_drops_unbalanced_items():
 
 
 def test_kappa_no_valid_items():
-    with pytest.raises(NoValidItems):
+    with pytest.raises(StressKitError, match="no item carries at least 2 ratings"):
         fleiss_kappa([[0, None], [None, 1]], categories=(0, 1))
 
 
@@ -254,11 +250,11 @@ def test_correlation_insufficient_overlap_is_nan():
 # ------------------------------------------------------- reference oracle
 
 def outcome(compute):
-    """What a step gives: ("ok", value), or the error's type and message."""
+    """What a step gives: ("ok", value), or ("error", the error's message)."""
     try:
         return "ok", compute()
-    except (TooFewScores, AllExcluded, EmptyItem, NoValidItems) as exc:
-        return type(exc).__name__, str(exc)
+    except StressKitError as exc:
+        return "error", str(exc)
 
 
 def assert_same_consensus_and_kappa(matrix, sheet):
@@ -342,10 +338,10 @@ def test_aggregation_matches_the_loop_reference_with_nine_annotators():
 
 def test_too_few_scores_and_empty_item_name_the_first_item_at_fault():
     rows = [[1, 2, 3], [None, 4, None], [None, None, None]]
-    with pytest.raises(TooFewScores, match="'item1' has 1 score"):
+    with pytest.raises(StressKitError, match="'item1' has 1 score"):
         detect_outliers(matrix_from_rows(rows))
     rows = [[1, 2, 3], [None, None, None], [None, None, None]]
-    with pytest.raises(EmptyItem, match="'item1' has no scores"):
+    with pytest.raises(StressKitError, match="'item1' has no scores"):
         weighted_consensus(matrix_from_rows(rows))
 
 
@@ -389,14 +385,14 @@ def test_matrix_copies_the_score_array_it_is_given():
 def test_load_weights_rejects_weight_that_is_not_finite_and_positive(write_csv, cell):
     path = write_csv([["annotator_id", "weight"], ["a1", "2.0"], ["a2", cell]],
                      name="weights.csv")
-    with pytest.raises(BadScore, match="row 3") as err:
+    with pytest.raises(StressKitError, match="row 3: bad weight") as err:
         load_weights(path)
     assert str(path) in str(err.value)
 
 
 def test_load_weights_names_the_file_and_the_missing_column(write_csv):
     path = write_csv([["annotator_id", "wieght"], ["a1", "2.0"]], name="weights.csv")
-    with pytest.raises(MissingColumn, match="'weight' not in header") as err:
+    with pytest.raises(StressKitError, match="column 'weight' not in header") as err:
         load_weights(path)
     assert str(path) in str(err.value)
 
@@ -404,7 +400,7 @@ def test_load_weights_names_the_file_and_the_missing_column(write_csv):
 def test_load_weights_rejects_an_annotator_listed_twice(write_csv):
     path = write_csv([["annotator_id", "weight"], ["a1", "2.0"], ["a2", "1.0"], ["a1", "3.0"]],
                      name="weights.csv")
-    with pytest.raises(BadScore, match="row 4: annotator 'a1' is listed twice") as err:
+    with pytest.raises(StressKitError, match="row 4: annotator 'a1' is listed twice") as err:
         load_weights(path)
     assert str(path) in str(err.value)
 
@@ -418,7 +414,7 @@ def test_load_weights_matches_ids_as_the_sheet_header_spells_them(write_csv):
 
 def test_load_annotations_rejects_a_weights_id_that_names_no_column(write_csv):
     sheet = write_csv([["item_id", "text", "a1", "psy"], ["x1", "t", "1", "2"]], name="sheet.csv")
-    with pytest.raises(BadScore, match="annotator 'psy ', which has no column") as err:
+    with pytest.raises(StressKitError, match="annotator 'psy ', which has no column") as err:
         load_annotations(sheet, {"a1": 1.0, "psy ": 2.0})
     assert str(sheet) in str(err.value)
 
@@ -437,17 +433,17 @@ def test_load_annotations_rejects_bad_cells(write_csv):
     sheet = write_csv(
         [["item_id", "text", "a1", "a2"], ["x1", "t", "9", "0"]], name="bad.csv"
     )
-    with pytest.raises(BadScore):
+    with pytest.raises(StressKitError, match=re.escape("row 2: score 9 for 'a1' outside [-5, 5]")):
         load_annotations(sheet)
     sheet2 = write_csv(
         [["item_id", "text", "a1", "a2"], ["x1", "t", "a", "0"]], name="bad2.csv"
     )
-    with pytest.raises(BadScore):
+    with pytest.raises(StressKitError, match="row 2: score 'a' for 'a1' is not an integer"):
         load_annotations(sheet2)
     sheet3 = write_csv(
         [["item_id", "text", "a1", "a2", "a1"], ["x1", "t", "1", "0", "2"]], name="bad3.csv"
     )
-    with pytest.raises(BadScore, match="'a1' appears more than once"):
+    with pytest.raises(StressKitError, match="'a1' appears more than once"):
         load_annotations(sheet3)
 
 

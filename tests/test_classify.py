@@ -12,14 +12,10 @@ from hypothesis import strategies as st
 from stresskit import classify, corpus, textprep
 from stresskit.classify import (
     MODEL_FORMAT_VERSION,
-    CorruptFile,
-    DimensionMismatch,
     LinearModel,
     LogisticHyper,
     NaiveBayesHyper,
-    SingleClassCorpus,
     SvmHyper,
-    VersionMismatch,
     decision_value,
     load_model,
     logistic_gradient,
@@ -32,6 +28,7 @@ from stresskit.classify import (
     train_naive_bayes,
     train_svm,
 )
+from stresskit.errors import StressKitError
 from stresskit.features import Vocabulary, fit_vocabulary, vector, vectorize
 
 from conftest import FIXTURES, REPO_ROOT
@@ -96,7 +93,7 @@ def test_design_matrix_products_match_a_loop_in_item_order():
 
 @pytest.mark.parametrize("index", [-1, 4])
 def test_design_matrix_rejects_out_of_range_feature_indices(index):
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(StressKitError, match=f"feature index {index} outside vocabulary of 4"):
         classify._assemble([({0: 1.0}, 1), ({index: 1.0}, 0)], 4)
 
 
@@ -117,7 +114,7 @@ def test_separable_toy_reaches_perfect_training_accuracy():
 
 
 def test_single_class_rejected():
-    with pytest.raises(SingleClassCorpus):
+    with pytest.raises(StressKitError, match="training data must contain both classes"):
         train_logistic([({0: 1.0}, 1), ({1: 1.0}, 1)], vocabulary=small_vocab())
 
 
@@ -151,9 +148,9 @@ def test_decision_rule_uses_the_sign_of_the_decision_value():
 
 def test_dimension_mismatch():
     model = train_logistic(SEPARABLE, LogisticHyper(epochs=1), vocabulary=small_vocab())
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(StressKitError, match="feature index 7 outside vocabulary of 2"):
         predict(model, {7: 1.0})
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(StressKitError, match="feature index 5 outside vocabulary of 2"):
         train_logistic([({5: 1.0}, 1), ({0: 1.0}, 0)], vocabulary=small_vocab())
 
 
@@ -324,7 +321,7 @@ def test_nb_rejects_bad_alpha_and_single_class():
     with pytest.raises(ValueError):
         train_naive_bayes([({0: 1.0}, 1), ({1: 1.0}, 0)], NaiveBayesHyper(alpha=0.0),
                           vocabulary=vocab)
-    with pytest.raises(SingleClassCorpus):
+    with pytest.raises(StressKitError, match="training data must contain both classes"):
         train_naive_bayes([({0: 1.0}, 1)], vocabulary=vocab)
 
 
@@ -423,7 +420,7 @@ def test_truncated_file_is_corrupt(tmp_path):
     path = tmp_path / "model.json"
     save_model(trained_models()[0], path)
     path.write_text(path.read_text()[:50], encoding="utf-8")
-    with pytest.raises(CorruptFile):
+    with pytest.raises(StressKitError, match="model.json: not a valid model file"):
         load_model(path)
 
 
@@ -433,7 +430,7 @@ def test_version_mismatch(tmp_path):
     doc = json.loads(path.read_text())
     doc["format_version"] = MODEL_FORMAT_VERSION + 1
     path.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(VersionMismatch):
+    with pytest.raises(StressKitError, match=f"model.json: format version {MODEL_FORMAT_VERSION + 1} "):
         load_model(path)
 
 
@@ -460,7 +457,8 @@ def test_model_hyperparameters_are_type_checked(name, tmp_path):
             corrupt["hyperparameters"][field.name] = bad
             path = tmp_path / "corrupt.json"
             path.write_text(json.dumps(corrupt), encoding="utf-8")
-            with pytest.raises(CorruptFile, match=f"hyperparameter {field.name}"):
+            with pytest.raises(StressKitError,
+                               match=f"malformed model document: hyperparameter {field.name}"):
                 load_model(path)
     # an int is a number, so a float field may hold one
     first_float = next(f.name for f in fields(kind) if f.type == "float")

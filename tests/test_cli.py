@@ -214,14 +214,19 @@ def _bool_seed(document):
     document["hyperparameters"]["seed"] = True
 
 
+def _short_weights(document):
+    document["parameters"]["weights"].pop()
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_unknown_features, _nested_weights, _string_weights, _numeric_tokens, _negative_df,
      _zero_n_docs, _numeric_fingerprint, _string_learning_rate, _huge_integer_weight,
-     _string_bias, _string_hyper_learning_rate, _null_epochs, _bool_seed],
+     _string_bias, _string_hyper_learning_rate, _null_epochs, _bool_seed, _short_weights],
     ids=["features", "nested-weights", "string-weights", "numeric-tokens", "negative-df",
          "zero-n-docs", "numeric-fingerprint", "string-learning-rate", "huge-integer-weight",
-         "string-bias", "string-hyper-learning-rate", "null-epochs", "bool-seed"],
+         "string-bias", "string-hyper-learning-rate", "null-epochs", "bool-seed",
+         "short-weights"],
 )
 def test_predict_malformed_model_is_data_error(corrupt, trained_model, tmp_path):
     document = json.loads(trained_model.read_text(encoding="utf-8"))
@@ -559,7 +564,8 @@ def test_predict_and_analyze_print_the_same_summary(write_csv, tmp_path, capsys)
     "option,value",
     [("--lr", "nan"), ("--lr", "0"), ("--lr", "inf"), ("--alpha", "0"), ("--alpha", "-1"),
      ("--lam", "0"), ("--l2", "-1e-4"), ("--l2", "nan"), ("--epochs", "-3"),
-     ("--epochs", "0"), ("--svm-epochs", "-1"), ("--min-df", "0"), ("--max-vocab", "0")],
+     ("--epochs", "0"), ("--svm-epochs", "-1"), ("--min-df", "0"), ("--max-vocab", "0"),
+     ("--seed", "-1")],
 )
 def test_train_bad_hyperparameter_is_usage_error(option, value, tmp_path):
     model = tmp_path / "m.json"
@@ -567,6 +573,20 @@ def test_train_bad_hyperparameter_is_usage_error(option, value, tmp_path):
         run(["train", FIXTURES / "labeled_train.csv", f"{option}={value}", "--model-out", model])
     assert err.value.code == 64
     assert not model.exists()
+
+
+@pytest.mark.parametrize(
+    "options", [["--classifier", "nb", "--alpha", "1e308"], ["--classifier", "svm", "--lam", "1e-320"]],
+    ids=["nb-huge-alpha", "svm-tiny-lam"],
+)
+def test_train_to_non_finite_parameters_is_data_error(options, tmp_path):
+    argv = ["train", str(FIXTURES / "labeled_train.csv"), *options, "--model-out", "m.json"]
+    result = run_in_subprocess(
+        f"import sys\nfrom stresskit import cli\nsys.exit(cli.main({argv!r}))\n", tmp_path)
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert "error: non-finite model parameters" in result.stderr.splitlines()
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_train_accepts_zero_l2(tmp_path):
@@ -614,8 +634,11 @@ def with_latin1_byte(src, dst):
         (["train", FIXTURES / "labeled_train.csv", "--stopwords", "{bad}", "--model-out", "{out}"],
          PACKAGE_DATA / "stopwords_en.txt", "m.json"),
         (["predict", GOLDEN_MODEL, "{bad}", "--out", "{out}"], FIXTURES / "posts_100.csv", "p.csv"),
+        (["predict", "{bad}", FIXTURES / "posts_100.csv", "--out", "{out}"], GOLDEN_MODEL, "p.csv"),
         (["analyze", GOLDEN_MODEL, "{bad}", "--out-dir", "{out}"], FIXTURES / "posts_100.csv",
          "reports"),
+        (["analyze", GOLDEN_MODEL, FIXTURES / "posts_100.csv", "--lexicon", "{bad}",
+          "--out-dir", "{out}"], PACKAGE_DATA / "emotion_lexicon.tsv", "reports"),
         (["analyze", GOLDEN_MODEL, FIXTURES / "posts_100.csv", "--mapping", "{bad}",
           "--out-dir", "{out}"], FIXTURES / "communities.csv", "reports"),
         (["annotate", "{bad}", "--out-dir", "{out}"], FIXTURES / "annotations.csv", "annotation"),
@@ -626,8 +649,9 @@ def with_latin1_byte(src, dst):
          PACKAGE_DATA / "emotion_lexicon.tsv", "e.csv"),
         (["stats", "{bad}"], FIXTURES / "posts_100.csv", None),
     ],
-    ids=["train", "train-eval", "train-stopwords", "predict", "analyze", "analyze-mapping",
-         "annotate", "annotate-weights", "emotions", "emotions-lexicon", "stats"],
+    ids=["train", "train-eval", "train-stopwords", "predict", "predict-model", "analyze",
+         "analyze-lexicon", "analyze-mapping", "annotate", "annotate-weights", "emotions",
+         "emotions-lexicon", "stats"],
 )
 def test_non_utf8_input_is_data_error(argv, bad, output, tmp_path, capsys):
     bad_path = with_latin1_byte(bad, tmp_path / f"bad_{bad.name}")

@@ -5,11 +5,7 @@ import pytest
 
 from stresskit import corpus
 from stresskit.corpus import (
-    BadDate,
-    BadField,
-    BadLabel,
     LabeledExample,
-    MissingColumn,
     PostRecord,
     corpus_stats,
     load_labeled,
@@ -17,6 +13,7 @@ from stresskit.corpus import (
     load_posts_with_summary,
     parse_date,
 )
+from stresskit.errors import StressKitError
 
 from conftest import REPO_ROOT
 
@@ -35,22 +32,22 @@ def test_load_labeled_two_rows(write_csv):
 
 def test_load_labeled_bad_label_names_row(write_csv):
     path = write_csv([["id", "text", "label"], ["a", "some text", "yes"]])
-    with pytest.raises(BadLabel, match="row 2"):
+    with pytest.raises(StressKitError, match="row 2: label 'yes' is not 0/1"):
         load_labeled(path)
 
 
 def test_load_labeled_missing_column(write_csv):
     path = write_csv([["id", "body", "label"], ["a", "x", "1"]])
-    with pytest.raises(MissingColumn):
+    with pytest.raises(StressKitError, match="column 'text' not in header"):
         load_labeled(path)
 
 
 def test_load_posts_needs_a_header_and_the_required_columns(write_csv):
-    with pytest.raises(MissingColumn, match="no header row"):
+    with pytest.raises(StressKitError, match="empty.csv: file has no header row"):
         load_posts_with_summary(write_csv([], name="empty.csv"))
     for column in ("date", "text", "community"):
         header = [c for c in ("date", "text", "community") if c != column]
-        with pytest.raises(MissingColumn, match=f"'{column}' not in header"):
+        with pytest.raises(StressKitError, match=f"column '{column}' not in header"):
             load_posts_with_summary(write_csv([header, ["2023-01-01", "x"]]))
 
 
@@ -89,13 +86,13 @@ def test_parse_date_forms():
         2023, 6, 2, 10, 30, tzinfo=timezone.utc
     )
     assert parse_date("1685664000") == datetime(2023, 6, 2, 0, 0, tzinfo=timezone.utc)
-    with pytest.raises(BadDate):
+    with pytest.raises(StressKitError, match="date 'not-a-date' is neither ISO-8601 nor epoch"):
         parse_date("not-a-date")
 
 
 @pytest.mark.parametrize("cell", ["99999999999999", "-99999999999999", str(10**30)])
 def test_parse_date_epoch_out_of_range_is_bad_date(cell):
-    with pytest.raises(BadDate, match="out of range"):
+    with pytest.raises(StressKitError, match=f"epoch seconds {cell!r} out of range"):
         parse_date(cell)
 
 
@@ -120,16 +117,16 @@ def test_load_posts_bad_date_names_row(write_csv):
             ["p1", "not-a-date", "t", "b", "1", "", "r/PhD", "post"],
         ]
     )
-    with pytest.raises(BadDate, match="row 2"):
+    with pytest.raises(StressKitError, match="row 2: date 'not-a-date' is neither"):
         load_posts_with_summary(path)[0]
 
 
 def test_load_posts_bad_kind_and_score(write_csv):
     header = ["id", "date", "title", "text", "score", "tag", "community", "kind"]
-    with pytest.raises(BadField):
+    with pytest.raises(StressKitError, match="row 2: score 'x' is not an integer"):
         load_posts_with_summary(
             write_csv([header, ["p", "2023-01-01", "t", "b", "x", "", "c", "post"]]))[0]
-    with pytest.raises(BadField):
+    with pytest.raises(StressKitError, match="row 2: kind 'meme' not in"):
         load_posts_with_summary(
             write_csv([header, ["p", "2023-01-01", "t", "b", "1", "", "c", "meme"]]))[0]
 
@@ -228,6 +225,18 @@ def _in_sources(matches, roots=("src/stresskit",)) -> list[str]:
 
 def _named(name):
     return lambda node: isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == name
+
+
+def _error_class(node):
+    return isinstance(node, ast.ClassDef) and any(
+        ast.unparse(base).split(".")[-1].endswith(("Exception", "Error", "Warning"))
+        for base in node.bases)
+
+
+def test_package_defines_one_error_type():
+    """Every data error is a StressKitError, told apart by its message; the
+    package defines no other exception or warning class."""
+    assert _in_sources(_error_class) == ["errors.StressKitError"]
 
 
 def test_package_reads_csv_through_one_reader_and_logs_skips_in_one_place():

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from stresskit.emotion import (
     AFFECTS,
     NEGATIVE_AFFECTS,
-    BadRow,
     EmotionProfile,
     default_lexicon,
     load_lexicon,
@@ -13,6 +12,7 @@ from stresskit.emotion import (
     prevailing_emotion,
     score_emotions,
 )
+from stresskit.errors import StressKitError
 from stresskit.textprep import surface_tokens
 
 
@@ -32,13 +32,13 @@ def test_empty_lexicon_is_valid():
 
 
 def test_bad_rows(tmp_path):
-    with pytest.raises(BadRow, match="line 1"):
+    with pytest.raises(StressKitError, match="line 1: flag must be 0 or 1"):
         parse_lexicon(["word\tjoy\t2"])
-    with pytest.raises(BadRow):
+    with pytest.raises(StressKitError, match="line 1: unknown affect 'not-an-affect'"):
         parse_lexicon(["word\tnot-an-affect\t1"])
     bad = tmp_path / "lex.tsv"
     bad.write_text("word joy 1\n", encoding="utf-8")  # spaces, not tabs
-    with pytest.raises(BadRow):
+    with pytest.raises(StressKitError, match="lex.tsv: line 1: expected word<TAB>affect<TAB>flag"):
         load_lexicon(bad)
 
 

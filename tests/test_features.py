@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stresskit.features import EmptyCorpus, fit_vocabulary, vector, vectorize
+from stresskit.errors import StressKitError
+from stresskit.features import fit_vocabulary, vector, vectorize
 
 tokens_strategy = st.lists(
     st.sampled_from(["cat", "dog", "fish", "bird", "zebra"]), max_size=20
@@ -20,7 +21,7 @@ def test_fit_vocabulary_counts():
 
 
 def test_fit_vocabulary_empty_corpus():
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(StressKitError, match="cannot fit a vocabulary on an empty corpus"):
         fit_vocabulary([])
 
 

@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 
 from stresskit import classify, corpus, emotion, report, textprep
 from stresskit.corpus import PostRecord
-from stresskit.errors import FingerprintMismatchWarning, StressKitError
+from stresskit.errors import StressKitError
 from stresskit.report import (
     MONTHS,
     ClassifiedPost,
     GroupTally,
-    UnknownFormat,
     build_report,
     classify_corpus,
     emit_report,
@@ -106,7 +105,7 @@ def test_classify_corpus_title_joined_with_body(config):
 def test_fingerprint_mismatch_warns(config):
     model = toy_model(config)
     other = textprep.PipelineConfig(stopwords=config.stopwords - {"the"})
-    with pytest.warns(FingerprintMismatchWarning):
+    with pytest.warns(UserWarning, match="fingerprint does not match current configuration"):
         classify_corpus(model, [post()], other, lexicon=LEXICON)
 
 
@@ -411,7 +410,7 @@ def _check_csv_tables(rep, directory):
 def test_unknown_format_rejected_before_write(config, tmp_path):
     rep = full_report(config)
     target = tmp_path / "nothing.json"
-    with pytest.raises(UnknownFormat):
+    with pytest.raises(StressKitError, match="unknown report format 'xml'"):
         emit_report(rep, "xml", target)
     assert not target.exists()
 
