@@ -576,7 +576,8 @@ def test_train_bad_hyperparameter_is_usage_error(option, value, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "options", [["--classifier", "nb", "--alpha", "1e308"], ["--classifier", "svm", "--lam", "1e-320"]],
+    "options",
+    [["--classifier", "nb", "--alpha", "1e308"], ["--classifier", "svm", "--lam", "1e-320"]],
     ids=["nb-huge-alpha", "svm-tiny-lam"],
 )
 def test_train_to_non_finite_parameters_is_data_error(options, tmp_path):
