@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .corpus import cell, open_rows
+from .corpus import cell, located, open_rows
 from .errors import StressKitError, open_text
 
 if TYPE_CHECKING:  # numpy loads only in the functions that compute with it
@@ -233,7 +233,7 @@ def binarize_scores(matrix: AnnotationMatrix) -> np.ndarray:
     return np.where(np.isnan(matrix.scores), np.nan, matrix.scores < 0)
 
 
-def _parse_cell(path: str | Path, rownum: int, annotator: str, cell: str) -> float:
+def _parse_cell(annotator: str, cell: str) -> float:
     """Any score cell not in _CELLS (spaces, "+3", "03", other digits), as int() reads it."""
     cell = cell.strip()
     if not cell:
@@ -241,12 +241,9 @@ def _parse_cell(path: str | Path, rownum: int, annotator: str, cell: str) -> flo
     try:
         value = int(cell)
     except ValueError:
-        raise StressKitError(
-            f"{path}: row {rownum}: score {cell!r} for {annotator!r} is not an integer"
-        ) from None
+        raise StressKitError(f"score {cell!r} for {annotator!r} is not an integer") from None
     if not SCORE_MIN <= value <= SCORE_MAX:
-        raise StressKitError(f"{path}: row {rownum}: score {value} for {annotator!r} "
-                             f"outside [{SCORE_MIN}, {SCORE_MAX}]")
+        raise StressKitError(f"score {value} for {annotator!r} outside [{SCORE_MIN}, {SCORE_MAX}]")
     return float(value)
 
 
@@ -277,18 +274,18 @@ def load_annotations(
                 f"{path}: weights name annotator {unknown[0]!r}, which has no column")
         item_ids, values = [], []  # values: every score, row by row
         cell_value = _CELLS.get
-        for rownum, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise StressKitError(
-                    f"{path}: row {rownum}: expected {len(header)} cells, got {len(row)}")
-            item_ids.append(row[0])
-            parsed = list(map(cell_value, row[2:]))
-            if None in parsed:
-                parsed = [_parse_cell(path, rownum, a, cell) if value is None else value
-                          for a, cell, value in zip(annotators, row[2:], parsed)]
-            values.extend(parsed)
+        with located(path, reader):
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise StressKitError(f"expected {len(header)} cells, got {len(row)}")
+                item_ids.append(row[0])
+                parsed = list(map(cell_value, row[2:]))
+                if None in parsed:
+                    parsed = [_parse_cell(a, cell) if value is None else value
+                              for a, cell, value in zip(annotators, row[2:], parsed)]
+                values.extend(parsed)
     weights = dict(weights or {})
     return AnnotationMatrix(
         item_ids=tuple(item_ids),
@@ -305,16 +302,15 @@ def load_weights(path: str | Path) -> dict[str, float]:
     greater than 0."""
     weights = {}
     with open_rows(path, ("annotator_id", "weight")) as reader:
-        for rownum, row in enumerate(reader, start=2):
+        for row in reader:
             annotator, raw = row["annotator_id"] or "", cell(row, "weight")
             try:
                 weight = float(raw)
             except ValueError:
                 weight = math.nan
             if not (math.isfinite(weight) and weight > 0):
-                raise StressKitError(
-                    f"{path}: row {rownum}: bad weight {raw!r} (must be a finite number > 0)")
+                raise StressKitError(f"bad weight {raw!r} (must be a finite number > 0)")
             if annotator in weights:
-                raise StressKitError(f"{path}: row {rownum}: annotator {annotator!r} is listed twice")
+                raise StressKitError(f"annotator {annotator!r} is listed twice")
             weights[annotator] = weight
     return weights

@@ -64,13 +64,6 @@ def _nonnegative_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
-
-
 def _nonnegative_int(text: str) -> int:
     try:
         value = int(text)
@@ -78,6 +71,13 @@ def _nonnegative_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError("must not be negative")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = _nonnegative_int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer")
     return value
 
 

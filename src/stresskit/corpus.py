@@ -7,9 +7,10 @@ map and the annotator weights. A required column absent from the header
 raises StressKitError naming the file and the column; cells are read
 stripped, and an absent optional column reads as empty. Rows with empty
 text are skipped, not fatal: `LoadSummary.count` tallies each one and logs
-it as `PATH: reason`. Unparseable labels/dates abort the load with the
-offending row number. `iter_post_rows` yields each post as its row is read:
-predict, analyze and stats stream through it and hold no list of posts.
+it as `PATH: line N: reason`, N being the line on which the record ends.
+Loaders raise bare reasons; `located` words an unparseable label or date
+as `PATH: line N: reason` too. `iter_post_rows` yields each post as its row
+is read: predict, analyze and stats stream through it and hold no list.
 """
 
 from __future__ import annotations
@@ -79,27 +80,39 @@ class LoadSummary:
     rows_skipped: int = 0
     errors: list[str] = field(default_factory=list)
 
-    def count(self, path: str | Path, skip_reason: str | None) -> bool:
-        """Tally one row read from path: kept when skip_reason is None,
-        otherwise skipped for that reason and logged. Returns whether the
-        row was kept."""
+    def count(self, path: str | Path, reader, skip_reason: str | None) -> bool:
+        """Tally reader's current record: kept if skip_reason is None, else
+        skipped, its `line N: reason` kept and logged. Returns if it was kept."""
         self.rows_read += 1
         if skip_reason is None:
             self.rows_kept += 1
             return True
         self.rows_skipped += 1
-        self.errors.append(skip_reason)
-        log.warning("%s: %s", path, skip_reason)
+        self.errors.append(f"{_line(reader)}: {skip_reason}")
+        log.warning("%s: %s", path, self.errors[-1])
         return False
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))
 
 
+def _line(reader) -> str:  # the line on which reader's current record ends
+    return f"line {reader.line_num}"
+
+
+@contextlib.contextmanager
+def located(path: str | Path, reader):
+    """Re-raise a StressKitError from the block as `PATH: line N: reason`."""
+    try:
+        yield
+    except StressKitError as exc:
+        raise StressKitError(f"{path}: {_line(reader)}: {exc}") from None
+
+
 @contextlib.contextmanager
 def open_rows(path: str | Path, required: Sequence[str]):
     """A csv.DictReader over the file, once its header row is known to
-    hold every required column."""
+    hold every required column; the block's errors are `located`."""
     with open_text(path) as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
@@ -108,7 +121,8 @@ def open_rows(path: str | Path, required: Sequence[str]):
         if missing:
             raise StressKitError(
                 f"{path}: column {missing[0]!r} not in header {list(reader.fieldnames)}")
-        yield reader
+        with located(path, reader):
+            yield reader
 
 
 def cell(row: Mapping[str, str | None], column: str) -> str:
@@ -121,11 +135,11 @@ def load_labeled_with_summary(path: str | Path) -> tuple[list[LabeledExample], L
     with open_rows(path, required=("text", "label")) as reader:
         for rownum, row in enumerate(reader, start=2):  # 1 is the header line
             text = cell(row, "text")
-            if not summary.count(path, None if text else f"row {rownum}: empty text (skipped)"):
+            if not summary.count(path, reader, None if text else "empty text (skipped)"):
                 continue
             raw_label = cell(row, "label")
             if raw_label not in ("0", "1"):
-                raise StressKitError(f"{path}: row {rownum}: label {raw_label!r} is not 0/1")
+                raise StressKitError(f"label {raw_label!r} is not 0/1")
             examples.append(LabeledExample(
                 id=cell(row, "id") or str(rownum - 1), text=text, label=int(raw_label),
                 domain=cell(row, "domain") or None))
@@ -158,34 +172,30 @@ def parse_date(cell: str) -> datetime:
         raise StressKitError(f"epoch seconds {cell!r} out of range ({exc})") from None
 
 
-def iter_post_rows(reader: Iterable[Mapping[str, str | None]], path: str | Path,
-                   summary: LoadSummary):
+def iter_post_rows(reader: csv.DictReader, path: str | Path, summary: LoadSummary):
     """Yield (rownum, raw_row, record_or_None) per data row of reader, an
     open_rows reader over path with the POST_COLUMNS, in file order. Each
     row is tallied in summary; a row with no title or body is skipped (its
-    record is None). Unparseable dates/fields abort."""
+    record is None). Unparseable dates/fields abort; open_rows locates them."""
     for rownum, row in enumerate(reader, start=2):
         title = cell(row, "title")
         body = cell(row, "text")
-        if not summary.count(path, None if (title or body)
-                             else f"row {rownum}: title and body both empty (skipped)"):
+        if not summary.count(path, reader, None if (title or body)
+                             else "title and body both empty (skipped)"):
             yield rownum, row, None
             continue
-        try:
-            date = parse_date(cell(row, "date"))
-        except StressKitError as exc:
-            raise StressKitError(f"{path}: row {rownum}: {exc}") from None
+        date = parse_date(cell(row, "date"))
         raw_score = cell(row, "score")
         try:
             score = int(raw_score) if raw_score else 0
         except ValueError:
-            raise StressKitError(f"{path}: row {rownum}: score {raw_score!r} is not an integer")
+            raise StressKitError(f"score {raw_score!r} is not an integer")
         raw_kind = cell(row, "kind").lower()
         if raw_kind and raw_kind not in POST_KINDS:
-            raise StressKitError(f"{path}: row {rownum}: kind {raw_kind!r} not in {POST_KINDS}")
+            raise StressKitError(f"kind {raw_kind!r} not in {POST_KINDS}")
         community = cell(row, "community")
         if not community:
-            raise StressKitError(f"{path}: row {rownum}: community is empty")
+            raise StressKitError("community is empty")
         yield rownum, row, PostRecord(
             id=cell(row, "id") or str(rownum - 1), date=date, title=title, body=body,
             score=score, community=community, tag=cell(row, "tag") or None,

@@ -2,9 +2,9 @@
 and the one way it writes output files.
 
 Every data error is a StressKitError, which the CLI maps to its single
-"data error" exit code; its message names the file, and the row where
-there is one. A CSV with named columns is opened through corpus.open_rows,
-which builds on open_text.
+"data error" exit code; its message names the file, and for a data row
+`line N`, the line on which the record ends. A CSV with named columns is
+opened through corpus.open_rows, which builds on open_text and adds N.
 """
 
 from __future__ import annotations

@@ -361,12 +361,11 @@ def load_group_map(path: str | Path) -> dict[str, str]:
     community is listed once."""
     mapping = {}
     with open_rows(path, ("community", "group")) as reader:
-        for rownum, row in enumerate(reader, start=2):
+        for row in reader:
             community, group = cell(row, "community"), cell(row, "group")
             if not (community and group):
-                raise StressKitError(f"{path}: row {rownum}: "
-                                     f"{'group' if community else 'community'} is empty")
+                raise StressKitError(f"{'group' if community else 'community'} is empty")
             if community in mapping:
-                raise StressKitError(f"{path}: row {rownum}: community {community!r} is listed twice")
+                raise StressKitError(f"community {community!r} is listed twice")
             mapping[community] = group
     return mapping

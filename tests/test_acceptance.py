@@ -368,3 +368,30 @@ def test_criterion_9_end_to_end_demo(tmp_path, monkeypatch):
         rows = list(csv.reader(handle))
     assert len(rows) == 101
     outcome(9, True, "full train/predict/analyze/annotate/emotions workflow on fixtures")
+
+
+def test_criterion_10_bow_logistic_on_human_annotated_data(tmp_path):
+    """The paper's second experiment at fixture scale: a logistic/BoW model
+    trained on the labeled corpus predicts the consensus labels that the
+    annotation sheet's annotators agree on, from each item's text."""
+    model_path = tmp_path / "model.json"
+    assert cli.main(["train", str(FIXTURES / "labeled_train.csv"), "--classifier", "logistic",
+                     "--features", "bow", "--model-out", str(model_path)]) == 0
+    model = classify.load_model(model_path)
+    consensus = annotate.aggregate(annotate.load_annotations(FIXTURES / "annotations.csv"))
+    with open(FIXTURES / "annotations.csv", newline="", encoding="utf-8") as handle:
+        texts = {row["item_id"]: row["text"] for row in csv.DictReader(handle)}
+    table = textprep.TokenTable(textprep.PipelineConfig.default().stopwords)
+    predicted = [
+        classify.predict_stems(model, table.stems(textprep.surface_tokens(texts[item]))).label
+        for item in consensus.item_ids]
+    actual = list(consensus.labels)
+    recount = Counter(zip(predicted, actual))  # (predicted, actual) pairs counted by hand
+    matrix = evaluate.confusion(predicted, actual)
+    assert (matrix.tp, matrix.fp, matrix.tn, matrix.fn) == (
+        recount[1, 1], recount[1, 0], recount[0, 0], recount[0, 1]) == (9, 0, 10, 1)
+    accuracy = evaluate.metrics(matrix).accuracy
+    majority = max(actual.count(0), actual.count(1)) / len(actual)
+    assert accuracy == pytest.approx(0.95) and majority == 0.5
+    outcome(10, True, f"logistic/BoW on {len(actual)} consensus items: accuracy {accuracy:.2f} "
+                      f"against a majority share of {majority:.2f}")

@@ -385,7 +385,7 @@ def test_matrix_copies_the_score_array_it_is_given():
 def test_load_weights_rejects_weight_that_is_not_finite_and_positive(write_csv, cell):
     path = write_csv([["annotator_id", "weight"], ["a1", "2.0"], ["a2", cell]],
                      name="weights.csv")
-    with pytest.raises(StressKitError, match="row 3: bad weight") as err:
+    with pytest.raises(StressKitError, match="line 3: bad weight") as err:
         load_weights(path)
     assert str(path) in str(err.value)
 
@@ -400,7 +400,7 @@ def test_load_weights_names_the_file_and_the_missing_column(write_csv):
 def test_load_weights_rejects_an_annotator_listed_twice(write_csv):
     path = write_csv([["annotator_id", "weight"], ["a1", "2.0"], ["a2", "1.0"], ["a1", "3.0"]],
                      name="weights.csv")
-    with pytest.raises(StressKitError, match="row 4: annotator 'a1' is listed twice") as err:
+    with pytest.raises(StressKitError, match="line 4: annotator 'a1' is listed twice") as err:
         load_weights(path)
     assert str(path) in str(err.value)
 
@@ -433,12 +433,12 @@ def test_load_annotations_rejects_bad_cells(write_csv):
     sheet = write_csv(
         [["item_id", "text", "a1", "a2"], ["x1", "t", "9", "0"]], name="bad.csv"
     )
-    with pytest.raises(StressKitError, match=re.escape("row 2: score 9 for 'a1' outside [-5, 5]")):
+    with pytest.raises(StressKitError, match=re.escape("line 2: score 9 for 'a1' outside [-5, 5]")):
         load_annotations(sheet)
     sheet2 = write_csv(
         [["item_id", "text", "a1", "a2"], ["x1", "t", "a", "0"]], name="bad2.csv"
     )
-    with pytest.raises(StressKitError, match="row 2: score 'a' for 'a1' is not an integer"):
+    with pytest.raises(StressKitError, match="line 2: score 'a' for 'a1' is not an integer"):
         load_annotations(sheet2)
     sheet3 = write_csv(
         [["item_id", "text", "a1", "a2", "a1"], ["x1", "t", "1", "0", "2"]], name="bad3.csv"

@@ -299,9 +299,9 @@ def test_analyze_mapping_without_required_columns_is_data_error(
 
 @pytest.mark.parametrize(
     "rows,where",
-    [([["r/PhD"]], "row 2: group is empty"),
+    [([["r/PhD"]], "line 2: group is empty"),
      ([["r/PhD", "PhD students"], [" r/PhD", "Professors"]],
-      "row 3: community 'r/PhD' is listed twice")],
+      "line 3: community 'r/PhD' is listed twice")],
     ids=["no-group-cell", "repeated-community"],
 )
 def test_analyze_mapping_row_error_names_the_file_and_the_row(
@@ -383,7 +383,7 @@ def test_annotate_weight_not_finite_and_positive_is_data_error(
     assert code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert str(weights) in err and "row 2" in err
+    assert str(weights) in err and "line 2" in err
     assert not (tmp_path / "consensus.csv").exists()
 
 
@@ -394,7 +394,7 @@ def test_annotate_weights_listing_an_annotator_twice_is_data_error(write_csv, tm
                 "--out-dir", tmp_path])
     assert code == 2
     err = capsys.readouterr().err
-    assert str(weights) in err and "row 3: annotator 'a1' is listed twice" in err
+    assert str(weights) in err and "line 3: annotator 'a1' is listed twice" in err
     assert not (tmp_path / "consensus.csv").exists()
 
 
@@ -430,7 +430,7 @@ def test_annotate_bad_score_cell_is_data_error(cell, message, write_csv, tmp_pat
     code = run(["annotate", write_csv(rows, name="sheet.csv"), "--out-dir", tmp_path])
     assert code == 2
     err = capsys.readouterr().err
-    assert "row 3: " + message in err and "Traceback" not in err
+    assert "line 3: " + message in err and "Traceback" not in err
     assert not (tmp_path / "consensus.csv").exists()
 
 
@@ -439,6 +439,22 @@ def test_annotate_threshold_above_one_is_usage_error(write_csv):
     with pytest.raises(SystemExit) as err:
         run(["annotate", sheet, "--threshold", "1.01"])
     assert err.value.code == 64
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["train", "x.csv", "--epochs"], ["train", "x.csv", "--svm-epochs"],
+     ["train", "x.csv", "--min-df"], ["train", "x.csv", "--max-vocab"],
+     ["analyze", "m.json", "p.csv", "--top-n"]],
+    ids=["epochs", "svm-epochs", "min-df", "max-vocab", "top-n"],
+)
+def test_positive_int_option_that_is_not_an_integer_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        run([*argv, "abc"])
+    assert err.value.code == 64
+    err = capsys.readouterr().err
+    assert f"argument {argv[-1]}: invalid int value: 'abc'" in err
+    assert "_positive_int" not in err
 
 
 def test_annotate_all_excluded_is_data_error(write_csv, tmp_path):
@@ -498,23 +514,25 @@ def test_stats_reports_counts(capsys):
     assert sum(stats["per_community"].values()) == 100
 
 
-LABELED_WITH_BLANK = [["id", "text", "label"], ["a", "deadline panic", "1"], ["b", "  ", "1"],
-                      ["c", "calm walk", "0"]]
-POSTS_WITH_BLANK = [["id", "date", "title", "text", "score", "community"],
-                    ["p1", "2023-01-01", "", "deadline panic", "1", "r/PhD"],
-                    ["p2", "2023-01-02", " ", "  ", "0", "r/PhD"],
-                    ["p3", "2023-01-03", "calm", "walk", "2", "r/GradSchool"]]
+# A record whose quoted cell spans lines 2-3, a blank line 4, then the skipped
+# record, whose quoted domain/tag cell ends on line 6, the line its reason names.
+LABELED_WITH_BLANK = [["id", "text", "label", "domain"], ["a", "deadline\npanic", "1", ""], [],
+                      ["b", "  ", "1", "exam\nweek"], ["c", "calm walk", "0", ""]]
+POSTS_WITH_BLANK = [["id", "date", "title", "text", "score", "tag", "community"],
+                    ["p1", "2023-01-01", "", "deadline\npanic", "1", "", "r/PhD"], [],
+                    ["p2", "2023-01-02", " ", "  ", "0", "exam\nweek", "r/PhD"],
+                    ["p3", "2023-01-03", "calm", "walk", "2", "", "r/GradSchool"]]
 
 
 BLANK_ROW_COMMANDS = pytest.mark.parametrize(
     "argv,rows,reason",
     [(["train", "{src}", "--epochs", "5", "--model-out", "{out}/m.json"], LABELED_WITH_BLANK,
-      "row 3: empty text (skipped)"),
+      "line 6: empty text (skipped)"),
      (["predict", GOLDEN_MODEL, "{src}", "--out", "{out}/p.csv"], POSTS_WITH_BLANK,
-      "row 3: title and body both empty (skipped)"),
+      "line 6: title and body both empty (skipped)"),
      (["analyze", GOLDEN_MODEL, "{src}", "--out-dir", "{out}"], POSTS_WITH_BLANK,
-      "row 3: title and body both empty (skipped)"),
-     (["stats", "{src}"], POSTS_WITH_BLANK, "row 3: title and body both empty (skipped)")],
+      "line 6: title and body both empty (skipped)"),
+     (["stats", "{src}"], POSTS_WITH_BLANK, "line 6: title and body both empty (skipped)")],
     ids=["train", "predict", "analyze", "stats"],
 )
 
@@ -540,6 +558,44 @@ def test_stderr_names_a_blank_row_with_its_summary_reason(argv, rows, reason, wr
         f"import sys\nfrom stresskit import cli\nsys.exit(cli.main({filled!r}))\n", tmp_path)
     assert result.returncode == 0, result.stderr
     assert f"WARNING: {src}: {reason}" in result.stderr.splitlines()
+
+
+# Each file: the header on line 1, a record whose quoted cell spans lines 2-3,
+# a blank line 4, then the bad record on line 5.
+BAD_ON_LINE_5 = {
+    "labeled": 'id,text,label\na,"deadline\npanic",1\n\nb,calm walk,yes\n',
+    "posts": ('id,date,title,text,score,community\np1,2023-01-01,,"deadline\npanic",1,r/PhD\n'
+              '\np2,not-a-date,,calm walk,2,r/PhD\n'),
+    "mapping": 'community,group\nr/PhD,"PhD\nstudents"\n\nr/PhD,Professors\n',
+    "weights": 'annotator_id,weight\n"a\n1",2.0\n\na2,x\n',
+    "sheet": 'item_id,text,a1,a2\nx1,"deadline\npanic",1,2\n\nx2,calm,9,0\n',
+}
+
+
+@pytest.mark.parametrize(
+    "kind,argv,reason",
+    [("labeled", ["train", "{src}", "--model-out", "{out}/m.json"], "label 'yes' is not 0/1"),
+     ("posts", ["predict", GOLDEN_MODEL, "{src}", "--out", "{out}/p.csv"], "date 'not-a-date'"),
+     ("posts", ["analyze", GOLDEN_MODEL, "{src}", "--out-dir", "{out}/r"], "date 'not-a-date'"),
+     ("posts", ["stats", "{src}"], "date 'not-a-date'"),
+     ("mapping", ["analyze", GOLDEN_MODEL, FIXTURES / "posts_100.csv", "--mapping", "{src}",
+                  "--out-dir", "{out}/r"], "community 'r/PhD' is listed twice"),
+     ("weights", ["annotate", FIXTURES / "annotations.csv", "--weights", "{src}",
+                  "--out-dir", "{out}/a"], "bad weight 'x'"),
+     ("sheet", ["annotate", "{src}", "--out-dir", "{out}/a"], "score 9 for 'a1' outside")],
+    ids=["labeled", "predict", "analyze", "stats", "group-map", "weights", "annotations"],
+)
+def test_every_loader_names_the_line_on_which_the_bad_record_ends(
+    kind, argv, reason, tmp_path, capsys
+):
+    src = tmp_path / f"{kind}.csv"
+    src.write_text(BAD_ON_LINE_5[kind], encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(_fill(argv, src, out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {src}: line 5: {reason}"), err
+    assert list(out.iterdir()) == []
 
 
 def test_predict_and_analyze_print_the_same_summary(write_csv, tmp_path, capsys):
@@ -612,7 +668,7 @@ def test_epoch_date_out_of_range_is_data_error(argv, output, write_csv, tmp_path
     assert cli.main(filled) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    assert "row 3" in err and "out of range" in err
+    assert "line 3" in err and "out of range" in err
     if output is not None:
         assert not out.exists()
 

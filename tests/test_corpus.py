@@ -1,4 +1,5 @@
 import ast
+import re
 from datetime import datetime, timezone
 
 import pytest
@@ -32,7 +33,7 @@ def test_load_labeled_two_rows(write_csv):
 
 def test_load_labeled_bad_label_names_row(write_csv):
     path = write_csv([["id", "text", "label"], ["a", "some text", "yes"]])
-    with pytest.raises(StressKitError, match="row 2: label 'yes' is not 0/1"):
+    with pytest.raises(StressKitError, match="line 2: label 'yes' is not 0/1"):
         load_labeled(path)
 
 
@@ -67,7 +68,7 @@ def test_load_labeled_skips_empty_text_rows(write_csv):
     assert summary.rows_read == 2
     assert summary.rows_kept == 1
     assert summary.rows_skipped == 1
-    assert "row 2" in summary.errors[0]
+    assert "line 2" in summary.errors[0]
 
 
 def test_label_totals_partition(write_csv):
@@ -117,16 +118,16 @@ def test_load_posts_bad_date_names_row(write_csv):
             ["p1", "not-a-date", "t", "b", "1", "", "r/PhD", "post"],
         ]
     )
-    with pytest.raises(StressKitError, match="row 2: date 'not-a-date' is neither"):
+    with pytest.raises(StressKitError, match="line 2: date 'not-a-date' is neither"):
         load_posts_with_summary(path)[0]
 
 
 def test_load_posts_bad_kind_and_score(write_csv):
     header = ["id", "date", "title", "text", "score", "tag", "community", "kind"]
-    with pytest.raises(StressKitError, match="row 2: score 'x' is not an integer"):
+    with pytest.raises(StressKitError, match="line 2: score 'x' is not an integer"):
         load_posts_with_summary(
             write_csv([header, ["p", "2023-01-01", "t", "b", "x", "", "c", "post"]]))[0]
-    with pytest.raises(StressKitError, match="row 2: kind 'meme' not in"):
+    with pytest.raises(StressKitError, match="line 2: kind 'meme' not in"):
         load_posts_with_summary(
             write_csv([header, ["p", "2023-01-01", "t", "b", "1", "", "c", "meme"]]))[0]
 
@@ -255,3 +256,16 @@ def test_posts_are_read_through_one_path():
     assert _in_sources(_named("classify_corpus")) == []
     assert _in_sources(_named("iter_post_rows")) == [
         "cli.cmd_predict", "cli.cmd_analyze", "cli.cmd_stats", "corpus.load_posts_with_summary"]
+
+
+def test_one_place_locates_a_data_row():
+    """Loaders raise bare reasons: only corpus reads a csv reader's line_num,
+    `located` is the one wrapper that words it, and no source formats a
+    `row N` location of its own."""
+    assert _in_sources(
+        lambda node: isinstance(node, ast.Attribute) and node.attr == "line_num") == [
+        "corpus._line"]
+    assert _in_sources(_named("located")) == ["annotate.load_annotations", "corpus.open_rows"]
+    assert _in_sources(
+        lambda node: isinstance(node, ast.JoinedStr)
+        and re.search(r"\brow \{", ast.unparse(node))) == []

@@ -442,7 +442,7 @@ def test_load_group_map_strips_cells_so_padded_communities_match(write_csv):
                                         (["", "PhD students"], "community")])
 def test_load_group_map_rejects_a_row_without_both_cells(write_csv, row, column):
     path = write_csv([["community", "group"], row])
-    with pytest.raises(StressKitError, match=f"row 2: {column} is empty") as err:
+    with pytest.raises(StressKitError, match=f"line 2: {column} is empty") as err:
         report.load_group_map(path)
     assert str(path) in str(err.value)
 
@@ -450,7 +450,7 @@ def test_load_group_map_rejects_a_row_without_both_cells(write_csv, row, column)
 def test_load_group_map_rejects_a_community_listed_twice(write_csv):
     path = write_csv([["community", "group"], ["r/PhD", "PhD students"],
                       ["r/PhD ", "Professors"]])
-    with pytest.raises(StressKitError, match="row 3: community 'r/PhD' is listed twice") as err:
+    with pytest.raises(StressKitError, match="line 3: community 'r/PhD' is listed twice") as err:
         report.load_group_map(path)
     assert str(path) in str(err.value)
 
