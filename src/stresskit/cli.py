@@ -64,21 +64,19 @@ def _nonnegative_float(text: str) -> float:
     return value
 
 
-def _nonnegative_int(text: str) -> int:
+def _nonnegative_int(text: str, least: int = 0) -> int:
     try:
         value = int(text)
     except ValueError:  # worded as argparse words a bad `type=int` value
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("must not be negative")
+    if value < least:
+        raise argparse.ArgumentTypeError("must be a positive integer" if least
+                                         else "must not be negative")
     return value
 
 
 def _positive_int(text: str) -> int:
-    value = _nonnegative_int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+    return _nonnegative_int(text, least=1)
 
 
 def build_parser() -> Parser:

@@ -97,7 +97,8 @@ class LoadSummary:
 
 
 def _line(reader) -> str:  # the line on which reader's current record ends
-    return f"line {reader.line_num}"
+    # read the csv.reader under a DictReader: its line_num counts every line read
+    return f"line {getattr(reader, 'reader', reader).line_num}"
 
 
 @contextlib.contextmanager
@@ -112,7 +113,8 @@ def located(path: str | Path, reader):
 @contextlib.contextmanager
 def open_rows(path: str | Path, required: Sequence[str]):
     """A csv.DictReader over the file, once its header row is known to
-    hold every required column; the block's errors are `located`."""
+    hold every required column. Every StressKitError raised in the block,
+    by row reading or by other work there, is `located` at the reader's line."""
     with open_text(path) as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:

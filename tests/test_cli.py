@@ -442,18 +442,26 @@ def test_annotate_threshold_above_one_is_usage_error(write_csv):
 
 
 @pytest.mark.parametrize(
+    "value,message",
+    [("abc", "invalid int value: 'abc'"), ("-3", "must be a positive integer"),
+     ("0", "must be a positive integer")],
+    ids=["not-an-integer", "negative", "zero"],
+)
+@pytest.mark.parametrize(
     "argv",
     [["train", "x.csv", "--epochs"], ["train", "x.csv", "--svm-epochs"],
      ["train", "x.csv", "--min-df"], ["train", "x.csv", "--max-vocab"],
      ["analyze", "m.json", "p.csv", "--top-n"]],
     ids=["epochs", "svm-epochs", "min-df", "max-vocab", "top-n"],
 )
-def test_positive_int_option_that_is_not_an_integer_is_usage_error(argv, capsys):
+def test_positive_int_option_that_is_not_a_positive_integer_is_usage_error(
+    argv, value, message, capsys
+):
     with pytest.raises(SystemExit) as err:
-        run([*argv, "abc"])
+        run([*argv, value])
     assert err.value.code == 64
     err = capsys.readouterr().err
-    assert f"argument {argv[-1]}: invalid int value: 'abc'" in err
+    assert f"argument {argv[-1]}: {message}" in err
     assert "_positive_int" not in err
 
 
