@@ -1,12 +1,14 @@
 """From-scratch classifiers over sparse feature vectors: logistic regression
 (full-batch gradient descent), multinomial Naive Bayes with Laplace
-smoothing, and a linear SVM trained by pegasos-style stochastic subgradient
+smoothing, and a linear SVM trained by Pegasos stochastic subgradient
 descent. `train` is the one way to build a model: it fits the vocabulary on
 stem lists, vectorizes them and calls the trainer that the type of its
-hyperparameters names. The trainers are deterministic given their seeds,
-return one LinearModel that decides on bias + weights . x, and share one
-design matrix, a sparse row store in plain numpy arrays. Numpy is imported
-only by the code that trains, so loading a model and predicting never
+hyperparameters names. The trainers are deterministic given their seeds
+and return one LinearModel that decides on bias + weights . x. Only
+logistic regression assembles a design matrix, a sparse row store in numpy
+arrays, for its full-batch epochs; naive Bayes and the SVM read the feature
+vectors in plain Python. So numpy is imported only by logistic training:
+loading a model, predicting and training naive Bayes or an SVM never
 import it.
 
 Models persist as single self-describing JSON documents (format 2; format 1
@@ -24,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from .errors import StressKitError, open_text
 from .features import FeatureVector, Vocabulary, fit_vocabulary, vector
 
-if TYPE_CHECKING:  # numpy loads only where a trainer computes with it
+if TYPE_CHECKING:  # numpy loads only where logistic training computes with it
     import numpy as np
 
 MODEL_FORMAT_VERSION = 2
@@ -83,61 +85,66 @@ class Prediction:
 
 @dataclass(frozen=True)
 class _SparseRows:
-    """Compressed sparse rows: row k's entries are data[indptr[k]:indptr[k+1]]
-    at columns indices[...]; rows[e] is the row of entry e. Both products add
-    in entry order starting from 0.0, as a loop over the rows would."""
+    """Sparse rows: entry e is data[e] at row rows[e] and column indices[e],
+    in row order; slot_* hold the entries stably ordered by their position
+    within the row. Both products add in a row's entry order from 0.0, as a
+    loop over the rows would, with their terms in one reused buffer."""
 
     data: np.ndarray
     indices: np.ndarray
-    indptr: np.ndarray
     rows: np.ndarray
+    slot_data: np.ndarray
+    slot_indices: np.ndarray
+    slot_rows: np.ndarray
     shape: tuple[int, int]
+    buffer: np.ndarray
+
+    def _sums(self, data, values, at, into, size: int) -> np.ndarray:
+        """sums[into[e]] += data[e] * values[at[e]], e in order"""
+        import numpy as np
+        np.take(values, at, out=self.buffer, mode="clip")  # "raise" would copy via a temporary
+        np.multiply(data, self.buffer, out=self.buffer)
+        return np.bincount(into, weights=self.buffer, minlength=size)
 
     def dot(self, w: np.ndarray) -> np.ndarray:
-        """X . w"""
-        import numpy as np
-        return np.bincount(self.rows, weights=self.data * np.take(w, self.indices),
-                           minlength=self.shape[0])
+        """X . w, slot by slot, so successive adds go to different rows."""
+        return self._sums(self.slot_data, w, self.slot_indices, self.slot_rows, self.shape[0])
 
     def tdot(self, r: np.ndarray) -> np.ndarray:
         """X^T . r"""
-        import numpy as np
-        per_entry = np.repeat(r, np.diff(self.indptr))  # r[rows], without the gather
-        return np.bincount(self.indices, weights=self.data * per_entry, minlength=self.shape[1])
+        return self._sums(self.data, r, self.rows, self.indices, self.shape[1])
 
 
-def _assemble(
-    examples: Sequence[tuple[FeatureVector, int]],
-    n_features: int,
-) -> tuple[_SparseRows, np.ndarray]:
-    import numpy as np
-    data, indices, indptr = [], [], [0]
-    labels = []
-    for vec, label in examples:
-        for i, v in vec.items():
-            if not 0 <= i < n_features:
-                raise StressKitError(f"feature index {i} outside vocabulary of {n_features}")
-            indices.append(i)
-            data.append(v)
-        indptr.append(len(indices))
-        labels.append(label)
-    indptr = np.asarray(indptr, dtype=np.intp)
-    X = _SparseRows(
-        data=np.asarray(data, dtype=float),
-        indices=np.asarray(indices, dtype=np.intp),
-        indptr=indptr,
-        rows=np.repeat(np.arange(len(examples)), np.diff(indptr)),
-        shape=(len(examples), n_features),
-    )
-    y = np.asarray(labels, dtype=float)
-    return X, y
-
-
-def _check_trainable(X: _SparseRows, y: np.ndarray) -> None:
-    if len(y) == 0 or y.min() == y.max():
+def _labels(examples: Sequence[tuple[FeatureVector, int]], n_features: int) -> list[int]:
+    """The labels of `examples`, once they are known to be trainable."""
+    bad = next((i for vec, _ in examples for i in vec if not 0 <= i < n_features), None)
+    if bad is not None:
+        raise StressKitError(f"feature index {bad} outside vocabulary of {n_features}")
+    labels = [label for _, label in examples]
+    if len(set(labels)) < 2:
         raise StressKitError("training data must contain both classes")
-    if X.shape[1] == 0:
+    if n_features == 0:
         raise StressKitError("empty vocabulary: no stem is in at least min_df training documents")
+    return labels
+
+
+def _assemble(examples: Sequence[tuple[FeatureVector, int]],
+              n_features: int) -> tuple[_SparseRows, np.ndarray]:
+    import numpy as np
+    y = np.asarray(_labels(examples, n_features), dtype=float)
+    data, indices, lengths = [], [], []
+    for vec, _ in examples:
+        indices.extend(vec)
+        data.extend(vec.values())
+        lengths.append(len(vec))
+    data, indices = np.asarray(data, dtype=float), np.asarray(indices, dtype=np.intp)
+    rows = np.repeat(np.arange(len(examples)), lengths)
+    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    slot = np.argsort(np.arange(len(data)) - starts, kind="stable")
+    X = _SparseRows(data=data, indices=indices, rows=rows, slot_data=data[slot],
+                    slot_indices=indices[slot], slot_rows=rows[slot],
+                    shape=(len(examples), n_features), buffer=np.empty(len(data)))
+    return X, y
 
 
 def sigmoid(z: float) -> float:
@@ -193,7 +200,6 @@ def train_logistic(
     """
     import numpy as np
     X, y = _assemble(examples, vocabulary.size)
-    _check_trainable(X, y)
     lr = hyper.learning_rate
     for _ in range(9):  # initial rate plus up to 8 halvings
         bias = 0.0
@@ -220,26 +226,23 @@ def train_logistic(
     raise StressKitError("loss still increasing after 8 learning-rate halvings")
 
 
-def naive_bayes_estimate(
-    examples: Sequence[tuple[FeatureVector, int]],
-    alpha: float,
-    vocabulary: Vocabulary,
-) -> tuple[np.ndarray, np.ndarray]:
+def naive_bayes_estimate(examples: Sequence[tuple[FeatureVector, int]], alpha: float,
+                         vocabulary: Vocabulary) -> tuple[list[float], list[list[float]]]:
     """Multinomial estimate over token counts with Laplace smoothing alpha:
-    log_prior of shape (2,) and log_likelihood of shape (2, V)."""
-    import numpy as np
+    log_prior[c] and log_likelihood[c][i] for the classes c = 0, 1. Each
+    column adds its class's values in row order."""
     if alpha <= 0:
         raise ValueError("smoothing alpha must be positive")
-    X, y = _assemble(examples, vocabulary.size)
-    _check_trainable(X, y)
-    V = vocabulary.size
-    log_prior = np.empty(2)
-    log_likelihood = np.empty((2, V))
-    for c in (0, 1):
-        mask = y == c
-        log_prior[c] = math.log(mask.sum() / len(y))
-        counts = X.tdot(mask.astype(float))  # column sums over the rows of class c
-        log_likelihood[c] = np.log(counts + alpha) - math.log(counts.sum() + alpha * V)
+    V, labels = vocabulary.size, _labels(examples, vocabulary.size)
+    counts = [[0.0] * V, [0.0] * V]
+    for vec, label in examples:
+        column = counts[label]
+        for i, v in vec.items():
+            column[i] += v
+    log_prior = [math.log(labels.count(c) / len(labels)) for c in (0, 1)]
+    log_totals = [math.log(math.fsum(column) + alpha * V) for column in counts]
+    log_likelihood = [[math.log(n + alpha) - log_total for n in column]
+                      for column, log_total in zip(counts, log_totals)]
     return log_prior, log_likelihood
 
 
@@ -253,12 +256,88 @@ def train_naive_bayes(
 ) -> LinearModel:
     """Naive Bayes as its log-odds log P(1|x) - log P(0|x): log-likelihood
     differences as weights, the log-prior difference as bias."""
-    log_prior, log_likelihood = naive_bayes_estimate(examples, hyper.alpha, vocabulary)
+    (prior0, prior1), (like0, like1) = naive_bayes_estimate(examples, hyper.alpha, vocabulary)
     return LinearModel(
-        kind="naive_bayes", weights=tuple((log_likelihood[1] - log_likelihood[0]).tolist()),
-        bias=float(log_prior[1] - log_prior[0]), vocabulary=vocabulary,
-        pipeline_fingerprint=fingerprint, hyper=hyper,
-        feature_kind=feature_kind)
+        kind="naive_bayes", weights=tuple(b - a for a, b in zip(like0, like1)),
+        bias=prior1 - prior0, vocabulary=vocabulary, pipeline_fingerprint=fingerprint,
+        hyper=hyper, feature_kind=feature_kind)
+
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _hashmix(const: int, mult: int):
+    """SeedSequence's hash, whose constant moves on by `mult` at each call."""
+    def hashmix(value: int) -> int:
+        nonlocal const
+        const, value = const * mult & _M32, value ^ const
+        value = value * const & _M32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    result = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return result ^ result >> 16
+
+
+class _Shuffle:
+    """numpy's `default_rng(seed).permutation(n)` on successive calls, without
+    numpy. SeedSequence hashes the seed's 32-bit words into a pool of 4 and
+    the pool into PCG64's 128-bit state and increment; PCG64 outputs the
+    XSL-RR of each next state; Generator.shuffle swaps each i from n-1 down
+    to 1 with a masked-rejection draw from [0, i], on 32-bit draws that take
+    a 64-bit output's low half, then its high half."""
+
+    MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+    def __init__(self, seed: int):
+        if seed < 0:
+            raise ValueError("seed must be non-negative")
+        entropy = [seed >> k & _M32 for k in range(0, max(seed.bit_length(), 1), 32)]
+        hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+        pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[4:]:
+            for dst in range(4):
+                pool[dst] = _mix(pool[dst], hashmix(word))
+        hashmix = _hashmix(0x8B51F9DD, 0x58F38DED)
+        w = [hashmix(pool[k % 4]) for k in range(8)]
+        # four little-endian 64-bit words: the state's high and low, the increment's
+        state = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+        self.inc = (w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 & _M128 | 1
+        self.state = ((self.inc + state) * self.MULTIPLIER + self.inc) & _M128
+        self.half = None  # the high half of the last 64-bit output, not yet drawn
+
+    def next64(self) -> int:
+        self.state = s = (self.state * self.MULTIPLIER + self.inc) & _M128
+        x, rot = (s >> 64 ^ s) & _M64, s >> 122
+        return (x >> rot | x << (64 - rot)) & _M64
+
+    def next32(self) -> int:
+        half, self.half = self.half, None
+        if half is None:
+            out = self.next64()
+            half, self.half = out & _M32, out >> 32
+        return half
+
+    def permutation(self, n: int) -> list[int]:
+        order = list(range(n))
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1  # numpy draws 64 bits from i = 2**32 on
+            while (j := self.next32() & mask) > i:
+                pass
+            order[i], order[j] = order[j], order[i]
+        return order
+
+
+def _rescaled(v: list[float], s: float) -> float:
+    """Multiply v by s in place; returns the new ||v||^2."""
+    v[:] = [s * x for x in v]
+    return sum(x * x for x in v)
 
 
 def train_svm(
@@ -269,40 +348,47 @@ def train_svm(
     fingerprint: str = "",
     feature_kind: str = "bow",
 ) -> LinearModel:
-    """Pegasos-style stochastic subgradient descent on the hinge loss.
-
-    Labels are remapped to {-1,+1}; the learning rate at update t is
-    1/(lam*t) and the weight vector is projected onto the 1/sqrt(lam) ball.
-    Shuffling is seeded, so training is deterministic.
-    """
-    import numpy as np
-    X, y01 = _assemble(examples, vocabulary.size)
-    _check_trainable(X, y01)
-    y = 2.0 * y01 - 1.0
-    n = X.shape[0]
-    rng = np.random.default_rng(hyper.seed)
-    w = np.zeros(vocabulary.size)
-    b = 0.0
-    radius = 1.0 / math.sqrt(hyper.lam)
-    t = 0
+    """Pegasos (Shalev-Shwartz et al., ICML 2007): stochastic subgradient
+    descent on the hinge loss, labels remapped to {-1,+1}, the learning rate
+    1/(lam*t) at update t and w projected onto the 1/sqrt(lam) ball. w is
+    kept as s*v with ||v||^2 at hand, so the decay and the projection only
+    rescale s and a step costs O(its row's entries); s is folded into v when
+    tiny (0 after step 1). Epochs visit the rows in numpy's default_rng(seed)
+    permutation order. An overflowing norm of w raises StressKitError."""
+    labels = _labels(examples, vocabulary.size)
+    rows = [list(vec.items()) for vec, _ in examples]
+    lam, radius = hyper.lam, 1.0 / math.sqrt(hyper.lam)
+    v = [0.0] * vocabulary.size
+    s, sq, b, t = 1.0, 0.0, 0.0, 0  # w = s*v and sq = ||v||^2
+    shuffle = _Shuffle(hyper.seed)
     for _epoch in range(hyper.epochs):
-        for idx in rng.permutation(n):
+        for idx in shuffle.permutation(len(rows)):
             t += 1
-            eta = 1.0 / (hyper.lam * t)
-            lo, hi = X.indptr[idx], X.indptr[idx + 1]
-            cols, vals = X.indices[lo:hi], X.data[lo:hi]
-            # accumulate adds in entry order, as the row loop of a CSR product does
-            row_dot = np.add.accumulate(vals * w[cols])[-1] if hi > lo else 0.0
-            margin = y[idx] * (row_dot + b)
-            w *= 1.0 - eta * hyper.lam
+            eta = 1.0 / (lam * t)
+            y = 2.0 * labels[idx] - 1.0
+            row_dot = 0.0
+            for i, x in rows[idx]:
+                row_dot += v[i] * x
+            margin = y * (s * row_dot + b)
+            s *= 1.0 - eta * lam
+            if abs(s) < 1e-100:  # far above underflow, and rare: a fold costs O(V)
+                sq, s = _rescaled(v, s), 1.0
             if margin < 1.0:
-                w[cols] += eta * y[idx] * vals
-                b += eta * y[idx]
-            norm = float(np.linalg.norm(w))
+                step = eta * y / s
+                for i, x in rows[idx]:
+                    old = v[i]
+                    v[i] = new = old + step * x
+                    sq += (new - old) * (new + old)
+                b += eta * y
+            if not math.isfinite(sq):  # ||v|| overflowed; ||w|| may not have
+                sq, s = _rescaled(v, s), 1.0
+                if not math.isfinite(sq):
+                    raise StressKitError("non-finite model parameters")
+            norm = abs(s) * math.sqrt(sq)
             if norm > radius:
-                w *= radius / norm
+                s *= radius / norm
     return LinearModel(
-        kind="svm", weights=tuple(w.tolist()), bias=float(b), vocabulary=vocabulary,
+        kind="svm", weights=tuple(s * x for x in v), bias=b, vocabulary=vocabulary,
         pipeline_fingerprint=fingerprint, hyper=hyper, feature_kind=feature_kind)
 
 

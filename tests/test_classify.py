@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import random
 from dataclasses import fields
 from pathlib import Path
 
@@ -31,7 +32,8 @@ from stresskit.classify import (
 from stresskit.errors import StressKitError
 from stresskit.features import Vocabulary, fit_vocabulary, vector, vectorize
 
-from conftest import FIXTURES, REPO_ROOT
+import svm_reference
+from conftest import FIXTURES, REPO_ROOT, load_script
 from test_corpus import _in_sources
 
 
@@ -249,10 +251,10 @@ def test_nb_hand_corpus_parameters():
     log_prior, log_likelihood = naive_bayes_estimate(pairs, 1.0, vocab)
     a, b = vocab.index["a"], vocab.index["b"]
     # class 0 token counts: a=4, b=1; alpha=1, V=2 -> P(a|0)=5/7, P(b|0)=2/7
-    assert math.isclose(math.exp(log_likelihood[0, a]), 5 / 7, abs_tol=1e-12)
-    assert math.isclose(math.exp(log_likelihood[0, b]), 2 / 7, abs_tol=1e-12)
-    assert math.isclose(math.exp(log_likelihood[1, a]), 2 / 7, abs_tol=1e-12)
-    assert math.isclose(math.exp(log_likelihood[1, b]), 5 / 7, abs_tol=1e-12)
+    assert math.isclose(math.exp(log_likelihood[0][a]), 5 / 7, abs_tol=1e-12)
+    assert math.isclose(math.exp(log_likelihood[0][b]), 2 / 7, abs_tol=1e-12)
+    assert math.isclose(math.exp(log_likelihood[1][a]), 2 / 7, abs_tol=1e-12)
+    assert math.isclose(math.exp(log_likelihood[1][b]), 5 / 7, abs_tol=1e-12)
     assert math.isclose(math.exp(log_prior[0]), 0.5, abs_tol=1e-12)
 
 
@@ -283,7 +285,7 @@ def test_nb_smoothing_keeps_unseen_tokens_positive():
     pairs = [(vector(["t", "u"], vocab, "bow"), 1), (vector(["u"], vocab, "bow"), 0)]
     _, log_likelihood = naive_bayes_estimate(pairs, 1.0, vocab)
     t = vocab.index["t"]
-    p1, p0 = math.exp(log_likelihood[1, t]), math.exp(log_likelihood[0, t])
+    p1, p0 = math.exp(log_likelihood[1][t]), math.exp(log_likelihood[0][t])
     assert p1 > p0 > 0
 
 
@@ -293,8 +295,8 @@ def test_nb_mirrored_corpus_is_symmetric():
     log_prior, log_likelihood = naive_bayes_estimate(pairs, 1.0, vocab)
     a, b = vocab.index["a"], vocab.index["b"]
     assert math.isclose(log_prior[0], log_prior[1])
-    assert math.isclose(log_likelihood[0, a], log_likelihood[1, b])
-    assert math.isclose(log_likelihood[0, b], log_likelihood[1, a])
+    assert math.isclose(log_likelihood[0][a], log_likelihood[1][b])
+    assert math.isclose(log_likelihood[0][b], log_likelihood[1][a])
 
 
 def test_nb_likelihoods_are_distributions():
@@ -364,6 +366,46 @@ def test_svm_prediction_margin_rule():
     assert pred.label == 1 and pred.score > 0
     pred = predict(model, {1: 1.0})
     assert pred.label == 0 and pred.score < 0
+
+
+SHUFFLE_SEEDS = [*range(60), 42, 2**32 - 1, 2**32, 2**64 + 1, 2**130 + 7, 2**256 + 12345]
+
+
+@pytest.mark.parametrize("seed", SHUFFLE_SEEDS)
+def test_svm_shuffle_reproduces_numpy_permutations(seed):
+    """Seeds of 2**128 and up have more 32-bit words than SeedSequence's pool."""
+    ours, numpys = classify._Shuffle(seed), np.random.default_rng(seed)
+    for n in (0, 1, 2, 3, 7, 100, 500, 2838):
+        assert ours.permutation(n) == numpys.permutation(n).tolist(), n
+
+
+def stem_lists(path):
+    """The stem lists and labels of a labeled CSV, as `stresskit train` makes them."""
+    table = textprep.TokenTable(textprep.PipelineConfig.default().stopwords)
+    examples = corpus.load_labeled(path)
+    return ([table.stems(textprep.surface_tokens(ex.text)) for ex in examples],
+            [ex.label for ex in examples])
+
+
+@pytest.mark.parametrize("rows", [0, 500], ids=["fixture", "generated"])
+@pytest.mark.parametrize("features", ["bow", "tfidf"])
+@pytest.mark.parametrize("lam", [1e-4, 1e-2])
+def test_scaled_svm_matches_the_direct_numpy_form(rows, features, lam, tmp_path):
+    path = FIXTURES / "labeled_train.csv"
+    if rows:  # a corpus of the benchmark's size and vocabulary
+        gen = load_script("perfbench/gen.py")
+        path = tmp_path / "labeled.csv"
+        gen.write_labeled(path, gen.Vocabulary(), rows, random.Random(7), gen.TextStats())
+    docs, labels = stem_lists(path)
+    vocab = fit_vocabulary(docs)
+    pairs = [(vector(doc, vocab, features), y) for doc, y in zip(docs, labels)]
+    hyper = SvmHyper(lam=lam)
+    model = train_svm(pairs, hyper, vocabulary=vocab)
+    oracle = svm_reference.train_svm(pairs, hyper, vocabulary=vocab)
+    for x, _ in pairs:
+        z, expected = decision_value(model, x), decision_value(oracle, x)
+        assert abs(z - expected) <= 1e-12 * max(1.0, abs(expected))
+        assert (z >= 0) == (expected >= 0)
 
 
 # ------------------------------------------------------------------ train

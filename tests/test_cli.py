@@ -641,8 +641,9 @@ def test_train_bad_hyperparameter_is_usage_error(option, value, tmp_path):
 
 @pytest.mark.parametrize(
     "options",
-    [["--classifier", "nb", "--alpha", "1e308"], ["--classifier", "svm", "--lam", "1e-320"]],
-    ids=["nb-huge-alpha", "svm-tiny-lam"],
+    [["--classifier", "nb", "--alpha", "1e308"], ["--classifier", "svm", "--lam", "1e-320"],
+     ["--classifier", "svm", "--lam", "1e-300"]],  # the first step's norm of w overflows
+    ids=["nb-huge-alpha", "svm-tiny-lam", "svm-overflowing-norm"],
 )
 def test_train_to_non_finite_parameters_is_data_error(options, tmp_path):
     argv = ["train", str(FIXTURES / "labeled_train.csv"), *options, "--model-out", "m.json"]
@@ -948,9 +949,18 @@ def _tree(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-@pytest.mark.parametrize("command", ["predict", "analyze"])
+NUMPY_FREE_TRAINING = {
+    f"train-{classifier}-{features}": ["train", FIXTURES / "labeled_train.csv", "--classifier",
+                                       classifier, "--features", features, "--model-out", "m.json"]
+    for classifier in ("nb", "svm") for features in ("bow", "tfidf")
+}
+
+
+@pytest.mark.parametrize("command", ["predict", "analyze", *NUMPY_FREE_TRAINING])
 def test_read_commands_run_with_numpy_blocked(command, tmp_path):
-    argv = [str(a) for a in READ_COMMANDS[command]]
+    """These commands, naive Bayes and SVM training among them, write the same
+    files with numpy blocked: only logistic training needs it."""
+    argv = [str(a) for a in {**READ_COMMANDS, **NUMPY_FREE_TRAINING}[command]]
     outputs = {}
     for blocked in (False, True):
         cwd = tmp_path / ("blocked" if blocked else "free")
