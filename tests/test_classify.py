@@ -379,14 +379,6 @@ def test_svm_shuffle_reproduces_numpy_permutations(seed):
         assert ours.permutation(n) == numpys.permutation(n).tolist(), n
 
 
-def stem_lists(path):
-    """The stem lists and labels of a labeled CSV, as `stresskit train` makes them."""
-    table = textprep.TokenTable(textprep.PipelineConfig.default().stopwords)
-    examples = corpus.load_labeled(path)
-    return ([table.stems(textprep.surface_tokens(ex.text)) for ex in examples],
-            [ex.label for ex in examples])
-
-
 @pytest.mark.parametrize("rows", [0, 500], ids=["fixture", "generated"])
 @pytest.mark.parametrize("features", ["bow", "tfidf"])
 @pytest.mark.parametrize("lam", [1e-4, 1e-2])
@@ -396,9 +388,11 @@ def test_scaled_svm_matches_the_direct_numpy_form(rows, features, lam, tmp_path)
         gen = load_script("perfbench/gen.py")
         path = tmp_path / "labeled.csv"
         gen.write_labeled(path, gen.Vocabulary(), rows, random.Random(7), gen.TextStats())
-    docs, labels = stem_lists(path)
+    table = textprep.TokenTable(textprep.PipelineConfig.default().stopwords)
+    examples = corpus.load_labeled(path)
+    docs = [table.stems(textprep.surface_tokens(ex.text)) for ex in examples]
     vocab = fit_vocabulary(docs)
-    pairs = [(vector(doc, vocab, features), y) for doc, y in zip(docs, labels)]
+    pairs = [(vector(doc, vocab, features), ex.label) for doc, ex in zip(docs, examples)]
     hyper = SvmHyper(lam=lam)
     model = train_svm(pairs, hyper, vocabulary=vocab)
     oracle = svm_reference.train_svm(pairs, hyper, vocabulary=vocab)
