@@ -155,29 +155,19 @@ def _pipeline_config(args) -> textprep.PipelineConfig:
     return textprep.PipelineConfig.default()
 
 
-def _require(path: str, what: str) -> Path:
-    p = Path(path)
-    if not p.exists():
-        raise StressKitError(f"{what} not found: {path}")
-    return p
-
-
 def _lexicon(args) -> emotion.EmotionLexicon:
     if args.lexicon:
-        _require(args.lexicon, "lexicon file")
         return emotion.load_lexicon(args.lexicon)
     return emotion.default_lexicon()
 
 
 def cmd_train(args) -> int:
-    _require(args.train_csv, "training file")
     config = _pipeline_config(args)
     examples, summary = corpus.load_labeled_with_summary(args.train_csv)
     if args.summary:
         print(summary.to_json())
     held_out = None
     if args.eval_csv:  # read before training, so a bad file leaves no model behind
-        _require(args.eval_csv, "evaluation file")
         held_out = corpus.load_labeled(args.eval_csv)
         if not held_out:
             raise StressKitError(f"{args.eval_csv}: no labeled rows with text to evaluate on")
@@ -212,8 +202,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    _require(args.model, "model file")
-    _require(args.posts_csv, "posts file")
     model = classify.load_model(args.model)
     config = _pipeline_config(args)
     report.check_fingerprint(model, config)
@@ -240,13 +228,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    _require(args.model, "model file")
-    _require(args.posts_csv, "posts file")
-    if args.mapping:
-        _require(args.mapping, "group-mapping file")
-        group_map = report.load_group_map(args.mapping)
-    else:
-        group_map = dict(report.DEFAULT_GROUP_MAP)
+    group_map = (report.load_group_map(args.mapping) if args.mapping
+                 else dict(report.DEFAULT_GROUP_MAP))
     lexicon = _lexicon(args)
     model = classify.load_model(args.model)
     config = _pipeline_config(args)
@@ -274,11 +257,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_annotate(args) -> int:
-    _require(args.annotations_csv, "annotation file")
-    weights = None
-    if args.weights:
-        _require(args.weights, "weights file")
-        weights = annotate.load_weights(args.weights)
+    weights = annotate.load_weights(args.weights) if args.weights else None
     matrix = annotate.load_annotations(args.annotations_csv, weights)
     consensus = annotate.aggregate(matrix, args.threshold)
     excluded = [{"annotator": a, "rate": rate} for a, rate in consensus.excluded]
@@ -320,7 +299,6 @@ def cmd_annotate(args) -> int:
 
 
 def cmd_emotions(args) -> int:
-    _require(args.input_csv, "input file")
     lexicon = _lexicon(args)
     negative = list(emotion.NEGATIVE_AFFECTS)
     affects = ("anger", "fear", "sadness", "disgust", "surprise")
@@ -340,7 +318,6 @@ def cmd_emotions(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    _require(args.posts_csv, "posts file")
     config = _pipeline_config(args)
     summary = corpus.LoadSummary()
     with corpus.open_rows(args.posts_csv, corpus.POST_COLUMNS) as reader:

@@ -8,9 +8,11 @@ raises StressKitError naming the file and the column; cells are read
 stripped, and an absent optional column reads as empty. Rows with empty
 text are skipped, not fatal: `LoadSummary.count` tallies each one and logs
 it as `PATH: line N: reason`, N being the line on which the record ends.
-Loaders raise bare reasons; `located` words an unparseable label or date
-as `PATH: line N: reason` too. `iter_post_rows` yields each post as its row
-is read: predict, analyze and stats stream through it and hold no list.
+Loaders raise bare reasons, and are the only check on a row; `located`
+words them, and a record the csv module cannot read, as `PATH: line N:
+reason` too. A record keeps only the fields some command reads.
+`iter_post_rows` yields each post as its row is read: predict, analyze and
+stats stream through it and hold no list.
 """
 
 from __future__ import annotations
@@ -36,21 +38,12 @@ POST_COLUMNS = ("date", "text", "community")  # the columns a posts file must ha
 
 @dataclass(frozen=True)
 class LabeledExample:
-    id: str
     text: str
     label: int
-    domain: str | None = None
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label!r}")
-        if not self.text.strip():
-            raise ValueError("text is empty")
 
 
 @dataclass(frozen=True)
 class PostRecord:
-    id: str
     date: datetime
     title: str
     body: str
@@ -58,14 +51,6 @@ class PostRecord:
     community: str
     tag: str | None = None
     kind: str = "post"
-
-    def __post_init__(self):
-        if not self.community:
-            raise ValueError("community is empty")
-        if not (self.title.strip() or self.body.strip()):
-            raise ValueError("title and body are both empty")
-        if self.kind not in POST_KINDS:
-            raise ValueError(f"kind must be one of {POST_KINDS}, got {self.kind!r}")
 
     @property
     def text(self) -> str:
@@ -103,10 +88,10 @@ def _line(reader) -> str:  # the line on which reader's current record ends
 
 @contextlib.contextmanager
 def located(path: str | Path, reader):
-    """Re-raise a StressKitError from the block as `PATH: line N: reason`."""
+    """Re-raise a StressKitError or csv.Error from the block as `PATH: line N: reason`."""
     try:
         yield
-    except StressKitError as exc:
+    except (StressKitError, csv.Error) as exc:
         raise StressKitError(f"{path}: {_line(reader)}: {exc}") from None
 
 
@@ -135,16 +120,14 @@ def load_labeled_with_summary(path: str | Path) -> tuple[list[LabeledExample], L
     summary = LoadSummary()
     examples: list[LabeledExample] = []
     with open_rows(path, required=("text", "label")) as reader:
-        for rownum, row in enumerate(reader, start=2):  # 1 is the header line
+        for row in reader:
             text = cell(row, "text")
             if not summary.count(path, reader, None if text else "empty text (skipped)"):
                 continue
             raw_label = cell(row, "label")
             if raw_label not in ("0", "1"):
                 raise StressKitError(f"label {raw_label!r} is not 0/1")
-            examples.append(LabeledExample(
-                id=cell(row, "id") or str(rownum - 1), text=text, label=int(raw_label),
-                domain=cell(row, "domain") or None))
+            examples.append(LabeledExample(text=text, label=int(raw_label)))
     return examples, summary
 
 
@@ -199,9 +182,8 @@ def iter_post_rows(reader: csv.DictReader, path: str | Path, summary: LoadSummar
         if not community:
             raise StressKitError("community is empty")
         yield rownum, row, PostRecord(
-            id=cell(row, "id") or str(rownum - 1), date=date, title=title, body=body,
-            score=score, community=community, tag=cell(row, "tag") or None,
-            kind=raw_kind or "post")
+            date=date, title=title, body=body, score=score, community=community,
+            tag=cell(row, "tag") or None, kind=raw_kind or "post")
 
 
 def load_posts_with_summary(path: str | Path) -> tuple[list[PostRecord], LoadSummary]:

@@ -3,13 +3,15 @@ and the one way it writes output files.
 
 Every data error is a StressKitError, which the CLI maps to its single
 "data error" exit code; its message names the file, and for a data row
-`line N`, the line on which the record ends. A CSV with named columns is
-opened through corpus.open_rows, which builds on open_text and adds N.
+`line N`, the line on which the record ends. open_text alone says that
+an input cannot be opened. A CSV with named columns is opened through
+corpus.open_rows, which builds on open_text and adds N.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import errno
 import os
 from pathlib import Path
@@ -23,15 +25,23 @@ class StressKitError(Exception):
 @contextlib.contextmanager
 def open_text(path: str | Path) -> Iterator[TextIO]:
     """Open an input file for reading as UTF-8, with newlines kept as they
-    are (what the csv module expects). A byte that is not UTF-8, met while
-    the block reads the file, raises StressKitError naming the file."""
-    with open(path, newline="", encoding="utf-8") as handle:
+    are (what the csv module expects). A file that open() refuses raises
+    StressKitError `PATH: reason`; an OSError from the block passes through.
+    A byte that is not UTF-8 or a record the csv module cannot read, met
+    while the block reads the file, raises StressKitError naming the file."""
+    try:
+        handle = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise StressKitError(f"{path}: {exc.strerror}") from None
+    with handle:
         try:
             yield handle
         except UnicodeDecodeError as exc:
             byte = exc.object[exc.start]
             raise StressKitError(
                 f"{path}: not UTF-8 text: byte 0x{byte:02x} ({exc.reason})") from None
+        except csv.Error as exc:
+            raise StressKitError(f"{path}: {exc}") from None
 
 
 @contextlib.contextmanager

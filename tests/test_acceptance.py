@@ -15,6 +15,7 @@ import random
 import sys
 import time
 from collections import Counter
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -395,3 +396,78 @@ def test_criterion_10_bow_logistic_on_human_annotated_data(tmp_path):
     assert accuracy == pytest.approx(0.95) and majority == 0.5
     outcome(10, True, f"logistic/BoW on {len(actual)} consensus items: accuracy {accuracy:.2f} "
                       f"against a majority share of {majority:.2f}")
+
+
+# Planted stressed rates per community, one community per group, in the
+# paper's order from least to most stressed.
+PLANTED_RATES = {"r/csMajors": ("Bachelor students", 0.25),
+                 "r/GradSchool": ("Graduate students", 0.30),
+                 "r/PhD": ("PhD students", 0.33),
+                 "r/Professors": ("Professors", 0.40)}
+PLANTED_Z_BOUND = 3.0  # |z| allowed per group, fixed before the first run
+
+
+def write_planted_posts(path, gen, vocab, per_group, rng):
+    """`per_group` posts per community of PLANTED_RATES, exactly round(rate *
+    per_group) of them stressed, in shuffled order. Each post is a body
+    drawn as gen.write_labeled draws a labeled row's text, so the held-out
+    labeled rows measure the classifier on the posts' own distribution."""
+    start = datetime(2022, 9, 1, tzinfo=timezone.utc)
+    rows = []
+    for community, (_, rate) in PLANTED_RATES.items():
+        n_stressed = round(rate * per_group)
+        for stressed in [True] * n_stressed + [False] * (per_group - n_stressed):
+            text = gen.make_text(rng, vocab, stressed, rng.randint(70, 130))[0]
+            date = start + timedelta(days=rng.randint(0, 364))
+            rows.append([date.isoformat(), "", text, rng.randint(-20, 300), community])
+    rng.shuffle(rows)
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["date", "title", "text", "score", "community"])
+        writer.writerows(rows)
+
+
+def test_criterion_11_group_shares_recover_planted_rates(tmp_path, capsys):
+    """train -> analyze recovers a planted group structure. A logistic/BoW
+    model's TPR and FPR, measured by `train --eval` on held-out generated
+    rows, predict each group's stressed share in `analyze` as
+    p*TPR + (1-p)*FPR for the planted rate p, within PLANTED_Z_BOUND standard
+    errors (the group's binomial error plus that of the TPR/FPR estimates),
+    and the groups rank as planted."""
+    gen = load_script("perfbench/gen.py")
+    vocab = gen.Vocabulary()
+    rng = random.Random("planted-group-rates")
+    train, held_out, posts = (tmp_path / f"{name}.csv" for name in ("train", "held_out", "posts"))
+    gen.write_labeled(train, vocab, 1500, rng, gen.TextStats())
+    gen.write_labeled(held_out, vocab, 2000, rng, gen.TextStats())
+    per_group = 2000
+    write_planted_posts(posts, gen, vocab, per_group, rng)
+    mapping = tmp_path / "mapping.csv"
+    mapping.write_text("community,group\n" + "".join(
+        f"{c},{g}\n" for c, (g, _) in PLANTED_RATES.items()), encoding="utf-8")
+
+    model = tmp_path / "model.json"
+    assert cli.main(["train", str(train), "--eval", str(held_out),
+                     "--model-out", str(model)]) == 0
+    confusion = dict(
+        (key, int(value)) for key, value in
+        (pair.split("=") for pair in capsys.readouterr().out.split("confusion: ")[1].split()))
+    n_pos, n_neg = confusion["TP"] + confusion["FN"], confusion["FP"] + confusion["TN"]
+    tpr, fpr = confusion["TP"] / n_pos, confusion["FP"] / n_neg
+    assert cli.main(["analyze", str(model), str(posts), "--mapping", str(mapping),
+                     "--format", "json", "--out-dir", str(tmp_path / "reports")]) == 0
+    groups = {g["name"]: g for g in json.loads(
+        (tmp_path / "reports" / "report.json").read_text(encoding="utf-8"))["groups"]}
+
+    shares, zs = {}, {}
+    for group, p in PLANTED_RATES.values():
+        assert groups[group]["total"] == per_group
+        observed = groups[group]["stressed"] / per_group
+        expected = p * tpr + (1 - p) * fpr
+        variance = ((p * tpr * (1 - tpr) + (1 - p) * fpr * (1 - fpr)) / per_group
+                    + p * p * tpr * (1 - tpr) / n_pos + (1 - p) ** 2 * fpr * (1 - fpr) / n_neg)
+        shares[group], zs[group] = observed, (observed - expected) / math.sqrt(variance)
+    detail = ", ".join(f"{g} {shares[g]:.3f} (z {zs[g]:+.2f})" for g in shares)
+    assert all(abs(z) <= PLANTED_Z_BOUND for z in zs.values()), detail
+    assert sorted(shares, key=shares.get) == list(shares), detail
+    outcome(11, True, f"TPR {tpr:.3f}, FPR {fpr:.3f}; {detail}")

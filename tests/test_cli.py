@@ -574,6 +574,8 @@ BAD_ON_LINE_5 = {
     "labeled": 'id,text,label\na,"deadline\npanic",1\n\nb,calm walk,yes\n',
     "posts": ('id,date,title,text,score,community\np1,2023-01-01,,"deadline\npanic",1,r/PhD\n'
               '\np2,not-a-date,,calm walk,2,r/PhD\n'),
+    "community": ('id,date,title,text,score,community\np1,2023-01-01,,"deadline\npanic",1,r/PhD\n'
+                  '\np2,2023-01-02,,calm walk,2, \n'),
     "mapping": 'community,group\nr/PhD,"PhD\nstudents"\n\nr/PhD,Professors\n',
     "weights": 'annotator_id,weight\n"a\n1",2.0\n\na2,x\n',
     "sheet": 'item_id,text,a1,a2\nx1,"deadline\npanic",1,2\n\nx2,calm,9,0\n',
@@ -586,12 +588,14 @@ BAD_ON_LINE_5 = {
      ("posts", ["predict", GOLDEN_MODEL, "{src}", "--out", "{out}/p.csv"], "date 'not-a-date'"),
      ("posts", ["analyze", GOLDEN_MODEL, "{src}", "--out-dir", "{out}/r"], "date 'not-a-date'"),
      ("posts", ["stats", "{src}"], "date 'not-a-date'"),
+     ("community", ["stats", "{src}"], "community is empty"),
      ("mapping", ["analyze", GOLDEN_MODEL, FIXTURES / "posts_100.csv", "--mapping", "{src}",
                   "--out-dir", "{out}/r"], "community 'r/PhD' is listed twice"),
      ("weights", ["annotate", FIXTURES / "annotations.csv", "--weights", "{src}",
                   "--out-dir", "{out}/a"], "bad weight 'x'"),
      ("sheet", ["annotate", "{src}", "--out-dir", "{out}/a"], "score 9 for 'a1' outside")],
-    ids=["labeled", "predict", "analyze", "stats", "group-map", "weights", "annotations"],
+    ids=["labeled", "predict", "analyze", "stats", "community", "group-map", "weights",
+         "annotations"],
 )
 def test_every_loader_names_the_line_on_which_the_bad_record_ends(
     kind, argv, reason, tmp_path, capsys
@@ -691,44 +695,86 @@ def with_latin1_byte(src, dst):
     return dst
 
 
-@pytest.mark.parametrize(
-    "argv,bad,output",
-    [
-        (["train", "{bad}", "--model-out", "{out}"], FIXTURES / "labeled_train.csv", "m.json"),
-        (["train", FIXTURES / "labeled_train.csv", "--eval", "{bad}", "--model-out", "{out}"],
-         FIXTURES / "labeled_eval.csv", "m.json"),
-        (["train", FIXTURES / "labeled_train.csv", "--stopwords", "{bad}", "--model-out", "{out}"],
-         PACKAGE_DATA / "stopwords_en.txt", "m.json"),
-        (["predict", GOLDEN_MODEL, "{bad}", "--out", "{out}"], FIXTURES / "posts_100.csv", "p.csv"),
-        (["predict", "{bad}", FIXTURES / "posts_100.csv", "--out", "{out}"], GOLDEN_MODEL, "p.csv"),
-        (["analyze", GOLDEN_MODEL, "{bad}", "--out-dir", "{out}"], FIXTURES / "posts_100.csv",
-         "reports"),
-        (["analyze", GOLDEN_MODEL, FIXTURES / "posts_100.csv", "--lexicon", "{bad}",
-          "--out-dir", "{out}"], PACKAGE_DATA / "emotion_lexicon.tsv", "reports"),
-        (["analyze", GOLDEN_MODEL, FIXTURES / "posts_100.csv", "--mapping", "{bad}",
-          "--out-dir", "{out}"], FIXTURES / "communities.csv", "reports"),
-        (["annotate", "{bad}", "--out-dir", "{out}"], FIXTURES / "annotations.csv", "annotation"),
-        (["annotate", FIXTURES / "annotations.csv", "--weights", "{bad}", "--out-dir", "{out}"],
-         FIXTURES / "weights.csv", "annotation"),
-        (["emotions", "{bad}", "--out", "{out}"], FIXTURES / "posts_100.csv", "e.csv"),
-        (["emotions", FIXTURES / "posts_100.csv", "--lexicon", "{bad}", "--out", "{out}"],
-         PACKAGE_DATA / "emotion_lexicon.tsv", "e.csv"),
-        (["stats", "{bad}"], FIXTURES / "posts_100.csv", None),
-    ],
-    ids=["train", "train-eval", "train-stopwords", "predict", "predict-model", "analyze",
-         "analyze-lexicon", "analyze-mapping", "annotate", "annotate-weights", "emotions",
-         "emotions-lexicon", "stats"],
-)
-def test_non_utf8_input_is_data_error(argv, bad, output, tmp_path, capsys):
-    bad_path = with_latin1_byte(bad, tmp_path / f"bad_{bad.name}")
+# Every input argument of every command: (argv, a good file for "{bad}", the
+# output the command writes, or None), with the test id of each.
+EVERY_INPUT = {
+    "train": (["train", "{bad}", "--model-out", "{out}"], FIXTURES / "labeled_train.csv",
+              "m.json"),
+    "train-eval": (["train", FIXTURES / "labeled_train.csv", "--eval", "{bad}",
+                    "--model-out", "{out}"], FIXTURES / "labeled_eval.csv", "m.json"),
+    "train-stopwords": (["train", FIXTURES / "labeled_train.csv", "--stopwords", "{bad}",
+                         "--model-out", "{out}"], PACKAGE_DATA / "stopwords_en.txt", "m.json"),
+    "predict": (["predict", GOLDEN_MODEL, "{bad}", "--out", "{out}"],
+                FIXTURES / "posts_100.csv", "p.csv"),
+    "predict-model": (["predict", "{bad}", FIXTURES / "posts_100.csv", "--out", "{out}"],
+                      GOLDEN_MODEL, "p.csv"),
+    "analyze": (["analyze", GOLDEN_MODEL, "{bad}", "--out-dir", "{out}"],
+                FIXTURES / "posts_100.csv", "reports"),
+    "analyze-lexicon": (["analyze", GOLDEN_MODEL, FIXTURES / "posts_100.csv", "--lexicon",
+                         "{bad}", "--out-dir", "{out}"],
+                        PACKAGE_DATA / "emotion_lexicon.tsv", "reports"),
+    "analyze-mapping": (["analyze", GOLDEN_MODEL, FIXTURES / "posts_100.csv", "--mapping",
+                         "{bad}", "--out-dir", "{out}"], FIXTURES / "communities.csv", "reports"),
+    "annotate": (["annotate", "{bad}", "--out-dir", "{out}"], FIXTURES / "annotations.csv",
+                 "annotation"),
+    "annotate-weights": (["annotate", FIXTURES / "annotations.csv", "--weights", "{bad}",
+                          "--out-dir", "{out}"], FIXTURES / "weights.csv", "annotation"),
+    "emotions": (["emotions", "{bad}", "--out", "{out}"], FIXTURES / "posts_100.csv", "e.csv"),
+    "emotions-lexicon": (["emotions", FIXTURES / "posts_100.csv", "--lexicon", "{bad}",
+                          "--out", "{out}"], PACKAGE_DATA / "emotion_lexicon.tsv", "e.csv"),
+    "stats": (["stats", "{bad}"], FIXTURES / "posts_100.csv", None),
+}
+CSV_INPUTS = [name for name, (_, bad, _) in EVERY_INPUT.items() if bad.suffix == ".csv"]
+
+
+def _run_on_bad_input(name, bad_path, tmp_path, capsys):
+    """Run EVERY_INPUT[name] with bad_path as its input: it exits 2, prints
+    no traceback and writes no output. Returns its stderr."""
+    argv, _, output = EVERY_INPUT[name]
     out = tmp_path / (output or "unused")
     filled = [str(a).replace("{bad}", str(bad_path)).replace("{out}", str(out)) for a in argv]
     assert cli.main(filled) == 2
     err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert not out.exists()
+    return err
+
+
+@pytest.mark.parametrize("name", EVERY_INPUT)
+def test_non_utf8_input_is_data_error(name, tmp_path, capsys):
+    bad = EVERY_INPUT[name][1]
+    bad_path = with_latin1_byte(bad, tmp_path / f"bad_{bad.name}")
+    err = _run_on_bad_input(name, bad_path, tmp_path, capsys)
     assert err.startswith("error:") and "UTF-8" in err
     assert str(bad_path) in err
-    if output is not None:
-        assert not out.exists()
+
+
+@pytest.mark.parametrize("name", EVERY_INPUT)
+@pytest.mark.parametrize("kind,reason", [("missing", "No such file or directory"),
+                                         ("directory", "Is a directory")],
+                         ids=["missing", "directory"])
+def test_unopenable_input_is_data_error(name, kind, reason, tmp_path, capsys):
+    bad_path = tmp_path / f"{kind}_{EVERY_INPUT[name][1].name}"
+    if kind == "directory":
+        bad_path.mkdir()
+    err = _run_on_bad_input(name, bad_path, tmp_path, capsys)
+    assert err == f"error: {bad_path}: {reason}\n"
+
+
+@pytest.mark.parametrize("name", CSV_INPUTS)
+@pytest.mark.parametrize("where", ["data-row", "header"])
+def test_csv_cell_over_the_field_limit_is_data_error(name, where, tmp_path, capsys):
+    """A 140,000-character cell, as a stray quote in a scraped dump makes,
+    is over the csv module's 131,072 limit: in the header the error names
+    the file, in the first data row also its line."""
+    source = EVERY_INPUT[name][1]
+    data = source.read_bytes()
+    at = data.index(b"\n") + 1 if where == "data-row" else 0
+    bad_path = tmp_path / f"long_{source.name}"
+    bad_path.write_bytes(data[:at] + b"x" * 140_000 + data[at:])
+    err = _run_on_bad_input(name, bad_path, tmp_path, capsys)
+    location = f"{bad_path}: line 2" if where == "data-row" else bad_path
+    assert err == f"error: {location}: field larger than field limit (131072)\n"
 
 
 MUTATED_COMMANDS = {

@@ -1,4 +1,5 @@
 import ast
+import csv
 import re
 from datetime import datetime, timezone
 
@@ -25,10 +26,8 @@ def test_load_labeled_two_rows(write_csv):
          ["a", "first text", "1", "anxiety"],
          ["b", "second text", "0", ""]]
     )
-    examples = load_labeled(path)
-    assert [e.label for e in examples] == [1, 0]
-    assert examples[0].domain == "anxiety"
-    assert examples[1].domain is None
+    assert load_labeled(path) == [LabeledExample("first text", 1),
+                                  LabeledExample("second text", 0)]
 
 
 def test_load_labeled_bad_label_names_row(write_csv):
@@ -55,8 +54,7 @@ def test_load_posts_needs_a_header_and_the_required_columns(write_csv):
 def test_load_posts_absent_optional_columns_read_as_empty(write_csv):
     path = write_csv([["date", "text", "community"], ["2023-01-01", "body", "r/PhD"]])
     [record], _ = load_posts_with_summary(path)
-    assert (record.id, record.title, record.score, record.tag, record.kind) == (
-        "1", "", 0, None, "post")
+    assert (record.title, record.score, record.tag, record.kind) == ("", 0, None, "post")
 
 
 def test_load_labeled_skips_empty_text_rows(write_csv):
@@ -130,12 +128,19 @@ def test_load_posts_bad_kind_and_score(write_csv):
     with pytest.raises(StressKitError, match="line 2: kind 'meme' not in"):
         load_posts_with_summary(
             write_csv([header, ["p", "2023-01-01", "t", "b", "1", "", "c", "meme"]]))[0]
+    with pytest.raises(StressKitError, match="line 2: community is empty"):
+        load_posts_with_summary(
+            write_csv([header, ["p", "2023-01-01", "t", "b", "1", "", " ", "post"]]))[0]
 
 
 def test_load_posts_order_preserved(fixtures_dir):
-    records, summary = load_posts_with_summary(fixtures_dir / "posts_100.csv")
+    path = fixtures_dir / "posts_100.csv"
+    records, summary = load_posts_with_summary(path)
     assert summary.rows_kept == len(records) == 100
-    assert [r.id for r in records] == [f"p{i:03d}" for i in range(100)]
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [(r.title, r.date) for r in records] == [
+        (row["title"].strip(), parse_date(row["date"])) for row in rows]
 
 
 def test_round_trip_labeled(write_csv):
@@ -145,25 +150,23 @@ def test_round_trip_labeled(write_csv):
          ["b", "plain", "0", ""]]
     )
     examples = load_labeled(path)
-    out = write_csv([["id", "text", "label", "domain"],
-                     *([ex.id, ex.text, ex.label, ex.domain or ""] for ex in examples)],
+    out = write_csv([["text", "label"], *([ex.text, ex.label] for ex in examples)],
                     name="round.csv")
     assert load_labeled(out) == examples
 
 
 def test_round_trip_posts(fixtures_dir, write_csv):
     records = load_posts_with_summary(fixtures_dir / "posts_100.csv")[0]
-    out = write_csv([["id", "date", "title", "text", "score", "tag", "community", "kind"],
-                     *([rec.id, rec.date.isoformat(), rec.title, rec.body, rec.score,
+    out = write_csv([["date", "title", "text", "score", "tag", "community", "kind"],
+                     *([rec.date.isoformat(), rec.title, rec.body, rec.score,
                         rec.tag or "", rec.community, rec.kind] for rec in records)],
                     name="round.csv")
     assert load_posts_with_summary(out)[0] == records
 
 
 def test_corpus_stats_counts(config):
-    def post(i, community, tag=None):
+    def post(community, tag=None):
         return PostRecord(
-            id=str(i),
             date=datetime(2023, 1, 1, tzinfo=timezone.utc),
             title="",
             body="cats hitting dogs",
@@ -172,7 +175,7 @@ def test_corpus_stats_counts(config):
             tag=tag,
         )
 
-    stats = corpus_stats([post(1, "a"), post(2, "a", "t"), post(3, "b")], config)
+    stats = corpus_stats([post("a"), post("a", "t"), post("b")], config)
     assert stats["record_count"] == 3
     assert stats["per_community"] == {"a": 2, "b": 1}
     assert stats["per_tag"] == {"t": 1}
@@ -185,22 +188,6 @@ def test_corpus_stats_empty(config):
     assert stats["record_count"] == 0
     assert stats["per_community"] == {}
     assert stats["unique_words"] == 0
-
-
-def test_invalid_record_construction():
-    with pytest.raises(ValueError):
-        LabeledExample(id="a", text="  ", label=1)
-    with pytest.raises(ValueError):
-        LabeledExample(id="a", text="x", label=2)
-    with pytest.raises(ValueError):
-        PostRecord(
-            id="p",
-            date=datetime(2023, 1, 1, tzinfo=timezone.utc),
-            title="",
-            body="",
-            score=0,
-            community="c",
-        )
 
 
 def _in_sources(matches, roots=("src/stresskit",)) -> list[str]:
@@ -269,3 +256,9 @@ def test_one_place_locates_a_data_row():
     assert _in_sources(
         lambda node: isinstance(node, ast.JoinedStr)
         and re.search(r"\brow \{", ast.unparse(node))) == []
+
+
+def test_one_place_says_an_input_cannot_be_opened():
+    """errors.open_text words open()'s refusal as `PATH: reason`; no source
+    checks that a path exists before it is opened."""
+    assert _in_sources(_named("exists")) == []

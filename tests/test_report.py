@@ -32,9 +32,8 @@ from stresskit.report import (
 from conftest import REPO_ROOT
 
 
-def post(i=0, community="r/PhD", score=0, month=9, title="", body="text body", year=2022):
+def post(community="r/PhD", score=0, month=9, title="", body="text body", year=2022):
     return PostRecord(
-        id=f"p{i}",
         date=datetime(year, month, 15, tzinfo=timezone.utc),
         title=title,
         body=body,
@@ -86,9 +85,9 @@ def test_classify_corpus_oov_post_gets_bias_probability(config):
 
 def test_classify_corpus_partition_and_order(config):
     model = toy_model(config)
-    posts = [post(i=i, body="stress deadline" if i % 3 else "calm garden") for i in range(9)]
+    posts = [post(body="stress deadline" if i % 3 else "calm garden") for i in range(9)]
     out = classify_corpus(model, posts, config, lexicon=LEXICON)
-    assert [c.post.id for c in out] == [p.id for p in posts]
+    assert [c.post for c in out] == posts
     ones = sum(c.label for c in out)
     zeros = sum(1 - c.label for c in out)
     assert ones + zeros == len(posts)
@@ -112,7 +111,7 @@ def test_fingerprint_mismatch_warns(config):
 # ----------------------------------------------------------- aggregations
 
 def test_stress_summary_reference_percentages():
-    classified = [cp(1, i=i) for i in range(5389)] + [cp(0, i=i) for i in range(12992)]
+    classified = [cp(1)] * 5389 + [cp(0)] * 12992
     row = stress_summary(tally_groups(classified, GROUP_MAP)["PhD students"])
     assert row["total"] == 18381
     assert row["stressed_pct"] == 29.3
@@ -154,13 +153,13 @@ def test_monthly_all_unstressed_is_zero():
 
 
 def test_monthly_sums_to_stressed_count(fixtures_dir, config):
-    classified = [cp(i % 2, i=i, month=(i % 12) + 1) for i in range(50)]
+    classified = [cp(i % 2, month=(i % 12) + 1) for i in range(50)]
     series = monthly_distribution(tally(classified))
     assert sum(series["monthly"]) + series["monthly_unknown"] == sum(c.label for c in classified)
 
 
 def test_upvote_stats_hand_values():
-    classified = [cp(1, i=1, score=1), cp(1, i=2, score=2), cp(1, i=3, score=3)]
+    classified = [cp(1, score=1), cp(1, score=2), cp(1, score=3)]
     stats = upvote_stats(tally(classified))["stressed"]
     assert stats["mean"] == pytest.approx(2.0)
     assert stats["median"] == pytest.approx(2.0)
@@ -169,16 +168,16 @@ def test_upvote_stats_hand_values():
 
 
 def test_upvote_median_mean_of_two_convention():
-    classified = [cp(0, i=1, score=2), cp(0, i=2, score=3)]
+    classified = [cp(0, score=2), cp(0, score=3)]
     assert upvote_stats(tally(classified))["not_stressed"]["median"] == 2.5
     assert upvote_stats(tally(classified))["stressed"] is None
 
 
 def test_top_words_counting(config):
     classified = tally([
-        cp(1, i=1, body="work work time"),
-        cp(1, i=2, body="work"),
-        cp(0, i=3, body="ignored words here"),
+        cp(1, body="work work time"),
+        cp(1, body="work"),
+        cp(0, body="ignored words here"),
     ])
     assert top_words(classified, 10) == [("work", 3), ("time", 1)]
     assert top_words(classified, 1) == [("work", 3)]
@@ -192,7 +191,7 @@ def test_top_words_tie_alphabetical(config):
 
 
 def test_top_words_shuffle_invariant(config):
-    items = [cp(1, i=i, body=f"word{i % 3} filler") for i in range(9)]
+    items = [cp(1, body=f"word{i % 3} filler") for i in range(9)]
     a = top_words(tally(items), 5)
     b = top_words(tally(reversed(items)), 5)
     assert a == b
@@ -271,8 +270,8 @@ def test_emotion_summary_single_item(config):
 
 def test_emotion_summary_counts_an_undated_item_in_the_whisker_only(config):
     lex = emotion.parse_lexicon(["died\tsadness\t1"])
-    dated = cp(1, lexicon=lex, i=0, month=10, body="he died")
-    undated = cp(1, lexicon=lex, i=1, body="calm words")
+    dated = cp(1, lexicon=lex, month=10, body="he died")
+    undated = cp(1, lexicon=lex, body="calm words")
     summary = report.emotion_summary(
         tally([dated, replace(undated, post=replace(undated.post, date=None))]))
     assert summary["monthly"]["sadness"][1] == 1.0  # the dated item alone
@@ -283,7 +282,7 @@ def test_emotion_summary_counts_an_undated_item_in_the_whisker_only(config):
 def test_emotion_whisker_outlier_flagging(config):
     lex = emotion.parse_lexicon(["panic\tfear\t1"])
     bodies = ["calm words"] * 4 + ["panic"]
-    classified = [cp(1, lexicon=lex, i=i, body=b) for i, b in enumerate(bodies)]
+    classified = [cp(1, lexicon=lex, body=b) for b in bodies]
     summary = report.emotion_summary(tally(classified))
     w = summary["whisker"]["fear"]
     assert w["q1"] == w["median"] == w["q3"] == 0.0
@@ -294,7 +293,7 @@ def test_emotion_whisker_outlier_flagging(config):
 
 def full_report(config):
     classified = [
-        cp(i % 2, i=i, community="r/PhD" if i % 3 else "r/GradSchool",
+        cp(i % 2, community="r/PhD" if i % 3 else "r/GradSchool",
            score=i - 5, month=(i % 12) + 1,
            body="deadline panic work" if i % 2 else "calm garden work")
         for i in range(40)
@@ -346,10 +345,10 @@ def varied_report(config):
     for i in range(60):
         community = ("r/PhD", "r/GradSchool", "r/Professors")[i % 3]
         label = 0 if community == "r/Professors" else int(i % 4 != 0)
-        classified.append(cp(label, i=i, community=community,
+        classified.append(cp(label, community=community,
                              score=(i * 7) % 23 - 5, month=(i % 12) + 1,
                              body=VARIED_BODIES[i % len(VARIED_BODIES)]))
-    undated = cp(1, i=60, community="r/PhD", score=1, body=VARIED_BODIES[0])
+    undated = cp(1, community="r/PhD", score=1, body=VARIED_BODIES[0])
     classified.append(replace(undated, post=replace(undated.post, date=None)))
     return build_report(classified, {**GROUP_MAP, "r/Professors": "Professors"},
                         config=config, lexicon=LEXICON, top_n=5)
