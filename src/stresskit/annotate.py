@@ -17,9 +17,8 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .corpus import cell, located, open_rows
 from .errors import StressKitError, open_text
@@ -38,20 +37,16 @@ MIN_OVERLAP = 3
 _CELLS = {str(v): float(v) for v in range(SCORE_MIN, SCORE_MAX + 1)} | {"": math.nan}
 
 
-@dataclass(frozen=True, eq=False)
 class AnnotationMatrix:
-    item_ids: tuple[str, ...]
-    annotator_ids: tuple[str, ...]
-    weights: tuple[float, ...]
-    # float [item, annotator], NaN = missing; rows of int-or-None are converted
-    scores: np.ndarray
-
-    def __post_init__(self):
+    def __init__(self, item_ids: tuple[str, ...], annotator_ids: tuple[str, ...],
+                 weights: tuple[float, ...], scores: np.ndarray):
+        """scores: float [item, annotator], NaN = missing; rows of int-or-None are converted."""
         import numpy as np
-        for weight in self.weights:
+        for weight in weights:
             if not (math.isfinite(weight) and weight > 0):
                 raise ValueError(f"annotator weight must be finite and positive, got {weight}")
-        scores = np.array(self.scores, dtype=float)  # a copy: the caller's array stays writable
+        self.item_ids, self.annotator_ids, self.weights = item_ids, annotator_ids, weights
+        scores = np.array(scores, dtype=float)  # a copy: the caller's array stays writable
         if scores.shape != (self.n_items, self.n_annotators):
             raise ValueError(f"scores of shape {scores.shape} for "
                              f"{self.n_items} items x {self.n_annotators} annotators")
@@ -59,7 +54,7 @@ class AnnotationMatrix:
         if outside.size:
             raise ValueError(f"score {outside[0]:g} outside [{SCORE_MIN}, {SCORE_MAX}]")
         scores.flags.writeable = False
-        object.__setattr__(self, "scores", scores)
+        self.scores = scores
 
     @property
     def n_items(self) -> int:
@@ -70,8 +65,7 @@ class AnnotationMatrix:
         return len(self.annotator_ids)
 
 
-@dataclass(frozen=True)
-class ConsensusResult:
+class ConsensusResult(NamedTuple):
     item_ids: tuple[str, ...]
     means: tuple[float, ...]
     labels: tuple[int, ...]       # 1 = stressed (weighted mean < 0)
@@ -160,7 +154,7 @@ def aggregate(matrix: AnnotationMatrix, threshold: float = 0.40) -> ConsensusRes
     removed = tuple(
         (a, rates[a]) for a in matrix.annotator_ids if a not in surviving.annotator_ids
     )
-    return replace(weighted_consensus(surviving), excluded=removed)
+    return weighted_consensus(surviving)._replace(excluded=removed)
 
 
 def fleiss_kappa(

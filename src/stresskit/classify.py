@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import StressKitError, open_text
 from .features import FeatureVector, Vocabulary, fit_vocabulary, vector
@@ -32,59 +31,54 @@ if TYPE_CHECKING:  # numpy loads only where logistic training computes with it
 MODEL_FORMAT_VERSION = 2
 
 
-@dataclass(frozen=True)
-class LogisticHyper:
+class LogisticHyper(NamedTuple):
     learning_rate: float = 0.1
     epochs: int = 500
     l2: float = 1e-4
     seed: int = 42
 
 
-@dataclass(frozen=True)
-class NaiveBayesHyper:
+class NaiveBayesHyper(NamedTuple):
     alpha: float = 1.0
 
 
-@dataclass(frozen=True)
-class SvmHyper:
+class SvmHyper(NamedTuple):
     lam: float = 1e-4
     epochs: int = 10
     seed: int = 42
 
 
-@dataclass(frozen=True)
 class LinearModel:
-    """Every classifier decides on bias + weights . x; `kind` says which
-    trainer made it and whether the score is a probability or a margin."""
+    """Every classifier decides on bias + weights . x; `kind` ("logistic",
+    "naive_bayes" or "svm") says which trainer made it and whether the score
+    is a probability or a margin. The weights, one per vocabulary entry, and
+    the bias must be finite; only logistic has an effective_learning_rate."""
 
-    kind: str  # "logistic", "naive_bayes" or "svm"
-    weights: tuple[float, ...]  # one per vocabulary entry
-    bias: float
-    vocabulary: Vocabulary
-    pipeline_fingerprint: str
-    hyper: LogisticHyper | NaiveBayesHyper | SvmHyper
-    feature_kind: str = "bow"
-    effective_learning_rate: float | None = None  # logistic only
-
-    def __post_init__(self):
-        if len(self.weights) != self.vocabulary.size:
-            raise StressKitError(
-                f"{len(self.weights)} weights for vocabulary of {self.vocabulary.size}")
-        if not all(map(math.isfinite, self.weights)) or not math.isfinite(self.bias):
+    def __init__(self, kind: str, weights: tuple[float, ...], bias: float,
+                 vocabulary: Vocabulary, pipeline_fingerprint: str,
+                 hyper: LogisticHyper | NaiveBayesHyper | SvmHyper, feature_kind: str = "bow",
+                 effective_learning_rate: float | None = None):
+        if len(weights) != vocabulary.size:
+            raise StressKitError(f"{len(weights)} weights for vocabulary of {vocabulary.size}")
+        if not all(map(math.isfinite, weights)) or not math.isfinite(bias):
             raise StressKitError("non-finite model parameters")
+        self.kind, self.weights, self.bias, self.vocabulary = kind, weights, bias, vocabulary
+        self.pipeline_fingerprint, self.hyper = pipeline_fingerprint, hyper
+        self.feature_kind, self.effective_learning_rate = feature_kind, effective_learning_rate
+
+    def __eq__(self, other):
+        return type(other) is LinearModel and vars(self) == vars(other)
 
 
 HYPERS = {"logistic": LogisticHyper, "naive_bayes": NaiveBayesHyper, "svm": SvmHyper}
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     score: float  # probability for logistic/naive bayes, margin for svm
     label: int
 
 
-@dataclass(frozen=True)
-class _SparseRows:
+class _SparseRows(NamedTuple):
     """Sparse rows: entry e is data[e] at row rows[e] and column indices[e],
     in row order; slot_* hold the entries stably ordered by their position
     within the row. Both products add in a row's entry order from 0.0, as a
@@ -433,7 +427,7 @@ def predict_stems(model: LinearModel, stems: Iterable[str]) -> Prediction:
 
 
 def save_model(model: LinearModel, path: str | Path) -> None:
-    hyper = asdict(model.hyper)
+    hyper = model.hyper._asdict()
     if model.effective_learning_rate is not None:
         hyper["effective_learning_rate"] = model.effective_learning_rate
     hyper["features"] = model.feature_kind
@@ -484,12 +478,12 @@ def _hyper(kind: str, hyper: dict):
     `seed`) must be ints, the rest finite numbers, and a bool is neither.
     Values keep their JSON type, so saving writes the same bytes back."""
     values = {}
-    for f in fields(HYPERS[kind]):
-        value = values[f.name] = hyper[f.name]
-        if f.type == "int" and type(value) is not int:
-            raise TypeError(f"hyperparameter {f.name} {value!r} is not an integer")
-        if f.type == "float" and not math.isfinite(_number(value, f"hyperparameter {f.name}")):
-            raise ValueError(f"hyperparameter {f.name} {value!r} is not finite")
+    for name, default in HYPERS[kind]._field_defaults.items():  # a default's type is its field's
+        value = values[name] = hyper[name]
+        if type(default) is int and type(value) is not int:
+            raise TypeError(f"hyperparameter {name} {value!r} is not an integer")
+        if type(default) is float and not math.isfinite(_number(value, f"hyperparameter {name}")):
+            raise ValueError(f"hyperparameter {name} {value!r} is not finite")
     return HYPERS[kind](**values)
 
 

@@ -12,6 +12,7 @@ import csv
 import json
 import logging
 import math
+import os
 import sys
 import time
 import warnings
@@ -337,11 +338,16 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Before numpy loads: OpenBLAS would start a thread pool that the small
+    # array work here never uses. A value the user set is kept.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning
         try:
             return args.handler(args)
         except (StressKitError, OSError) as exc:
+            if isinstance(exc, OSError) and exc.filename is not None:
+                exc = f"{exc.filename}: {exc.strerror}"  # as an input's error reads
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DATA
 

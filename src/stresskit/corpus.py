@@ -21,10 +21,9 @@ import contextlib
 import csv
 import json
 import logging
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import StressKitError, open_text
 from . import textprep
@@ -36,21 +35,19 @@ POST_KINDS = ("post", "comment")
 POST_COLUMNS = ("date", "text", "community")  # the columns a posts file must have
 
 
-@dataclass(frozen=True)
-class LabeledExample:
+class LabeledExample(NamedTuple):
     text: str
     label: int
 
 
-@dataclass(frozen=True)
-class PostRecord:
-    date: datetime
-    title: str
-    body: str
-    score: int
-    community: str
-    tag: str | None = None
-    kind: str = "post"
+class PostRecord:  # not a tuple: tests weakref posts to show that a stream holds none
+    def __init__(self, date: datetime, title: str, body: str, score: int,
+                 community: str, tag: str | None = None, kind: str = "post"):
+        self.date, self.title, self.body, self.score = date, title, body, score
+        self.community, self.tag, self.kind = community, tag, kind
+
+    def __eq__(self, other):
+        return type(other) is PostRecord and vars(self) == vars(other)
 
     @property
     def text(self) -> str:
@@ -58,12 +55,10 @@ class PostRecord:
         return f"{self.title} {self.body}".strip()
 
 
-@dataclass
 class LoadSummary:
-    rows_read: int = 0
-    rows_kept: int = 0
-    rows_skipped: int = 0
-    errors: list[str] = field(default_factory=list)
+    def __init__(self):
+        self.rows_read = self.rows_kept = self.rows_skipped = 0
+        self.errors: list[str] = []
 
     def count(self, path: str | Path, reader, skip_reason: str | None) -> bool:
         """Tally reader's current record: kept if skip_reason is None, else
@@ -78,7 +73,7 @@ class LoadSummary:
         return False
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self))
+        return json.dumps(vars(self))
 
 
 def _line(reader) -> str:  # the line on which reader's current record ends

@@ -11,9 +11,8 @@ path is tokenized once for both.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import StressKitError, open_text
 
@@ -35,8 +34,7 @@ AFFECTS = (
 NEGATIVE_AFFECTS = ("anger", "disgust", "fear", "sadness", "surprise")
 
 
-@dataclass(frozen=True)
-class EmotionLexicon:
+class EmotionLexicon(NamedTuple):
     word_affects: Mapping[str, frozenset[str]]
     version: str = "unversioned"
 
@@ -44,8 +42,7 @@ class EmotionLexicon:
         return self.word_affects.get(token, frozenset())
 
 
-@dataclass(frozen=True)
-class EmotionProfile:
+class EmotionProfile(NamedTuple):
     frequencies: Mapping[str, float]  # keyed by the full affect universe
     total_hits: int
 

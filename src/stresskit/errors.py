@@ -68,4 +68,5 @@ def atomic_outputs(*targets: str | Path) -> Iterator[list[Path]]:
         raise type(exc)(exc.errno, exc.strerror, named[str(exc.filename)]) from None
     finally:
         for partial in partials:
-            partial.unlink(missing_ok=True)
+            with contextlib.suppress(FileNotFoundError, NotADirectoryError):  # none was made
+                partial.unlink()

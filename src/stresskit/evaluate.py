@@ -7,14 +7,12 @@ groups never crash.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import StressKitError
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
+class ConfusionMatrix(NamedTuple):
     tp: int
     fp: int
     tn: int
@@ -25,8 +23,7 @@ class ConfusionMatrix:
         return self.tp + self.fp + self.tn + self.fn
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     accuracy: float
     precision: float
     recall: float

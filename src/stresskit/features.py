@@ -8,7 +8,6 @@ weights are never stored and out-of-vocabulary tokens are silently dropped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -17,7 +16,6 @@ from .errors import StressKitError
 FeatureVector = dict[int, float]
 
 
-@dataclass(frozen=True)
 class Vocabulary:
     """Token -> index map with per-token document frequencies.
 
@@ -25,9 +23,12 @@ class Vocabulary:
     the same corpus twice yields identical maps on any platform.
     """
 
-    tokens: tuple[str, ...]
-    doc_freq: tuple[int, ...]
-    n_docs: int
+    def __init__(self, tokens: tuple[str, ...], doc_freq: tuple[int, ...], n_docs: int):
+        self.tokens, self.doc_freq, self.n_docs = tokens, doc_freq, n_docs
+
+    def __eq__(self, other):
+        return type(other) is Vocabulary and (self.tokens, self.doc_freq, self.n_docs) == (
+            other.tokens, other.doc_freq, other.n_docs)
 
     @cached_property
     def index(self) -> Mapping[str, int]:

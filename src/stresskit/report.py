@@ -23,10 +23,8 @@ import csv
 import io
 import json
 import logging
-import statistics
 import warnings
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -52,13 +50,12 @@ DEFAULT_GROUP_MAP: Mapping[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class ClassifiedPost:
-    post: PostRecord
-    label: int
-    score: float  # probability (logistic, naive bayes) or margin (svm)
-    tokens: tuple[str, ...]  # preprocessed text, as classified
-    emotions: emotion.EmotionProfile | None = None
+class ClassifiedPost:  # not a tuple: tests weakref each one to show that the report holds none
+    def __init__(self, post: PostRecord, label: int, score: float, tokens: tuple[str, ...],
+                 emotions: emotion.EmotionProfile | None = None):
+        self.post, self.label, self.emotions = post, label, emotions
+        self.score = score  # probability (logistic, naive bayes) or margin (svm)
+        self.tokens = tokens  # preprocessed text, as classified
 
 
 def month_index(when: datetime) -> int:
@@ -173,6 +170,7 @@ def upvote_stats(tally: GroupTally) -> dict[str, dict | None]:
     """Mean, median (mean of the middle two for even counts) and population
     std of scores per stress class: {"mean", "median", "std", "n"}, or None
     for a class with no items."""
+    import statistics  # here, not at start-up: only the report reads it
     out: dict[str, dict | None] = {}
     for key, label in (("stressed", 1), ("not_stressed", 0)):
         scores = sorted(tally.scores[label])

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
@@ -53,19 +52,17 @@ def default_stopwords() -> frozenset[str]:
     return load_stopwords(text.splitlines())
 
 
-@dataclass(frozen=True)
 class PipelineConfig:
     """Immutable preprocessing configuration: the stopword list. The Porter
     stemmer and the removal-class version string take part in the
     fingerprint, so a change to either invalidates saved models.
     """
 
-    stopwords: frozenset[str]
-
-    def __post_init__(self):
-        for word in self.stopwords:
+    def __init__(self, stopwords: frozenset[str]):
+        for word in stopwords:
             if word != word.lower():
                 raise ValueError(f"stopword not lowercase: {word!r}")
+        self.stopwords = stopwords
 
     @staticmethod
     def default() -> "PipelineConfig":

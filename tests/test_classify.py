@@ -2,7 +2,6 @@ import ast
 import json
 import math
 import random
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -486,18 +485,19 @@ BAD_HYPERPARAMETERS = {
 @pytest.mark.parametrize("name", ["model_logistic.json", "model_nb.json", "model_svm.json"])
 def test_model_hyperparameters_are_type_checked(name, tmp_path):
     document = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
-    kind = classify.HYPERS[document["kind"]]
-    for field in fields(kind):
-        for bad in BAD_HYPERPARAMETERS[field.type]:
+    # each field's type is its default's
+    defaults = classify.HYPERS[document["kind"]]._field_defaults
+    for field, default in defaults.items():
+        for bad in BAD_HYPERPARAMETERS[type(default).__name__]:
             corrupt = json.loads(json.dumps(document))
-            corrupt["hyperparameters"][field.name] = bad
+            corrupt["hyperparameters"][field] = bad
             path = tmp_path / "corrupt.json"
             path.write_text(json.dumps(corrupt), encoding="utf-8")
             with pytest.raises(StressKitError,
-                               match=f"malformed model document: hyperparameter {field.name}"):
+                               match=f"malformed model document: hyperparameter {field}"):
                 load_model(path)
     # an int is a number, so a float field may hold one
-    first_float = next(f.name for f in fields(kind) if f.type == "float")
+    first_float = next(field for field, default in defaults.items() if type(default) is float)
     document["hyperparameters"][first_float] = 1
     (tmp_path / "int.json").write_text(json.dumps(document), encoding="utf-8")
     assert getattr(load_model(tmp_path / "int.json").hyper, first_float) == 1

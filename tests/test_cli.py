@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
@@ -876,18 +877,42 @@ def test_mutated_input_keeps_the_exit_code_contract(command, mutation):
             assert [p.relative_to(out) for p in out.rglob("*") if p.is_file()] == []
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["predict", GOLDEN_MODEL, FIXTURES / "posts_100.csv", "--out", "{out}"],
-     ["train", FIXTURES / "labeled_train.csv", "--epochs", "5", "--model-out", "{out}"]],
-    ids=["predict", "train"],
-)
-def test_output_in_missing_directory_names_the_target(argv, tmp_path, capsys):
-    out = tmp_path / "missing" / "out.file"
-    assert run([str(a).replace("{out}", str(out)) for a in argv]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and str(out) in err
-    assert ".partial" not in err
+# Each writing command, "{out}" standing for its output file or, for analyze
+# and annotate, its output directory and the output in it that a directory blocks.
+WRITERS = {
+    "predict": (["predict", GOLDEN_MODEL, FIXTURES / "posts_100.csv", "--out", "{out}"], None),
+    "train": (["train", FIXTURES / "labeled_train.csv", "--epochs", "5", "--model-out", "{out}"],
+              None),
+    "emotions": (["emotions", FIXTURES / "posts_100.csv", "--out", "{out}"], None),
+    "analyze": (["analyze", GOLDEN_MODEL, FIXTURES / "posts_100.csv", "--out-dir", "{out}"],
+                "report.json"),
+    "annotate": (["annotate", FIXTURES / "annotations.csv", "--out-dir", "{out}"],
+                 "consensus.csv"),
+}
+
+
+@pytest.mark.parametrize("command", list(WRITERS))
+def test_output_in_missing_directory_names_the_target(command, tmp_path, capsys):
+    """An output that cannot be written reads `error: PATH: reason`, as an
+    input does, and leaves no partial file. An output directory's missing
+    parents are made, so there a file in the directory's place is the third case."""
+    argv, output_in_dir = WRITERS[command]
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    if output_in_dir is None:
+        (tmp_path / "dir").mkdir()
+        cases = [(tmp_path / "missing" / "out", tmp_path / "missing" / "out", errno.ENOENT),
+                 (tmp_path / "dir", tmp_path / "dir", errno.EISDIR)]
+    else:
+        (tmp_path / "dir" / output_in_dir).mkdir(parents=True)
+        cases = [(tmp_path / "afile", tmp_path / "afile", errno.EEXIST),
+                 (tmp_path / "dir", tmp_path / "dir" / output_in_dir, errno.EISDIR)]
+    cases.append((tmp_path / "afile" / "out", tmp_path / "afile" / "out", errno.ENOTDIR))
+    for out, named, code in cases:
+        assert run([str(a).replace("{out}", str(out)) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {named}: {os.strerror(code)}" in err.splitlines(), err
+        assert "Traceback" not in err
+        assert list(tmp_path.rglob("*.partial")) == []
 
 
 def test_predict_failure_leaves_no_output_and_keeps_an_earlier_file(
@@ -907,11 +932,15 @@ def test_predict_failure_leaves_no_output_and_keeps_an_earlier_file(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "predictions.csv"]
 
 
-def run_in_subprocess(script, cwd):
+def run_in_subprocess(script, cwd, **env):
+    """Run `python -c script` with the sources on its path. The child has
+    OPENBLAS_NUM_THREADS only if `env` sets it, since an in-process main()
+    sets it in this process."""
     pythonpath = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"),
                                                os.environ.get("PYTHONPATH")]))
+    inherited = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     return subprocess.run([sys.executable, "-c", script], cwd=cwd, capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": pythonpath})
+                          text=True, env={**inherited, "PYTHONPATH": pythonpath, **env})
 
 
 @pytest.mark.parametrize(
@@ -995,6 +1024,43 @@ def _tree(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+@pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "preset"])
+def test_the_cli_runs_blas_on_one_thread_unless_told_otherwise(preset, tmp_path):
+    result = run_in_subprocess(
+        "import os\n"
+        "from stresskit import cli\n"
+        f"assert cli.main(['stats', {str(FIXTURES / 'posts_100.csv')!r}]) == 0\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n",
+        tmp_path, **({} if preset is None else {"OPENBLAS_NUM_THREADS": preset}))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == (preset or "1")
+
+
+BLAS_COMMANDS = {
+    "annotate": ["annotate", FIXTURES / "annotations.csv", "--out-dir", "annotation"],
+    **{f"train-logistic-{features}": ["train", FIXTURES / "labeled_train.csv", "--classifier",
+                                      "logistic", "--features", features, "--model-out", "m.json"]
+       for features in ("bow", "tfidf")},
+}
+
+
+@pytest.mark.parametrize("command", list(BLAS_COMMANDS))
+def test_outputs_do_not_depend_on_the_blas_thread_count(command, tmp_path):
+    """The commands that compute with numpy write the same bytes on the CLI's
+    one BLAS thread as on two."""
+    argv = [str(a) for a in BLAS_COMMANDS[command]]
+    outputs = {}
+    for threads in (None, "2"):
+        cwd = tmp_path / f"threads-{threads or 'unset'}"
+        cwd.mkdir()
+        result = run_in_subprocess(
+            f"import sys\nfrom stresskit import cli\nsys.exit(cli.main({argv!r}))\n", cwd,
+            **({} if threads is None else {"OPENBLAS_NUM_THREADS": threads}))
+        assert result.returncode == 0, result.stderr
+        outputs[threads] = _tree(cwd)
+    assert outputs[None] == outputs["2"] and outputs[None]
+
+
 NUMPY_FREE_TRAINING = {
     f"train-{classifier}-{features}": ["train", FIXTURES / "labeled_train.csv", "--classifier",
                                        classifier, "--features", features, "--model-out", "m.json"]
@@ -1067,3 +1133,17 @@ def test_traced_layers_exist_after_importing_the_cli(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "ok"
+
+
+def test_importing_the_cli_loads_no_dataclasses_statistics_or_numpy(tmp_path):
+    """Every command pays for what importing the CLI loads: records are tuples
+    or plain classes, statistics loads with the report that reads it and numpy
+    where it computes."""
+    result = run_in_subprocess(
+        "import sys\n"
+        "import stresskit.cli\n"
+        "print(sorted(m for m in ('dataclasses', 'statistics', 'numpy') if m in sys.modules))\n",
+        tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"

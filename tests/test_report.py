@@ -3,7 +3,6 @@ import json
 import math
 import weakref
 from collections import Counter
-from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
@@ -53,6 +52,13 @@ def cp(label, lexicon=LEXICON, **kwargs):
     return ClassifiedPost(post=p, label=label, score=float(label),
                           tokens=tuple(textprep.preprocess(p.text, CONFIG).split()),
                           emotions=profile)
+
+
+def without_date(item):
+    """The classified post, its post undated."""
+    p = item.post
+    return ClassifiedPost(PostRecord(None, p.title, p.body, p.score, p.community, p.tag, p.kind),
+                          item.label, item.score, item.tokens, item.emotions)
 
 
 GROUP_MAP = {"r/PhD": "PhD students", "r/GradSchool": "Graduate students"}
@@ -273,7 +279,7 @@ def test_emotion_summary_counts_an_undated_item_in_the_whisker_only(config):
     dated = cp(1, lexicon=lex, month=10, body="he died")
     undated = cp(1, lexicon=lex, body="calm words")
     summary = report.emotion_summary(
-        tally([dated, replace(undated, post=replace(undated.post, date=None))]))
+        tally([dated, without_date(undated)]))
     assert summary["monthly"]["sadness"][1] == 1.0  # the dated item alone
     assert summary["monthly"]["sadness"].count(None) == 11
     assert (summary["whisker"]["sadness"]["min"], summary["whisker"]["sadness"]["max"]) == (0.0, 1.0)
@@ -349,7 +355,7 @@ def varied_report(config):
                              score=(i * 7) % 23 - 5, month=(i % 12) + 1,
                              body=VARIED_BODIES[i % len(VARIED_BODIES)]))
     undated = cp(1, community="r/PhD", score=1, body=VARIED_BODIES[0])
-    classified.append(replace(undated, post=replace(undated.post, date=None)))
+    classified.append(without_date(undated))
     return build_report(classified, {**GROUP_MAP, "r/Professors": "Professors"},
                         config=config, lexicon=LEXICON, top_n=5)
 
