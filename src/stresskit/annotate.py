@@ -7,9 +7,9 @@ OTHER annotators' scores for that item exceeds the population standard
 deviation of all scores for the item. Annotator weights participate only
 in the consensus mean, never in outlier detection.
 
-The scores are one float array, items x annotators, NaN = missing. Each
-per-item sum is Python's sum over the annotator columns, so it adds in
-annotator order as a loop would; numpy's row sums pair terms from 8 up.
+The scores are one float array of integers, items x annotators, NaN = missing;
+outliers and correlations count in exact int64 tallies. Consensus sums are
+Python's sum over annotator columns (numpy's row sums pair terms from 8 up).
 """
 
 from __future__ import annotations
@@ -40,29 +40,23 @@ _CELLS = {str(v): float(v) for v in range(SCORE_MIN, SCORE_MAX + 1)} | {"": math
 class AnnotationMatrix:
     def __init__(self, item_ids: tuple[str, ...], annotator_ids: tuple[str, ...],
                  weights: tuple[float, ...], scores: np.ndarray):
-        """scores: float [item, annotator], NaN = missing; rows of int-or-None are converted."""
+        """scores: integers as float [item, annotator], NaN = missing; int-or-None rows convert."""
         import numpy as np
         for weight in weights:
             if not (math.isfinite(weight) and weight > 0):
                 raise ValueError(f"annotator weight must be finite and positive, got {weight}")
         self.item_ids, self.annotator_ids, self.weights = item_ids, annotator_ids, weights
+        self.n_items, self.n_annotators = len(item_ids), len(annotator_ids)
         scores = np.array(scores, dtype=float)  # a copy: the caller's array stays writable
         if scores.shape != (self.n_items, self.n_annotators):
             raise ValueError(f"scores of shape {scores.shape} for "
                              f"{self.n_items} items x {self.n_annotators} annotators")
-        outside = scores[(scores < SCORE_MIN) | (scores > SCORE_MAX)]
-        if outside.size:
-            raise ValueError(f"score {outside[0]:g} outside [{SCORE_MIN}, {SCORE_MAX}]")
+        given = scores[~np.isnan(scores)]  # integers: the outlier rule and r count in them
+        bad = given[(given != np.trunc(given)) | (given < SCORE_MIN) | (given > SCORE_MAX)]
+        if bad.size:
+            raise ValueError(f"score {bad[0]:g} is not an integer in [{SCORE_MIN}, {SCORE_MAX}]")
         scores.flags.writeable = False
         self.scores = scores
-
-    @property
-    def n_items(self) -> int:
-        return len(self.item_ids)
-
-    @property
-    def n_annotators(self) -> int:
-        return len(self.annotator_ids)
 
 
 class ConsensusResult(NamedTuple):
@@ -79,18 +73,16 @@ def detect_outliers(matrix: AnnotationMatrix) -> np.ndarray:
     population std of all scores for j. Strict inequality, so unanimous
     items never flag. Returns a bool array shaped like the scores."""
     import numpy as np
-    scores = matrix.scores
-    present = ~np.isnan(scores)
+    present = ~np.isnan(matrix.scores)
     n = present.sum(axis=1)
     short = np.flatnonzero(n < 2)
     if short.size:
         j = short[0]
         raise StressKitError(f"item {matrix.item_ids[j]!r} has {n[j]} score(s); need at least 2")
-    total = sum(np.where(present, scores, 0.0).T)  # Python's sum: column by column
-    deviation = np.where(present, scores - (total / n)[:, None], 0.0)
-    std = np.sqrt(sum((deviation * deviation).T) / n)
-    loo_mean = (total[:, None] - scores) / (n - 1)[:, None]
-    return np.abs(scores - loo_mean) > std[:, None]  # a missing score compares False
+    x = np.where(present, matrix.scores, 0).astype(np.int64)
+    n, t, q = n[:, None], x.sum(axis=1)[:, None], (x * x).sum(axis=1)[:, None]
+    # the rule squared and multiplied through by n^2 (n - 1)^2; t = sum(x), q = sum(x * x)
+    return present & (n * n * (n * x - t) ** 2 > (n - 1) ** 2 * (n * q - t * t))
 
 
 def outlier_rates(matrix: AnnotationMatrix, flags: Sequence[Sequence[bool]]) -> dict[str, float]:
@@ -200,23 +192,18 @@ def annotator_correlation(matrix: AnnotationMatrix) -> np.ndarray:
     Pairs sharing fewer than MIN_OVERLAP items (or with zero variance) are
     reported as NaN rather than failing. Diagonal is 1."""
     import numpy as np
-    k = matrix.n_annotators
-    out = np.full((k, k), np.nan)
     present = ~np.isnan(matrix.scores)
-    for a in range(k):
-        out[a, a] = 1.0
-        for b in range(a + 1, k):
-            joint = present[:, a] & present[:, b]
-            if joint.sum() < MIN_OVERLAP:
-                log.warning(
-                    "annotators %s and %s share only %d item(s); correlation omitted",
-                    matrix.annotator_ids[a], matrix.annotator_ids[b], int(joint.sum()),
-                )
-                continue
-            xa, xb = matrix.scores[joint, a], matrix.scores[joint, b]
-            if xa.std() == 0 or xb.std() == 0:
-                continue
-            out[a, b] = out[b, a] = float(np.corrcoef(xa, xb)[0, 1])
+    x, p = np.where(present, matrix.scores, 0).astype(np.int64), present.astype(np.int64)
+    # [a, b] over the items both a and b scored: their count, sum(a), sum(a * a), sum(a * b)
+    n, sums, squares, products = p.T @ p, x.T @ p, (x * x).T @ p, x.T @ x
+    for a, b in zip(*np.nonzero(np.triu(n < MIN_OVERLAP, 1))):
+        log.warning("annotators %s and %s share only %d item(s); correlation omitted",
+                    matrix.annotator_ids[a], matrix.annotator_ids[b], n[a, b])
+    spread = n * squares - sums * sums  # n^2 times a's variance over those items
+    out = np.divide(n * products - sums * sums.T, np.sqrt(spread * spread.T.astype(float)),
+                    out=np.full(n.shape, np.nan),
+                    where=(n >= MIN_OVERLAP) & (spread > 0) & (spread.T > 0))
+    np.fill_diagonal(out, 1.0)
     return out
 
 

@@ -16,10 +16,9 @@ import os
 import sys
 import time
 import warnings
-from pathlib import Path
 
 from . import annotate, classify, corpus, emotion, evaluate, report, textprep
-from .errors import StressKitError, atomic_outputs
+from .errors import StressKitError, atomic_outputs, output_directory
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -229,25 +228,25 @@ def cmd_predict(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    group_map = (report.load_group_map(args.mapping) if args.mapping
-                 else dict(report.DEFAULT_GROUP_MAP))
-    lexicon = _lexicon(args)
-    model = classify.load_model(args.model)
-    config = _pipeline_config(args)
-    report.check_fingerprint(model, config)
-    summary = corpus.LoadSummary()
-    with corpus.open_rows(args.posts_csv, corpus.POST_COLUMNS) as reader:
-        rows = corpus.iter_post_rows(reader, args.posts_csv, summary)
-        posts = (rec for _, _, rec in rows if rec is not None)
-        result = report.build_report(
-            report.classified_posts(model, posts, config, lexicon=lexicon), group_map,
-            config=config, lexicon=lexicon, top_n=args.top_n, model_kind=model.kind,
-            model_fingerprint=model.pipeline_fingerprint, seed=args.seed)
-    if args.summary:
-        print(summary.to_json())
-    outdir = Path(args.out_dir)
-    written = report.emit_report(
-        result, args.format, outdir / "report.json" if args.format == "json" else outdir)
+    with output_directory(args.out_dir) as outdir:
+        group_map = (report.load_group_map(args.mapping) if args.mapping
+                     else dict(report.DEFAULT_GROUP_MAP))
+        lexicon = _lexicon(args)
+        model = classify.load_model(args.model)
+        config = _pipeline_config(args)
+        report.check_fingerprint(model, config)
+        summary = corpus.LoadSummary()
+        with corpus.open_rows(args.posts_csv, corpus.POST_COLUMNS) as reader:
+            rows = corpus.iter_post_rows(reader, args.posts_csv, summary)
+            posts = (rec for _, _, rec in rows if rec is not None)
+            result = report.build_report(
+                report.classified_posts(model, posts, config, lexicon=lexicon), group_map,
+                config=config, lexicon=lexicon, top_n=args.top_n, model_kind=model.kind,
+                model_fingerprint=model.pipeline_fingerprint, seed=args.seed)
+        if args.summary:
+            print(summary.to_json())
+        written = report.emit_report(
+            result, args.format, outdir / "report.json" if args.format == "json" else outdir)
     print(f"{'group':<24}{'total':>8}{'stressed':>10}{'stressed%':>11}{'not%':>8}")
     for g in result["groups"]:
         print(f"{g['name']:<24}{g['total']:>8}{g['stressed']:>10}{g['stressed_pct']:>11.1f}"
@@ -258,39 +257,36 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_annotate(args) -> int:
-    weights = annotate.load_weights(args.weights) if args.weights else None
-    matrix = annotate.load_annotations(args.annotations_csv, weights)
-    consensus = annotate.aggregate(matrix, args.threshold)
-    excluded = [{"annotator": a, "rate": rate} for a, rate in consensus.excluded]
-    kappa = annotate.fleiss_kappa(annotate.binarize_scores(consensus.kept), categories=(0, 1))
-    correlations = annotate.annotator_correlation(matrix)
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    consensus_path, summary_path = outdir / "consensus.csv", outdir / "annotation_summary.json"
-    summary = {
-        "excluded": excluded,
-        "kappa": kappa,
-        "correlations": {
-            "annotators": list(matrix.annotator_ids),
-            "matrix": [
-                [None if not (v == v) else v for v in row] for row in correlations.tolist()
-            ],
-        },
-        "metadata": {
-            "threshold": args.threshold,
-            "kappa_basis": "binarized (score < 0 -> stressed)",
-            "weights_in_outlier_rule": False,
-        },
-    }
-    with atomic_outputs(consensus_path, summary_path) as [consensus_partial, summary_partial]:
-        with open(consensus_partial, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["item_id", "weighted_mean", "label", "n_scores"])
-            for item_id, mean, label, n in zip(
-                consensus.item_ids, consensus.means, consensus.labels, consensus.n_scores
-            ):
-                writer.writerow([item_id, repr(mean), label, n])
-        summary_partial.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    with output_directory(args.out_dir) as outdir:
+        weights = annotate.load_weights(args.weights) if args.weights else None
+        matrix = annotate.load_annotations(args.annotations_csv, weights)
+        consensus = annotate.aggregate(matrix, args.threshold)
+        excluded = [{"annotator": a, "rate": rate} for a, rate in consensus.excluded]
+        kappa = annotate.fleiss_kappa(annotate.binarize_scores(consensus.kept), categories=(0, 1))
+        correlations = annotate.annotator_correlation(matrix)
+        consensus_path, summary_path = outdir / "consensus.csv", outdir / "annotation_summary.json"
+        summary = {
+            "excluded": excluded,
+            "kappa": kappa,
+            "correlations": {
+                "annotators": list(matrix.annotator_ids),
+                "matrix": [[None if v != v else v for v in row] for row in correlations.tolist()],
+            },
+            "metadata": {
+                "threshold": args.threshold,
+                "kappa_basis": "binarized (score < 0 -> stressed)",
+                "weights_in_outlier_rule": False,
+            },
+        }
+        with atomic_outputs(consensus_path, summary_path) as [consensus_partial, summary_partial]:
+            with open(consensus_partial, "w", newline="", encoding="utf-8") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(["item_id", "weighted_mean", "label", "n_scores"])
+                for item_id, mean, label, n in zip(
+                    consensus.item_ids, consensus.means, consensus.labels, consensus.n_scores
+                ):
+                    writer.writerow([item_id, repr(mean), label, n])
+            summary_partial.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     print(f"items: {matrix.n_items}, annotators kept: {consensus.kept.n_annotators}/"
           f"{matrix.n_annotators}, kappa: {kappa:.4f}")
     for entry in excluded:

@@ -70,3 +70,19 @@ def atomic_outputs(*targets: str | Path) -> Iterator[list[Path]]:
         for partial in partials:
             with contextlib.suppress(FileNotFoundError, NotADirectoryError):  # none was made
                 partial.unlink()
+
+
+@contextlib.contextmanager
+def output_directory(path: str | Path) -> Iterator[Path]:
+    """Make directory `path` and its missing parents before the block reads any
+    input. If the block fails, those made here are removed while they hold no file."""
+    path = Path(path)
+    made = [p for p in (path, *path.parents) if not p.is_dir()]  # the deepest first
+    path.mkdir(parents=True, exist_ok=True)
+    try:
+        yield path
+    except BaseException:
+        with contextlib.suppress(OSError):  # one that holds a file stays, with its parents
+            for directory in made:
+                directory.rmdir()
+        raise

@@ -15,7 +15,6 @@ distinct token once.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from importlib import resources
 from pathlib import Path
@@ -70,6 +69,7 @@ class PipelineConfig:
 
     def fingerprint(self) -> str:
         """Stable hash of (stopword content, stemmer, removal class)."""
+        import hashlib  # here: annotate, emotions and stats never hash
         h = hashlib.sha256()
         for word in sorted(self.stopwords):
             h.update(word.encode("utf-8"))

@@ -7,7 +7,8 @@ correlation.
 operations over one items x annotators float array. This module keeps
 the loop form only as an oracle: test_annotate.py checks that both give
 identical flags, rates, labels, counts, kappa, correlations and
-bit-identical means.
+bit-identical means. The outlier rule here keeps its float form (numpy's
+population std), so it checks the exact integer rule independently.
 """
 
 from __future__ import annotations
@@ -116,20 +117,24 @@ def fleiss_kappa(ratings, categories) -> float:
 
 
 def annotator_correlation(sheet: Sheet) -> np.ndarray:
+    """Pearson's r from each pair's tallies in Python ints, finished with the
+    same three float operations as stresskit.annotate: one multiply, one
+    square root and one division."""
     k = len(sheet.annotator_ids)
     out = np.full((k, k), np.nan)
-    columns = [
-        np.array([row[i] if row[i] is not None else np.nan for row in sheet.scores], dtype=float)
-        for i in range(k)
-    ]
     for a in range(k):
         out[a, a] = 1.0
         for b in range(a + 1, k):
-            joint = ~np.isnan(columns[a]) & ~np.isnan(columns[b])
-            if joint.sum() < MIN_OVERLAP:
+            pairs = [(row[a], row[b]) for row in sheet.scores
+                     if row[a] is not None and row[b] is not None]
+            n = len(pairs)
+            if n < MIN_OVERLAP:
                 continue
-            xa, xb = columns[a][joint], columns[b][joint]
-            if xa.std() == 0 or xb.std() == 0:
+            sa, sb = sum(x for x, _ in pairs), sum(y for _, y in pairs)
+            spread_a = n * sum(x * x for x, _ in pairs) - sa * sa
+            spread_b = n * sum(y * y for _, y in pairs) - sb * sb
+            if spread_a == 0 or spread_b == 0:
                 continue
-            out[a, b] = out[b, a] = float(np.corrcoef(xa, xb)[0, 1])
+            covariance = n * sum(x * y for x, y in pairs) - sa * sb
+            out[a, b] = out[b, a] = covariance / math.sqrt(float(spread_a) * float(spread_b))
     return out

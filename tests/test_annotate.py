@@ -1,3 +1,5 @@
+import decimal
+import itertools
 import math
 import random
 import re
@@ -54,6 +56,18 @@ def test_hand_example_five_five_minus_five():
 def test_moderate_disagreement_flags_only_the_deviant():
     flags = detect_outliers(matrix_from_rows([[2, 2, 2, 2, -4]]))
     assert flags.tolist() == [[False, False, False, False, True]]
+
+
+def test_exact_rule_flags_as_the_float_rule_on_every_multiset_of_up_to_seven_scores():
+    # 31,812 items, NaN-padded to 7 columns: many sit exactly on the boundary
+    # |x - leave-one-out mean| = std, where the reference's float rule decides
+    rows = [list(scores) + [None] * (7 - k) for k in range(2, 8)
+            for scores in itertools.combinations_with_replacement(range(-5, 6), k)]
+    assert len(rows) == 31_812
+    matrix = matrix_from_rows(rows)
+    sheet = reference.Sheet(matrix.item_ids, matrix.annotator_ids, matrix.weights,
+                            tuple(map(tuple, rows)))
+    assert detect_outliers(matrix).tolist() == reference.detect_outliers(sheet)
 
 
 def test_single_score_item_rejected():
@@ -241,6 +255,13 @@ def test_correlation_hand_pair():
     assert annotator_correlation(matrix)[0, 1] == pytest.approx(expected, abs=1e-12)
 
 
+def test_correlation_is_exact_where_corrcoef_rounds():
+    # n = 3, sums -14 and -14, squares 66 and 66, products 65: r = -1 / sqrt(2 * 2),
+    # where np.corrcoef gives -0.4999999999999999
+    matrix = matrix_from_rows([[-5, -5], [-5, -4], [-4, -5]])
+    assert annotator_correlation(matrix)[0, 1] == -0.5
+
+
 def test_correlation_insufficient_overlap_is_nan():
     rows = [[1, None], [2, None], [3, 3], [4, 4]]
     corr = annotator_correlation(matrix_from_rows(rows))
@@ -317,6 +338,33 @@ def test_aggregation_matches_the_loop_reference(sheet):
     assert_matches_reference(*sheet)
 
 
+def exact_pearson(xs, ys):
+    """Pearson's r of two integer lists, from their tallies in 50-digit decimals."""
+    n = len(xs)
+    sx, sy = sum(xs), sum(ys)
+    spread_x = n * sum(x * x for x in xs) - sx * sx
+    spread_y = n * sum(y * y for y in ys) - sy * sy
+    if spread_x == 0 or spread_y == 0:
+        return math.nan
+    with decimal.localcontext(decimal.Context(prec=50)):
+        covariance = decimal.Decimal(n * sum(x * y for x, y in zip(xs, ys)) - sx * sy)
+        return float(covariance / (decimal.Decimal(spread_x) * spread_y).sqrt())
+
+
+@settings(deadline=None, max_examples=300)
+@given(sheets())
+def test_correlation_is_within_two_ulps_of_the_exact_value(sheet):
+    rows = sheet[0]
+    corr = annotator_correlation(matrix_from_rows(rows))
+    for a, b in itertools.combinations(range(len(rows[0])), 2):
+        pairs = [(row[a], row[b]) for row in rows if None not in (row[a], row[b])]
+        exact = exact_pearson(*zip(*pairs)) if len(pairs) >= 3 else math.nan
+        if math.isnan(exact):
+            assert math.isnan(corr[a, b])
+        else:
+            assert abs(corr[a, b] - exact) <= 2 * math.ulp(exact)
+
+
 def test_aggregation_matches_the_loop_reference_with_nine_annotators():
     # From 8 columns up numpy's row sums pair their terms; the consensus must
     # still add in annotator order. In each permutation of the tie row,
@@ -370,6 +418,13 @@ def test_load_annotations_and_weights(write_csv):
 def test_matrix_rejects_weight_that_is_not_finite_and_positive(weight):
     with pytest.raises(ValueError, match="finite and positive"):
         matrix_from_rows([[1, 2]], weights=(1.0, weight))
+
+
+@pytest.mark.parametrize("score", [2.5, -0.5, 6.0, -math.inf])
+def test_matrix_rejects_a_score_that_is_not_an_integer_in_range(score):
+    reason = f"score {score:g} is not an integer in [-5, 5]"
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        matrix_from_rows([[1, score]])
 
 
 def test_matrix_copies_the_score_array_it_is_given():

@@ -611,6 +611,37 @@ def test_every_loader_names_the_line_on_which_the_bad_record_ends(
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv,rows,out,reason",
+    [(["annotate", FIXTURES / "annotations.csv", "--out-dir", "{out}"], None, "afile",
+      "File exists"),
+     (["analyze", GOLDEN_MODEL, "{src}", "--out-dir", "{out}"], POSTS_WITH_BLANK, "afile/r",
+      "Not a directory")],
+    ids=["annotate", "analyze"],
+)
+def test_unusable_out_dir_fails_before_any_input_is_read(argv, rows, out, reason, write_csv,
+                                                         tmp_path):
+    """The output directory is made first, so a file in its place or in a
+    parent's place is the one line on stderr: no warning from reading the
+    inputs (the fixture sheet's kappa drops items, the posts have a blank row)."""
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    filled = _fill(argv, write_csv(rows) if rows else None, tmp_path / out)
+    result = run_in_subprocess(
+        f"import sys\nfrom stresskit import cli\nsys.exit(cli.main({filled!r}))\n", tmp_path)
+    assert result.returncode == 2
+    assert result.stderr == f"error: {tmp_path / out}: {reason}\n"
+
+
+def test_failed_command_removes_the_out_dir_it_made(write_csv, tmp_path):
+    """--out-dir and its missing parents are made before the inputs are read;
+    when the command then fails, each one made goes again and one that was
+    there stays."""
+    bad = write_csv([["item_id", "text", "a1", "a2"], ["x1", "t", "9", "0"]], name="sheet.csv")
+    (tmp_path / "there").mkdir()
+    assert run(["annotate", bad, "--out-dir", tmp_path / "there" / "a" / "b"]) == 2
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["sheet.csv", "there"]
+
+
 def test_predict_and_analyze_print_the_same_summary(write_csv, tmp_path, capsys):
     with open(FIXTURES / "posts_100.csv", newline="", encoding="utf-8") as handle:
         rows = list(csv.reader(handle))
@@ -943,6 +974,25 @@ def run_in_subprocess(script, cwd, **env):
                           text=True, env={**inherited, "PYTHONPATH": pythonpath, **env})
 
 
+def test_annotate_writes_the_same_bytes_under_every_blas_kernel(tmp_path):
+    """OPENBLAS_CORETYPE forces numpy's OpenBLAS to one CPU's kernels (SkylakeX
+    is left out: on a CPU without AVX-512 it would stop on an illegal
+    instruction). The outputs must not depend on the kernel's summation order."""
+    outputs = set()
+    for kernel in ("Prescott", "Sandybridge", "Haswell"):
+        out = tmp_path / kernel
+        env = {"PYTHONPATH": os.pathsep.join(filter(None, [str(REPO_ROOT / "src"),
+                                                          os.environ.get("PYTHONPATH")])),
+               "OPENBLAS_CORETYPE": kernel}
+        result = subprocess.run(
+            [sys.executable, "-m", "stresskit.cli", "annotate", str(FIXTURES / "annotations.csv"),
+             "--out-dir", str(out)], cwd=tmp_path, capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        outputs.add(tuple((out / name).read_bytes()
+                          for name in ("consensus.csv", "annotation_summary.json")))
+    assert len(outputs) == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1137,12 +1187,13 @@ def test_traced_layers_exist_after_importing_the_cli(tmp_path):
 
 def test_importing_the_cli_loads_no_dataclasses_statistics_or_numpy(tmp_path):
     """Every command pays for what importing the CLI loads: records are tuples
-    or plain classes, statistics loads with the report that reads it and numpy
-    where it computes."""
+    or plain classes, statistics loads with the report that reads it, numpy
+    where it computes and hashlib where a fingerprint is taken."""
     result = run_in_subprocess(
         "import sys\n"
         "import stresskit.cli\n"
-        "print(sorted(m for m in ('dataclasses', 'statistics', 'numpy') if m in sys.modules))\n",
+        "print(sorted(m for m in ('dataclasses', 'statistics', 'numpy', 'hashlib', '_hashlib')\n"
+        "             if m in sys.modules))\n",
         tmp_path,
     )
     assert result.returncode == 0, result.stderr
