@@ -253,7 +253,7 @@ def load_annotations(
         if unknown:
             raise StressKitError(
                 f"{path}: weights name annotator {unknown[0]!r}, which has no column")
-        item_ids, values = [], []  # values: every score, row by row
+        item_ids, values, seen = [], [], set()  # values: every score, row by row
         cell_value = _CELLS.get
         with located(path, reader):
             for row in reader:
@@ -261,6 +261,9 @@ def load_annotations(
                     continue
                 if len(row) != len(header):
                     raise StressKitError(f"expected {len(header)} cells, got {len(row)}")
+                if row[0] in seen:
+                    raise StressKitError(f"item {row[0]!r} appears more than once")
+                seen.add(row[0])
                 item_ids.append(row[0])
                 parsed = list(map(cell_value, row[2:]))
                 if None in parsed:

@@ -148,13 +148,14 @@ def sigmoid(z: float) -> float:
     return e / (1.0 + e)
 
 
-def _objective_at(z: np.ndarray, coef: np.ndarray, y: np.ndarray, l2: float) -> float:
+def logistic_objective(z: np.ndarray, coef: np.ndarray, y: np.ndarray, l2: float) -> float:
+    """Average binary cross-entropy at z = X . coef + bias, plus (l2/2)*||coef||^2."""
     import numpy as np
     bce = float(np.mean(np.logaddexp(0.0, z) - y * z))
     return bce + 0.5 * l2 * float(coef @ coef)
 
 
-def _gradient_at(
+def logistic_gradient(
     z: np.ndarray, coef: np.ndarray, X: _SparseRows, y: np.ndarray, l2: float
 ) -> tuple[float, np.ndarray]:
     import numpy as np
@@ -163,17 +164,6 @@ def _gradient_at(
     grad_coef = X.tdot(residual) / len(y) + l2 * coef
     grad_bias = float(np.mean(residual))
     return grad_bias, grad_coef
-
-
-def logistic_objective(bias: float, coef: np.ndarray, X: _SparseRows, y: np.ndarray, l2: float) -> float:
-    """Average binary cross-entropy plus (l2/2)*||coef||^2 (bias excluded)."""
-    return _objective_at(X.dot(coef) + bias, coef, y, l2)
-
-
-def logistic_gradient(
-    bias: float, coef: np.ndarray, X: _SparseRows, y: np.ndarray, l2: float
-) -> tuple[float, np.ndarray]:
-    return _gradient_at(X.dot(coef) + bias, coef, X, y, l2)
 
 
 def train_logistic(
@@ -199,14 +189,14 @@ def train_logistic(
         bias = 0.0
         coef = np.zeros(vocabulary.size)
         z = X.dot(coef) + bias
-        previous = _objective_at(z, coef, y, hyper.l2)
+        previous = logistic_objective(z, coef, y, hyper.l2)
         diverged = False
         for _epoch in range(hyper.epochs):
-            grad_bias, grad_coef = _gradient_at(z, coef, X, y, hyper.l2)
+            grad_bias, grad_coef = logistic_gradient(z, coef, X, y, hyper.l2)
             bias -= lr * grad_bias
             coef -= lr * grad_coef
             z = X.dot(coef) + bias
-            loss = _objective_at(z, coef, y, hyper.l2)
+            loss = logistic_objective(z, coef, y, hyper.l2)
             if loss > previous + 1e-12:
                 diverged = True
                 break
@@ -499,7 +489,7 @@ def load_model(path: str | Path) -> LinearModel:
     if not isinstance(document, dict) or "format_version" not in document:
         raise StressKitError(f"{path}: not a model document")
     version = document["format_version"]
-    if version not in (1, MODEL_FORMAT_VERSION):
+    if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
         raise StressKitError(f"{path}: format version {version} "
                              f"(this reader supports 1 and {MODEL_FORMAT_VERSION})")
     kind = document.get("kind")

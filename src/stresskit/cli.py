@@ -245,8 +245,7 @@ def cmd_analyze(args) -> int:
                 model_fingerprint=model.pipeline_fingerprint, seed=args.seed)
         if args.summary:
             print(summary.to_json())
-        written = report.emit_report(
-            result, args.format, outdir / "report.json" if args.format == "json" else outdir)
+        written = report.emit_report(result, args.format, outdir)
     print(f"{'group':<24}{'total':>8}{'stressed':>10}{'stressed%':>11}{'not%':>8}")
     for g in result["groups"]:
         print(f"{g['name']:<24}{g['total']:>8}{g['stressed']:>10}{g['stressed_pct']:>11.1f}"
@@ -297,7 +296,6 @@ def cmd_annotate(args) -> int:
 
 def cmd_emotions(args) -> int:
     lexicon = _lexicon(args)
-    negative = list(emotion.NEGATIVE_AFFECTS)
     affects = ("anger", "fear", "sadness", "disgust", "surprise")
     with corpus.open_rows(args.input_csv, ("text",)) as reader, \
             atomic_outputs(args.out) as [partial], \
@@ -305,9 +303,9 @@ def cmd_emotions(args) -> int:
         writer = csv.writer(handle)
         writer.writerow(["id", *affects, "prevailing"])
         for rownum, row in enumerate(reader, start=2):
-            combined = f"{corpus.cell(row, 'title')} {corpus.cell(row, 'text')}".strip()
-            profile = emotion.score_emotions(textprep.surface_tokens(combined), lexicon)
-            prevailing = emotion.prevailing_emotion(profile, negative)
+            profile = emotion.score_emotions(textprep.surface_tokens(corpus.post_text(row)),
+                                             lexicon)
+            prevailing = emotion.prevailing_emotion(profile)
             writer.writerow([corpus.cell(row, "id") or str(rownum - 1),
                              *(repr(profile.get(a)) for a in affects), prevailing or ""])
     print(f"wrote {args.out}")

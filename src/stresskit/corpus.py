@@ -41,18 +41,13 @@ class LabeledExample(NamedTuple):
 
 
 class PostRecord:  # not a tuple: tests weakref posts to show that a stream holds none
-    def __init__(self, date: datetime, title: str, body: str, score: int,
-                 community: str, tag: str | None = None, kind: str = "post"):
-        self.date, self.title, self.body, self.score = date, title, body, score
-        self.community, self.tag, self.kind = community, tag, kind
+    def __init__(self, date: datetime, text: str, score: int, community: str,
+                 tag: str | None = None):
+        self.date, self.text, self.score = date, text, score  # text: post_text of the row
+        self.community, self.tag = community, tag
 
     def __eq__(self, other):
         return type(other) is PostRecord and vars(self) == vars(other)
-
-    @property
-    def text(self) -> str:
-        """Classification input: title and body joined with one space."""
-        return f"{self.title} {self.body}".strip()
 
 
 class LoadSummary:
@@ -111,6 +106,11 @@ def cell(row: Mapping[str, str | None], column: str) -> str:
     return (row.get(column) or "").strip()
 
 
+def post_text(row: Mapping[str, str | None]) -> str:
+    """A post's text: its title and body (`text` column) joined with one space."""
+    return f"{cell(row, 'title')} {cell(row, 'text')}".strip()
+
+
 def load_labeled_with_summary(path: str | Path) -> tuple[list[LabeledExample], LoadSummary]:
     summary = LoadSummary()
     examples: list[LabeledExample] = []
@@ -158,9 +158,8 @@ def iter_post_rows(reader: csv.DictReader, path: str | Path, summary: LoadSummar
     row is tallied in summary; a row with no title or body is skipped (its
     record is None). Unparseable dates/fields abort; open_rows locates them."""
     for rownum, row in enumerate(reader, start=2):
-        title = cell(row, "title")
-        body = cell(row, "text")
-        if not summary.count(path, reader, None if (title or body)
+        text = post_text(row)
+        if not summary.count(path, reader, None if text
                              else "title and body both empty (skipped)"):
             yield rownum, row, None
             continue
@@ -176,9 +175,8 @@ def iter_post_rows(reader: csv.DictReader, path: str | Path, summary: LoadSummar
         community = cell(row, "community")
         if not community:
             raise StressKitError("community is empty")
-        yield rownum, row, PostRecord(
-            date=date, title=title, body=body, score=score, community=community,
-            tag=cell(row, "tag") or None, kind=raw_kind or "post")
+        yield rownum, row, PostRecord(date=date, text=text, score=score, community=community,
+                                      tag=cell(row, "tag") or None)
 
 
 def load_posts_with_summary(path: str | Path) -> tuple[list[PostRecord], LoadSummary]:

@@ -38,9 +38,6 @@ class EmotionLexicon(NamedTuple):
     word_affects: Mapping[str, frozenset[str]]
     version: str = "unversioned"
 
-    def affects_of(self, token: str) -> frozenset[str]:
-        return self.word_affects.get(token, frozenset())
-
 
 class EmotionProfile(NamedTuple):
     frequencies: Mapping[str, float]  # keyed by the full affect universe
@@ -99,8 +96,9 @@ def score_emotions(tokens: Sequence[str], lexicon: EmotionLexicon) -> EmotionPro
     hits(a) / total hits, so frequencies sum to 1 whenever any hit lands."""
     hits = {affect: 0 for affect in AFFECTS}
     total = 0
+    affects_of = lexicon.word_affects.get
     for token in tokens:
-        for affect in lexicon.affects_of(token):
+        for affect in affects_of(token, ()):
             hits[affect] += 1
             total += 1
     if total == 0:
@@ -111,18 +109,12 @@ def score_emotions(tokens: Sequence[str], lexicon: EmotionLexicon) -> EmotionPro
     )
 
 
-def prevailing_emotion(
-    profile: EmotionProfile,
-    affects: Sequence[str] = NEGATIVE_AFFECTS,
-) -> str | None:
-    """Affect with maximal frequency in the given set; ties break
-    alphabetically; None when every frequency is zero."""
-    unknown = set(affects) - set(AFFECTS)
-    if unknown:
-        raise ValueError(f"affects outside the universe: {sorted(unknown)}")
+def prevailing_emotion(profile: EmotionProfile) -> str | None:
+    """The negative affect (NEGATIVE_AFFECTS) with maximal frequency; ties
+    break alphabetically; None when every frequency is zero."""
     best = None
     best_freq = 0.0
-    for affect in sorted(affects):
+    for affect in sorted(NEGATIVE_AFFECTS):
         freq = profile.get(affect)
         if freq > best_freq:
             best, best_freq = affect, freq

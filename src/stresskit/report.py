@@ -51,10 +51,9 @@ DEFAULT_GROUP_MAP: Mapping[str, str] = {
 
 
 class ClassifiedPost:  # not a tuple: tests weakref each one to show that the report holds none
-    def __init__(self, post: PostRecord, label: int, score: float, tokens: tuple[str, ...],
+    def __init__(self, post: PostRecord, label: int, tokens: tuple[str, ...],
                  emotions: emotion.EmotionProfile | None = None):
         self.post, self.label, self.emotions = post, label, emotions
-        self.score = score  # probability (logistic, naive bayes) or margin (svm)
         self.tokens = tokens  # preprocessed text, as classified
 
 
@@ -88,10 +87,9 @@ def classified_posts(
     for post in posts:
         tokens = textprep.surface_tokens(post.text)
         stems = table.stems(tokens)
-        pred = classify.predict_stems(model, stems)
-        profile = emotion.score_emotions(tokens, lexicon) if pred.label == 1 else None
-        yield ClassifiedPost(post=post, label=pred.label, score=pred.score,
-                             tokens=tuple(stems), emotions=profile)
+        label = classify.predict_stems(model, stems).label
+        profile = emotion.score_emotions(tokens, lexicon) if label == 1 else None
+        yield ClassifiedPost(post=post, label=label, tokens=tuple(stems), emotions=profile)
 
 
 def classify_corpus(model: classify.LinearModel, posts: Iterable[PostRecord],
@@ -331,22 +329,19 @@ def _csv_tables(report: dict) -> dict[str, str]:
     }
 
 
-def emit_report(report: dict, format: str, path: str | Path) -> list[Path]:
-    """JSON: the document at `path`. CSV: one file per table under the
-    `path` directory. Both: the tables and report.json under `path`. All
-    files appear together or, on failure, none of them does
-    (errors.atomic_outputs). Returns the written paths."""
+def emit_report(report: dict, format: str, outdir: str | Path) -> list[Path]:
+    """Write the report into the existing directory `outdir`: report.json
+    (json), one file per table (csv), or both. All files appear together
+    or, on failure, none of them does (errors.atomic_outputs). Returns the
+    written paths."""
     if format not in ("json", "csv", "both"):
         raise StressKitError(f"unknown report format {format!r} (expected json, csv or both)")
-    path = Path(path)
+    outdir = Path(outdir)
     outputs: dict[Path, str] = {}
     if format != "csv":
-        document = json.dumps(report, indent=2) + "\n"
-        outputs[path if format == "json" else path / "report.json"] = document
+        outputs[outdir / "report.json"] = json.dumps(report, indent=2) + "\n"
     if format != "json":
-        outputs.update((path / name, text) for name, text in _csv_tables(report).items())
-    for directory in {target.parent for target in outputs}:
-        directory.mkdir(parents=True, exist_ok=True)
+        outputs.update((outdir / name, text) for name, text in _csv_tables(report).items())
     with atomic_outputs(*outputs) as partials:
         for partial, text in zip(partials, outputs.values()):
             with open(partial, "w", newline="", encoding="utf-8") as handle:

@@ -129,21 +129,19 @@ def test_criterion_4_logistic_gradient_check():
         bias = float(rng.normal())
         coef = rng.normal(size=V)
         l2 = float(rng.uniform(0, 1e-2))
-        gb, gw = classify.logistic_gradient(bias, coef, X, y, l2)
+
+        def loss(bias, coef):  # as train_logistic evaluates it
+            return classify.logistic_objective(X.dot(coef) + bias, coef, y, l2)
+
+        gb, gw = classify.logistic_gradient(X.dot(coef) + bias, coef, X, y, l2)
         h = 1e-5
         analytic = np.concatenate(([gb], gw))
         fd = np.empty(V + 1)
-        fd[0] = (
-            classify.logistic_objective(bias + h, coef, X, y, l2)
-            - classify.logistic_objective(bias - h, coef, X, y, l2)
-        ) / (2 * h)
+        fd[0] = (loss(bias + h, coef) - loss(bias - h, coef)) / (2 * h)
         for i in range(V):
             bump = np.zeros(V)
             bump[i] = h
-            fd[i + 1] = (
-                classify.logistic_objective(bias, coef + bump, X, y, l2)
-                - classify.logistic_objective(bias, coef - bump, X, y, l2)
-            ) / (2 * h)
+            fd[i + 1] = (loss(bias, coef + bump) - loss(bias, coef - bump)) / (2 * h)
         rel = float(np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(analytic))))
         worst = max(worst, rel)
     outcome(4, worst < 1e-6, f"20 instances, worst relative gradient error {worst:.2e} (< 1e-6)")
@@ -250,7 +248,7 @@ def test_criterion_7_report_arithmetic(config):
     # known labels: every even-positioned row (file order) is stressed
     lexicon = emotion.default_lexicon()
     classified = [
-        report.ClassifiedPost(post=p, label=1 if i % 2 == 0 else 0, score=float(i % 2 == 0),
+        report.ClassifiedPost(post=p, label=1 if i % 2 == 0 else 0,
                               tokens=tuple(textprep.preprocess(p.text, config).split()),
                               emotions=emotion.score_emotions(textprep.surface_tokens(p.text),
                                                               lexicon) if i % 2 == 0 else None)

@@ -170,12 +170,14 @@ def test_loss_trajectory_non_increasing():
     X, y = classify._assemble(examples, 5)
     lr = model.effective_learning_rate
     bias, coef = 0.0, np.zeros(5)
-    losses = [logistic_objective(bias, coef, X, y, hyper.l2)]
+    z = X.dot(coef) + bias
+    losses = [logistic_objective(z, coef, y, hyper.l2)]
     for _ in range(hyper.epochs):
-        gb, gw = logistic_gradient(bias, coef, X, y, hyper.l2)
+        gb, gw = logistic_gradient(z, coef, X, y, hyper.l2)
         bias -= lr * gb
         coef -= lr * gw
-        losses.append(logistic_objective(bias, coef, X, y, hyper.l2))
+        z = X.dot(coef) + bias
+        losses.append(logistic_objective(z, coef, y, hyper.l2))
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
@@ -191,20 +193,18 @@ def test_gradient_matches_finite_differences():
         bias = float(rng.normal())
         coef = rng.normal(size=V)
         l2 = 1e-3
-        gb, gw = logistic_gradient(bias, coef, X, y, l2)
+
+        def loss(bias, coef):  # as train_logistic evaluates it
+            return logistic_objective(X.dot(coef) + bias, coef, y, l2)
+
+        gb, gw = logistic_gradient(X.dot(coef) + bias, coef, X, y, l2)
         h = 1e-5
-        fd_b = (
-            logistic_objective(bias + h, coef, X, y, l2)
-            - logistic_objective(bias - h, coef, X, y, l2)
-        ) / (2 * h)
+        fd_b = (loss(bias + h, coef) - loss(bias - h, coef)) / (2 * h)
         assert abs(gb - fd_b) / max(1.0, abs(gb)) < 1e-6
         for i in range(V):
             bump = np.zeros(V)
             bump[i] = h
-            fd = (
-                logistic_objective(bias, coef + bump, X, y, l2)
-                - logistic_objective(bias, coef - bump, X, y, l2)
-            ) / (2 * h)
+            fd = (loss(bias, coef + bump) - loss(bias, coef - bump)) / (2 * h)
             assert abs(gw[i] - fd) / max(1.0, abs(gw[i])) < 1e-6
 
 
@@ -508,6 +508,19 @@ def test_golden_model_load_save_round_trip_is_byte_identical(name, tmp_path):
     save_model(load_model(GOLDEN / name), tmp_path / "once.json")
     save_model(load_model(tmp_path / "once.json"), tmp_path / "twice.json")
     assert (tmp_path / "once.json").read_bytes() == (tmp_path / "twice.json").read_bytes()
+
+
+@pytest.mark.parametrize("version", [True, 1.0, 2.0])
+def test_format_version_must_be_an_int(version, tmp_path):
+    """True == 1 and 2.0 == 2, yet neither is a format version. An SVM
+    document reads the same in formats 1 and 2, so only the type check can
+    refuse it."""
+    document = json.loads((GOLDEN / "model_svm.json").read_text(encoding="utf-8"))
+    document["format_version"] = version
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    with pytest.raises(StressKitError, match=f"model.json: format version {version} "):
+        load_model(path)
 
 
 # --------------------------------------------------- the token-table read path

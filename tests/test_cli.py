@@ -399,6 +399,18 @@ def test_annotate_weights_listing_an_annotator_twice_is_data_error(write_csv, tm
     assert not (tmp_path / "consensus.csv").exists()
 
 
+def test_annotate_sheet_repeating_an_item_is_data_error(write_csv, tmp_path, capsys):
+    """Each item gets one consensus row, so a second row for an item is refused,
+    not given a row of its own."""
+    sheet = write_csv([["item_id", "text", "a", "b", "c"], ["x1", "t", 1, 1, 1],
+                       ["x1", "t", -3, -3, -3], ["x2", "t", 0, 0, 0]], name="sheet.csv")
+    code = run(["annotate", sheet, "--out-dir", tmp_path / "out"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {sheet}: line 3: item 'x1' appears more than once" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_annotate_weights_naming_no_annotator_column_is_data_error(tmp_path, capsys):
     weights = tmp_path / "weights.csv"
     weights.write_bytes((FIXTURES / "weights.csv").read_bytes().replace(b"psy,", b"psy ,"))

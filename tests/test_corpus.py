@@ -1,5 +1,6 @@
 import ast
 import csv
+import importlib
 import re
 from datetime import datetime, timezone
 
@@ -54,7 +55,7 @@ def test_load_posts_needs_a_header_and_the_required_columns(write_csv):
 def test_load_posts_absent_optional_columns_read_as_empty(write_csv):
     path = write_csv([["date", "text", "community"], ["2023-01-01", "body", "r/PhD"]])
     [record], _ = load_posts_with_summary(path)
-    assert (record.title, record.score, record.tag, record.kind) == ("", 0, None, "post")
+    assert (record.text, record.score, record.tag) == ("body", 0, None)
 
 
 def test_load_labeled_skips_empty_text_rows(write_csv):
@@ -139,8 +140,9 @@ def test_load_posts_order_preserved(fixtures_dir):
     assert summary.rows_kept == len(records) == 100
     with open(path, newline="", encoding="utf-8") as handle:
         rows = list(csv.DictReader(handle))
-    assert [(r.title, r.date) for r in records] == [
-        (row["title"].strip(), parse_date(row["date"])) for row in rows]
+    assert [(r.text, r.date) for r in records] == [
+        (f"{row['title'].strip()} {row['text'].strip()}".strip(), parse_date(row["date"]))
+        for row in rows]
 
 
 def test_round_trip_labeled(write_csv):
@@ -157,9 +159,9 @@ def test_round_trip_labeled(write_csv):
 
 def test_round_trip_posts(fixtures_dir, write_csv):
     records = load_posts_with_summary(fixtures_dir / "posts_100.csv")[0]
-    out = write_csv([["date", "title", "text", "score", "tag", "community", "kind"],
-                     *([rec.date.isoformat(), rec.title, rec.body, rec.score,
-                        rec.tag or "", rec.community, rec.kind] for rec in records)],
+    out = write_csv([["date", "text", "score", "tag", "community"],
+                     *([rec.date.isoformat(), rec.text, rec.score, rec.tag or "",
+                        rec.community] for rec in records)],
                     name="round.csv")
     assert load_posts_with_summary(out)[0] == records
 
@@ -168,8 +170,7 @@ def test_corpus_stats_counts(config):
     def post(community, tag=None):
         return PostRecord(
             date=datetime(2023, 1, 1, tzinfo=timezone.utc),
-            title="",
-            body="cats hitting dogs",
+            text="cats hitting dogs",
             score=0,
             community=community,
             tag=tag,
@@ -190,10 +191,10 @@ def test_corpus_stats_empty(config):
     assert stats["unique_words"] == 0
 
 
-def _in_sources(matches, roots=("src/stresskit",)) -> list[str]:
-    """Where each node that `matches` sits in the Python files of `roots`,
-    as module.function (or module.Class.method), in file order."""
-    found = []
+def _walk_sources(roots=("src/stresskit",)):
+    """Each node of the Python files of `roots`, in file order, with where it
+    sits: module.function (or module.Class.method), the node's own name for
+    a definition."""
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
@@ -201,14 +202,18 @@ def _in_sources(matches, roots=("src/stresskit",)) -> list[str]:
                 inner = f"{where}.{child.name}"
             else:
                 inner = where
-            if matches(child):
-                found.append(inner)
-            visit(child, inner)
+            yield child, inner
+            yield from visit(child, inner)
 
     for root in roots:
         for path in sorted((REPO_ROOT / root).glob("*.py")):
-            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    return found
+            yield from visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+
+
+def _in_sources(matches, roots=("src/stresskit",)) -> list[str]:
+    """Where each node that `matches` sits in the Python files of `roots`,
+    as module.function (or module.Class.method), in file order."""
+    return [where for node, where in _walk_sources(roots) if matches(node)]
 
 
 def _named(name):
@@ -262,3 +267,37 @@ def test_one_place_says_an_input_cannot_be_opened():
     """errors.open_text words open()'s refusal as `PATH: reason`; no source
     checks that a path exists before it is opened."""
     assert _in_sources(_named("exists")) == []
+
+
+def test_every_public_function_has_a_caller_in_the_package():
+    """No public function or method of the package is kept alive by the tests
+    alone: each is referenced in the package outside its own body, or is
+    wrapped by perfbench/tracer.py (its LAYERS table). textprep.lowercase stays
+    with the reference composition it opens; a method that overrides its base
+    class's is called through the base."""
+    tree = ast.parse((REPO_ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    layers = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYERS"])
+    kept = {f"{module}.{name}" for module, names in layers.items() for name in names}
+    kept.add("textprep.lowercase")
+    defined = []
+    for path in sorted((REPO_ROOT / "src" / "stresskit").glob("*.py")):
+        module = importlib.import_module(f"stresskit.{path.stem}")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                bases = getattr(module, node.name).__mro__[1:]
+                defined += [f"{path.stem}.{node.name}.{method.name}" for method in node.body
+                            if isinstance(method, ast.FunctionDef)
+                            and not any(hasattr(base, method.name) for base in bases)]
+    references = [(node.id if isinstance(node, ast.Name) else node.attr, where)
+                  for node, where in _walk_sources()
+                  if isinstance(node, (ast.Name, ast.Attribute))]
+    unreferenced = [
+        qualname for qualname in defined
+        if not qualname.rsplit(".", 1)[1].startswith("_") and qualname not in kept
+        and not any(name == qualname.rsplit(".", 1)[1] and where != qualname
+                    and not where.startswith(qualname + ".") for name, where in references)]
+    assert unreferenced == []

@@ -20,7 +20,7 @@ import pytest
 
 from stresskit import classify, cli, corpus, features, textprep
 
-from conftest import FIXTURES
+from conftest import FIXTURES, load_script
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 TOLERANCE = 1e-12
@@ -170,3 +170,16 @@ def test_emotions_match_golden(tmp_path):
 def test_stats_match_golden(capsys):
     run(["stats", FIXTURES / "posts_100.csv"])
     assert_same(json.loads(capsys.readouterr().out), read_json(GOLDEN / "stats.json"), "stats")
+
+
+def test_make_fixtures_reproduces_the_committed_fixtures(tmp_path):
+    """scripts/make_fixtures.py is seeded, so a rerun writes data/fixtures/
+    byte for byte."""
+    script = load_script("scripts/make_fixtures.py")
+    script.FIXTURES = tmp_path
+    script.main()
+    names = sorted(path.name for path in FIXTURES.iterdir())
+    assert len(names) == 6
+    assert sorted(path.name for path in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name

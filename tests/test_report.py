@@ -31,11 +31,10 @@ from stresskit.report import (
 from conftest import REPO_ROOT
 
 
-def post(community="r/PhD", score=0, month=9, title="", body="text body", year=2022):
+def post(community="r/PhD", score=0, month=9, text="text body", year=2022):
     return PostRecord(
         date=datetime(year, month, 15, tzinfo=timezone.utc),
-        title=title,
-        body=body,
+        text=text,
         score=score,
         community=community,
     )
@@ -49,7 +48,7 @@ def cp(label, lexicon=LEXICON, **kwargs):
     """A classified post carrying what classify_corpus would give it."""
     p = post(**kwargs)
     profile = emotion.score_emotions(textprep.surface_tokens(p.text), lexicon) if label else None
-    return ClassifiedPost(post=p, label=label, score=float(label),
+    return ClassifiedPost(post=p, label=label,
                           tokens=tuple(textprep.preprocess(p.text, CONFIG).split()),
                           emotions=profile)
 
@@ -57,8 +56,8 @@ def cp(label, lexicon=LEXICON, **kwargs):
 def without_date(item):
     """The classified post, its post undated."""
     p = item.post
-    return ClassifiedPost(PostRecord(None, p.title, p.body, p.score, p.community, p.tag, p.kind),
-                          item.label, item.score, item.tokens, item.emotions)
+    return ClassifiedPost(PostRecord(None, p.text, p.score, p.community, p.tag),
+                          item.label, item.tokens, item.emotions)
 
 
 GROUP_MAP = {"r/PhD": "PhD students", "r/GradSchool": "Graduate students"}
@@ -85,13 +84,15 @@ def test_classify_corpus_empty(config):
 
 def test_classify_corpus_oov_post_gets_bias_probability(config):
     model = toy_model(config)
-    out = classify_corpus(model, [post(body="zebra xylophone")], config, lexicon=LEXICON)
-    assert out[0].score == pytest.approx(classify.sigmoid(model.bias), abs=1e-12)
+    out = classify_corpus(model, [post(text="zebra xylophone")], config, lexicon=LEXICON)
+    pred = classify.predict_stems(model, out[0].tokens)
+    assert pred.score == pytest.approx(classify.sigmoid(model.bias), abs=1e-12)
+    assert out[0].label == pred.label
 
 
 def test_classify_corpus_partition_and_order(config):
     model = toy_model(config)
-    posts = [post(body="stress deadline" if i % 3 else "calm garden") for i in range(9)]
+    posts = [post(text="stress deadline" if i % 3 else "calm garden") for i in range(9)]
     out = classify_corpus(model, posts, config, lexicon=LEXICON)
     assert [c.post for c in out] == posts
     ones = sum(c.label for c in out)
@@ -99,12 +100,15 @@ def test_classify_corpus_partition_and_order(config):
     assert ones + zeros == len(posts)
 
 
-def test_classify_corpus_title_joined_with_body(config):
+def test_classify_corpus_title_joined_with_body(config, write_csv):
     model = toy_model(config)
-    split_across = classify_corpus(model, [post(title="stress", body="deadline")], config,
-                                   lexicon=LEXICON)
-    joined = classify_corpus(model, [post(body="stress deadline")], config, lexicon=LEXICON)
-    assert split_across[0].score == joined[0].score
+    path = write_csv([["date", "title", "text", "community"],
+                      ["2023-01-01", "stress", "deadline", "r/PhD"],
+                      ["2023-01-01", "", "stress deadline", "r/PhD"]])
+    posts = corpus.load_posts_with_summary(path)[0]
+    split_across, joined = classify_corpus(model, posts, config, lexicon=LEXICON)
+    assert split_across.tokens == joined.tokens == ("stress", "deadlin")
+    assert split_across.label == joined.label
 
 
 def test_fingerprint_mismatch_warns(config):
@@ -181,9 +185,9 @@ def test_upvote_median_mean_of_two_convention():
 
 def test_top_words_counting(config):
     classified = tally([
-        cp(1, body="work work time"),
-        cp(1, body="work"),
-        cp(0, body="ignored words here"),
+        cp(1, text="work work time"),
+        cp(1, text="work"),
+        cp(0, text="ignored words here"),
     ])
     assert top_words(classified, 10) == [("work", 3), ("time", 1)]
     assert top_words(classified, 1) == [("work", 3)]
@@ -192,12 +196,12 @@ def test_top_words_counting(config):
 
 
 def test_top_words_tie_alphabetical(config):
-    classified = tally([cp(1, body="zebra apple")])
+    classified = tally([cp(1, text="zebra apple")])
     assert top_words(classified, 5) == [("appl", 1), ("zebra", 1)]
 
 
 def test_top_words_shuffle_invariant(config):
-    items = [cp(1, body=f"word{i % 3} filler") for i in range(9)]
+    items = [cp(1, text=f"word{i % 3} filler") for i in range(9)]
     a = top_words(tally(items), 5)
     b = top_words(tally(reversed(items)), 5)
     assert a == b
@@ -268,7 +272,7 @@ def test_build_report_reads_its_input_once_and_holds_no_post(fixtures_dir, confi
 
 def test_emotion_summary_single_item(config):
     lex = emotion.parse_lexicon(["died\tsadness\t1", "died\tfear\t1"])
-    classified = [cp(1, lexicon=lex, month=10, body="he died")]
+    classified = [cp(1, lexicon=lex, month=10, text="he died")]
     summary = report.emotion_summary(tally(classified))
     assert summary["monthly"]["sadness"][1] == pytest.approx(0.5)  # October bucket
     assert summary["monthly"]["sadness"][0] is None  # no September items
@@ -276,8 +280,8 @@ def test_emotion_summary_single_item(config):
 
 def test_emotion_summary_counts_an_undated_item_in_the_whisker_only(config):
     lex = emotion.parse_lexicon(["died\tsadness\t1"])
-    dated = cp(1, lexicon=lex, month=10, body="he died")
-    undated = cp(1, lexicon=lex, body="calm words")
+    dated = cp(1, lexicon=lex, month=10, text="he died")
+    undated = cp(1, lexicon=lex, text="calm words")
     summary = report.emotion_summary(
         tally([dated, without_date(undated)]))
     assert summary["monthly"]["sadness"][1] == 1.0  # the dated item alone
@@ -288,7 +292,7 @@ def test_emotion_summary_counts_an_undated_item_in_the_whisker_only(config):
 def test_emotion_whisker_outlier_flagging(config):
     lex = emotion.parse_lexicon(["panic\tfear\t1"])
     bodies = ["calm words"] * 4 + ["panic"]
-    classified = [cp(1, lexicon=lex, body=b) for b in bodies]
+    classified = [cp(1, lexicon=lex, text=b) for b in bodies]
     summary = report.emotion_summary(tally(classified))
     w = summary["whisker"]["fear"]
     assert w["q1"] == w["median"] == w["q3"] == 0.0
@@ -301,7 +305,7 @@ def full_report(config):
     classified = [
         cp(i % 2, community="r/PhD" if i % 3 else "r/GradSchool",
            score=i - 5, month=(i % 12) + 1,
-           body="deadline panic work" if i % 2 else "calm garden work")
+           text="deadline panic work" if i % 2 else "calm garden work")
         for i in range(40)
     ]
     return build_report(
@@ -320,9 +324,8 @@ def test_report_partition_invariant(config):
 
 def test_emit_json_round_trip(config, tmp_path):
     rep = full_report(config)
-    path = tmp_path / "report.json"
-    emit_report(rep, "json", path)
-    assert json.loads(path.read_text()) == rep
+    assert emit_report(rep, "json", tmp_path) == [tmp_path / "report.json"]
+    assert json.loads((tmp_path / "report.json").read_text()) == rep
     assert list(rep) == ["schema_version", "model", "groups", "overall", "metadata"]
     assert rep["schema_version"] == 1
     assert rep["overall"]["mean_stress_pct"] == mean_stress_pct(
@@ -353,8 +356,8 @@ def varied_report(config):
         label = 0 if community == "r/Professors" else int(i % 4 != 0)
         classified.append(cp(label, community=community,
                              score=(i * 7) % 23 - 5, month=(i % 12) + 1,
-                             body=VARIED_BODIES[i % len(VARIED_BODIES)]))
-    undated = cp(1, community="r/PhD", score=1, body=VARIED_BODIES[0])
+                             text=VARIED_BODIES[i % len(VARIED_BODIES)]))
+    undated = cp(1, community="r/PhD", score=1, text=VARIED_BODIES[0])
     classified.append(without_date(undated))
     return build_report(classified, {**GROUP_MAP, "r/Professors": "Professors"},
                         config=config, lexicon=LEXICON, top_n=5)
@@ -414,17 +417,15 @@ def _check_csv_tables(rep, directory):
 
 def test_unknown_format_rejected_before_write(config, tmp_path):
     rep = full_report(config)
-    target = tmp_path / "nothing.json"
     with pytest.raises(StressKitError, match="unknown report format 'xml'"):
-        emit_report(rep, "xml", target)
-    assert not target.exists()
+        emit_report(rep, "xml", tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_report_numbers_round_trip_at_full_precision(config, tmp_path):
     rep = full_report(config)
-    path = tmp_path / "report.json"
-    emit_report(rep, "json", path)
-    parsed = json.loads(path.read_text())
+    emit_report(rep, "json", tmp_path)
+    parsed = json.loads((tmp_path / "report.json").read_text())
     group = parsed["groups"][0]
     original = rep["groups"][0]
     assert group["upvotes"]["stressed"]["std"] == original["upvotes"]["stressed"]["std"]
