@@ -7,24 +7,28 @@ OTHER annotators' scores for that item exceeds the population standard
 deviation of all scores for the item. Annotator weights participate only
 in the consensus mean, never in outlier detection.
 
-The scores are one float array of integers, items x annotators, NaN = missing;
-outliers and correlations count in exact int64 tallies. Consensus sums are
-Python's sum over annotator columns (numpy's row sums pair terms from 8 up).
+Each annotator's scores are one bytes object, a byte per item: 0 if
+missing, s - SCORE_MIN + 1 for the score s. The statistics work on whole
+columns in plain Python: exact integer tallies, and consensus sums added
+in annotator order. No step depends on items repeating each other's scores.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import logging
 import math
+import sys
+from array import array
+from collections import Counter
+from itertools import chain, repeat
+from operator import add, attrgetter, contains, lt, truediv
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import cell, located, open_rows
 from .errors import StressKitError, open_text
-
-if TYPE_CHECKING:  # numpy loads only in the functions that compute with it
-    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -33,30 +37,76 @@ SCORE_MIN, SCORE_MAX = -5, 5
 # Annotator pairs sharing fewer items than this get no correlation.
 MIN_OVERLAP = 3
 
+Row = tuple[int | None, ...]  # one item's scores, in annotator order
+
 # The eleven canonical score cells and the blank one, as they parse.
-_CELLS = {str(v): float(v) for v in range(SCORE_MIN, SCORE_MAX + 1)} | {"": math.nan}
+_CELLS = {str(v): v for v in range(SCORE_MIN, SCORE_MAX + 1)} | {"": None}
+_SCORES = range(SCORE_MIN, SCORE_MAX + 1)
+_CODES = {None: 0} | {s: s - SCORE_MIN + 1 for s in _SCORES}  # a score's byte
+_SCORE_OF = tuple(_CODES)  # a byte's score
+
+
+def _table(value: Callable[[int], int]) -> bytes:
+    """The bytes.translate table taking each score's byte to value(score), any other to 0."""
+    return bytes([0, *map(value, _SCORES)]).ljust(256, b"\0")
+
+
+_PRESENT = _table(lambda s: 1)
+_SHIFTED = _table(lambda s: s - SCORE_MIN)
+_SQUARES = _table(lambda s: s * s)
+_LABEL_OF = (None, *(int(s < 0) for s in _SCORES))  # a byte's binary stress label
+# _DIGITS[s] translates bytes to the binary digit 1 where the score is s, 0 elsewhere.
+_DIGITS = {s: b"0" * _CODES[s] + b"1" + b"0" * (255 - _CODES[s]) for s in _SCORES}
 
 
 class AnnotationMatrix:
     def __init__(self, item_ids: tuple[str, ...], annotator_ids: tuple[str, ...],
-                 weights: tuple[float, ...], scores: np.ndarray):
-        """scores: integers as float [item, annotator], NaN = missing; int-or-None rows convert."""
-        import numpy as np
+                 weights: tuple[float, ...], scores: Iterable[Sequence[int | None]]):
+        """scores: one row per item of integers in [SCORE_MIN, SCORE_MAX], None = missing."""
         for weight in weights:
             if not (math.isfinite(weight) and weight > 0):
                 raise ValueError(f"annotator weight must be finite and positive, got {weight}")
         self.item_ids, self.annotator_ids, self.weights = item_ids, annotator_ids, weights
         self.n_items, self.n_annotators = len(item_ids), len(annotator_ids)
-        scores = np.array(scores, dtype=float)  # a copy: the caller's array stays writable
-        if scores.shape != (self.n_items, self.n_annotators):
-            raise ValueError(f"scores of shape {scores.shape} for "
+        if self.n_annotators >= 1 << 16:  # _item_sums counts an item's scores in 16 bits
+            raise ValueError(f"{self.n_annotators} annotators; at most {(1 << 16) - 1}")
+        rows = list(scores)
+        widths = set(map(len, rows))
+        if len(rows) != self.n_items or widths - {self.n_annotators}:
+            raise ValueError(f"{len(rows)} rows of {sorted(widths)} scores for "
                              f"{self.n_items} items x {self.n_annotators} annotators")
-        given = scores[~np.isnan(scores)]  # integers: the outlier rule and r count in them
-        bad = given[(given != np.trunc(given)) | (given < SCORE_MIN) | (given > SCORE_MAX)]
-        if bad.size:
-            raise ValueError(f"score {bad[0]:g} is not an integer in [{SCORE_MIN}, {SCORE_MAX}]")
-        scores.flags.writeable = False
-        self.scores = scores
+        try:
+            cells = bytes(map(_CODES.__getitem__, chain.from_iterable(rows)))
+        except KeyError:  # integers only: every tally is exact
+            first = next(s for row in rows for s in row if s not in _CODES)
+            raise ValueError(
+                f"score {first:g} is not an integer in [{SCORE_MIN}, {SCORE_MAX}]") from None
+        k = self.n_annotators
+        self.codes: tuple[bytes, ...] = tuple(cells[i::k] for i in range(k))  # per annotator
+
+    @property
+    def scores(self) -> tuple[Row, ...]:
+        """One tuple per item of its scores in annotator order, None = missing."""
+        return (tuple(zip(*(map(_SCORE_OF.__getitem__, column) for column in self.codes)))
+                or ((),) * self.n_items)
+
+
+def _item_sums(codes: Sequence[bytes], tables: Sequence[bytes], size: int) -> list[int]:
+    """For each of `size` items, the sum over annotators of tables[0][byte] +
+    (tables[1][byte] << 24) + (tables[2][byte] << 48). Each annotator's bytes
+    become one int of an 8-byte field per item, the tables' bytes 3 bytes
+    apart in it, so adding the ints adds all the sums (each under 2^24, 2^24
+    and 2^16) at once."""
+    total = 0
+    for column in codes:
+        fields = bytearray(8 * size)
+        for offset, table in zip((0, 3, 6), tables):
+            fields[offset::8] = column.translate(table)
+        total += int.from_bytes(fields, "little")
+    sums = array("Q", total.to_bytes(8 * size, "little"))
+    if sys.byteorder == "big":
+        sums.byteswap()
+    return sums.tolist()
 
 
 class ConsensusResult(NamedTuple):
@@ -68,37 +118,38 @@ class ConsensusResult(NamedTuple):
     excluded: tuple[tuple[str, float], ...] = ()  # (annotator id, outlier rate)
 
 
-def detect_outliers(matrix: AnnotationMatrix) -> np.ndarray:
+def detect_outliers(matrix: AnnotationMatrix) -> list[list[bool]]:
     """Flag judgment [j, i] iff |A(j,i) - mean(other scores for j)| >
     population std of all scores for j. Strict inequality, so unanimous
-    items never flag. Returns a bool array shaped like the scores."""
-    import numpy as np
-    present = ~np.isnan(matrix.scores)
-    n = present.sum(axis=1)
-    short = np.flatnonzero(n < 2)
-    if short.size:
-        j = short[0]
-        raise StressKitError(f"item {matrix.item_ids[j]!r} has {n[j]} score(s); need at least 2")
-    x = np.where(present, matrix.scores, 0).astype(np.int64)
-    n, t, q = n[:, None], x.sum(axis=1)[:, None], (x * x).sum(axis=1)[:, None]
-    # the rule squared and multiplied through by n^2 (n - 1)^2; t = sum(x), q = sum(x * x)
-    return present & (n * n * (n * x - t) ** 2 > (n - 1) ** 2 * (n * q - t * t))
+    items never flag. Returns one list of flags per annotator, in item order."""
+    # per item: its sum of squares q, its sum t less n * SCORE_MIN, and its count n
+    sums = _item_sums(matrix.codes, (_SQUARES, _SHIFTED, _PRESENT), matrix.n_items)
+    if sums and min(sums) < 2 << 48:
+        j = next(j for j, key in enumerate(sums) if key < 2 << 48)
+        raise StressKitError(
+            f"item {matrix.item_ids[j]!r} has {sums[j] >> 48} score(s); need at least 2")
+    flagged = {}  # an item's sums -> the bytes of the scores the rule flags in it
+    for key in set(sums):
+        q, n = key & 0xFFFFFF, key >> 48
+        t = (key >> 24 & 0xFFFFFF) + n * SCORE_MIN
+        # the rule squared and multiplied through by n^2 (n - 1)^2
+        bound = (n - 1) ** 2 * (n * q - t * t)
+        flagged[key] = frozenset(_CODES[s] for s in _SCORES if n * n * (n * s - t) ** 2 > bound)
+    items = list(map(flagged.__getitem__, sums))
+    return [list(map(contains, items, column)) for column in matrix.codes]
 
 
-def outlier_rates(matrix: AnnotationMatrix, flags: Sequence[Sequence[bool]]) -> dict[str, float]:
-    """Flagged fraction per annotator over their present judgments."""
-    import numpy as np
-    present = (~np.isnan(matrix.scores)).sum(axis=0).tolist()
-    flagged = np.asarray(flags, dtype=bool).reshape(matrix.scores.shape).sum(axis=0).tolist()
-    return {annotator: f / p if p else 0.0
-            for annotator, f, p in zip(matrix.annotator_ids, flagged, present)}
+def outlier_rates(matrix: AnnotationMatrix,
+                  flags: Sequence[Sequence[bool]]) -> dict[str, float]:
+    """Flagged fraction per annotator over their present judgments, from one
+    list of flags per annotator (as detect_outliers gives them)."""
+    return {annotator: f / p if p else 0.0 for annotator, f, p in zip(
+        matrix.annotator_ids, map(sum, flags),
+        (matrix.n_items - column.count(0) for column in matrix.codes))}
 
 
-def exclude_annotators(
-    matrix: AnnotationMatrix,
-    rates: Mapping[str, float],
-    threshold: float = 0.40,
-) -> AnnotationMatrix:
+def exclude_annotators(matrix: AnnotationMatrix, rates: Mapping[str, float],
+                       threshold: float = 0.40) -> AnnotationMatrix:
     """Remove every annotator whose outlier rate (from outlier_rates) is
     >= threshold.
 
@@ -109,33 +160,28 @@ def exclude_annotators(
     keep = [i for i, a in enumerate(matrix.annotator_ids) if rates[a] < threshold]
     if not keep:
         raise StressKitError("every annotator is at or above the outlier threshold")
-    return AnnotationMatrix(
-        item_ids=matrix.item_ids,
-        annotator_ids=tuple(matrix.annotator_ids[i] for i in keep),
-        weights=tuple(matrix.weights[i] for i in keep),
-        scores=matrix.scores[:, keep],
-    )
+    kept = copy.copy(matrix)  # columns of a checked matrix need no second check
+    kept.annotator_ids = tuple(matrix.annotator_ids[i] for i in keep)
+    kept.weights = tuple(matrix.weights[i] for i in keep)
+    kept.codes = tuple(matrix.codes[i] for i in keep)
+    kept.n_annotators = len(keep)
+    return kept
 
 
 def weighted_consensus(matrix: AnnotationMatrix) -> ConsensusResult:
     """Per-item weighted mean; binary label 1 (stressed) iff mean < 0."""
-    import numpy as np
-    present = ~np.isnan(matrix.scores)
-    counts = present.sum(axis=1)
-    short = np.flatnonzero(counts == 0)
-    if short.size:
-        raise StressKitError(f"item {matrix.item_ids[short[0]]!r} has no scores")
-    filled = np.where(present, matrix.scores, 0.0)
-    num = sum(w * column for w, column in zip(matrix.weights, filled.T))
-    den = sum(w * column for w, column in zip(matrix.weights, present.T))
-    means = num / den
-    return ConsensusResult(
-        item_ids=matrix.item_ids,
-        means=tuple(means.tolist()),
-        labels=tuple((means < 0).astype(int).tolist()),
-        n_scores=tuple(counts.tolist()),
-        kept=matrix,
-    )
+    counts = _item_sums(matrix.codes, (_PRESENT,), matrix.n_items)
+    if counts and min(counts) == 0:
+        raise StressKitError(f"item {matrix.item_ids[counts.index(0)]!r} has no scores")
+    # per item, its weighted sum of scores (real part) and the sum of its scores' weights
+    # (imaginary part), added from 0 in annotator order, a missing score adding 0
+    sums = [0j] * matrix.n_items
+    for weight, column in zip(matrix.weights, matrix.codes):
+        term = (0j, *(complex(weight * s, weight) for s in _SCORES))
+        sums = list(map(add, sums, map(term.__getitem__, column)))
+    means = tuple(map(truediv, map(attrgetter("real"), sums), map(attrgetter("imag"), sums)))
+    return ConsensusResult(matrix.item_ids, means, tuple(map(int, map(lt, means, repeat(0)))),
+                           tuple(counts), matrix)
 
 
 def aggregate(matrix: AnnotationMatrix, threshold: float = 0.40) -> ConsensusResult:
@@ -143,89 +189,95 @@ def aggregate(matrix: AnnotationMatrix, threshold: float = 0.40) -> ConsensusRes
     flags = detect_outliers(matrix)
     rates = outlier_rates(matrix, flags)
     surviving = exclude_annotators(matrix, rates, threshold)
-    removed = tuple(
-        (a, rates[a]) for a in matrix.annotator_ids if a not in surviving.annotator_ids
-    )
+    removed = tuple((a, rates[a]) for a in matrix.annotator_ids
+                    if a not in surviving.annotator_ids)
     return weighted_consensus(surviving)._replace(excluded=removed)
 
 
-def fleiss_kappa(
-    ratings: Sequence[Sequence[float | None]] | np.ndarray,
-    categories: Sequence[float],
-) -> float:
-    """Standard Fleiss kappa over items x raters numeric category
-    assignments, None or NaN for a missing rating.
+def fleiss_kappa(ratings: Iterable[Sequence[int | None]]) -> float:
+    """Standard Fleiss kappa over items x raters binary ratings: 0, 1 or
+    None (missing).
 
     Items must all carry the same number n >= 2 of ratings; items that do
     not are dropped with a warning (n is the most common rating count).
     Returns 1.0 when expected agreement is 1 (all ratings in one category).
     """
-    import numpy as np
-    ratings = np.atleast_2d(np.asarray(ratings, dtype=float))
-    counts_per_item = (~np.isnan(ratings)).sum(axis=1)
-    eligible = counts_per_item[counts_per_item >= 2]
-    if not eligible.size:
+    tallies = Counter()  # (ratings given, of which 1s) -> items
+    eligible = Counter()  # rating count -> items
+    for row, count in Counter(map(tuple, ratings)).items():  # at most 3^raters distinct rows
+        bad = [r for r in row if r not in (0, 1, None)]
+        if bad:
+            raise ValueError(f"rating {bad[0]!r} is not 0, 1 or None")
+        given = len(row) - row.count(None)
+        tallies[given, row.count(1)] += count
+        eligible[given] += count
+    # the most common count of 2 or more; ties to the larger
+    n = max((c for c in eligible if c >= 2), key=lambda c: (eligible[c], c), default=0)
+    if not n:
         raise StressKitError("no item carries at least 2 ratings")
-    tally = np.bincount(eligible)
-    n = len(tally) - 1 - int(np.argmax(tally[::-1]))  # most common count; ties to the larger
-    kept = ratings[counts_per_item == n]
-    dropped = len(ratings) - len(kept)
+    kept = [(k, count) for (given, k), count in tallies.items() if given == n]
+    items, ones = eligible[n], sum(k * count for k, count in kept)  # over the kept items
+    squares = sum((k * k + (n - k) * (n - k)) * count for k, count in kept)  # of the tallies
+    dropped = sum(eligible.values()) - items
     if dropped:
         log.warning("fleiss_kappa: dropped %d item(s) not rated by exactly %d raters", dropped, n)
-    matches = kept[:, :, None] == np.asarray(categories, dtype=float)
-    unknown = ~np.isnan(kept) & ~matches.any(axis=2)
-    if unknown.any():
-        raise ValueError(f"rating {kept[unknown][0]:g} not in categories {list(categories)}")
-    table = matches.sum(axis=1).astype(float)
-    p_item = (np.square(table).sum(axis=1) - n) / (n * (n - 1))
-    p_bar = float(p_item.mean())
-    p_cat = table.sum(axis=0) / table.sum()
-    p_exp = float(np.square(p_cat).sum())
-    if math.isclose(p_exp, 1.0):
+    total, zeros = items * n, items * n - ones
+    if not ones or not zeros:
         return 1.0  # degenerate marginals: a single category everywhere
-    return (p_bar - p_exp) / (1.0 - p_exp)
+    # (p_bar - p_exp) / (1 - p_exp), where p_bar = (squares - total) / (total (n - 1)) and
+    # p_exp = (ones^2 + zeros^2) / total^2, multiplied through: rounded once, exactly
+    return (((squares - total) * total - (ones * ones + zeros * zeros) * (n - 1))
+            / (2 * ones * zeros * (n - 1)))
 
 
-def annotator_correlation(matrix: AnnotationMatrix) -> np.ndarray:
+def annotator_correlation(matrix: AnnotationMatrix) -> list[list[float | None]]:
     """Pairwise Pearson correlation over jointly present scores.
 
     Pairs sharing fewer than MIN_OVERLAP items (or with zero variance) are
-    reported as NaN rather than failing. Diagonal is 1."""
-    import numpy as np
-    present = ~np.isnan(matrix.scores)
-    x, p = np.where(present, matrix.scores, 0).astype(np.int64), present.astype(np.int64)
-    # [a, b] over the items both a and b scored: their count, sum(a), sum(a * a), sum(a * b)
-    n, sums, squares, products = p.T @ p, x.T @ p, (x * x).T @ p, x.T @ x
-    for a, b in zip(*np.nonzero(np.triu(n < MIN_OVERLAP, 1))):
-        log.warning("annotators %s and %s share only %d item(s); correlation omitted",
-                    matrix.annotator_ids[a], matrix.annotator_ids[b], n[a, b])
-    spread = n * squares - sums * sums  # n^2 times a's variance over those items
-    out = np.divide(n * products - sums * sums.T, np.sqrt(spread * spread.T.astype(float)),
-                    out=np.full(n.shape, np.nan),
-                    where=(n >= MIN_OVERLAP) & (spread > 0) & (spread.T > 0))
-    np.fill_diagonal(out, 1.0)
+    reported as None rather than failing. Diagonal is 1."""
+    # Per annotator and score, the items given that score as the bits of one
+    # int: a pair's count of items scored (x, y) is the bit count of an AND.
+    masks = [[(s, int(b"0" + column.translate(digits), 2)) for s, digits in _DIGITS.items()]
+             for column in matrix.codes]
+    k = matrix.n_annotators
+    out = [[1.0 if a == b else None for b in range(k)] for a in range(k)]
+    for a in range(k):
+        for b in range(a + 1, k):
+            # over the items both a and b scored: their count, sums, sums of squares, sum(a * b)
+            n, sum_a, sum_b, squares_a, squares_b, products = map(sum, zip(*(
+                (c, c * x, c * y, c * x * x, c * y * y, c * x * y)
+                for x, items_a in masks[a] for y, items_b in masks[b]
+                for c in [(items_a & items_b).bit_count()])))
+            if n < MIN_OVERLAP:
+                log.warning("annotators %s and %s share only %d item(s); correlation omitted",
+                            matrix.annotator_ids[a], matrix.annotator_ids[b], n)
+                continue
+            spread_a = n * squares_a - sum_a * sum_a  # n^2 var(a)
+            spread_b = n * squares_b - sum_b * sum_b
+            if spread_a > 0 and spread_b > 0:
+                out[a][b] = out[b][a] = ((n * products - sum_a * sum_b)
+                                         / math.sqrt(float(spread_a) * float(spread_b)))
     return out
 
 
-def binarize_scores(matrix: AnnotationMatrix) -> np.ndarray:
-    """Per-annotator binary stress labels: score < 0 -> 1.0 (stressed),
-    0.0 otherwise, NaN where the score is missing."""
-    import numpy as np
-    return np.where(np.isnan(matrix.scores), np.nan, matrix.scores < 0)
+def binarize_scores(matrix: AnnotationMatrix) -> list[Row]:
+    """Per-annotator binary stress labels, one row per item: score < 0 -> 1
+    (stressed), 0 otherwise, None where the score is missing."""
+    return list(zip(*(map(_LABEL_OF.__getitem__, column) for column in matrix.codes)))
 
 
-def _parse_cell(annotator: str, cell: str) -> float:
-    """Any score cell not in _CELLS (spaces, "+3", "03", other digits), as int() reads it."""
+def _parse_cell(annotator: str, cell: str) -> int | None:
+    """A score cell as int() reads it (spaces, "+3", "03", other digits); blank is None."""
     cell = cell.strip()
     if not cell:
-        return math.nan
+        return None
     try:
         value = int(cell)
     except ValueError:
         raise StressKitError(f"score {cell!r} for {annotator!r} is not an integer") from None
     if not SCORE_MIN <= value <= SCORE_MAX:
         raise StressKitError(f"score {value} for {annotator!r} outside [{SCORE_MIN}, {SCORE_MAX}]")
-    return float(value)
+    return value
 
 
 def load_annotations(
@@ -234,7 +286,6 @@ def load_annotations(
 ) -> AnnotationMatrix:
     """CSV with header item_id,text,<annotator>...; blank cell = missing.
     The text column is not read; every id in `weights` names a column."""
-    import numpy as np
     with open_text(path) as handle:
         reader = csv.reader(handle)
         try:
@@ -253,8 +304,7 @@ def load_annotations(
         if unknown:
             raise StressKitError(
                 f"{path}: weights name annotator {unknown[0]!r}, which has no column")
-        item_ids, values, seen = [], [], set()  # values: every score, row by row
-        cell_value = _CELLS.get
+        item_ids, scores, seen = [], [], set()
         with located(path, reader):
             for row in reader:
                 if not row:
@@ -265,18 +315,13 @@ def load_annotations(
                     raise StressKitError(f"item {row[0]!r} appears more than once")
                 seen.add(row[0])
                 item_ids.append(row[0])
-                parsed = list(map(cell_value, row[2:]))
-                if None in parsed:
-                    parsed = [_parse_cell(a, cell) if value is None else value
-                              for a, cell, value in zip(annotators, row[2:], parsed)]
-                values.extend(parsed)
+                try:
+                    scores.append(tuple(map(_CELLS.__getitem__, row[2:])))
+                except KeyError:  # a cell not in _CELLS
+                    scores.append(tuple(map(_parse_cell, annotators, row[2:])))
     weights = dict(weights or {})
-    return AnnotationMatrix(
-        item_ids=tuple(item_ids),
-        annotator_ids=annotators,
-        weights=tuple(float(weights.get(a, 1.0)) for a in annotators),
-        scores=np.array(values, dtype=float).reshape(len(item_ids), len(annotators)),
-    )
+    return AnnotationMatrix(tuple(item_ids), annotators,
+                            tuple(float(weights.get(a, 1.0)) for a in annotators), scores)
 
 
 def load_weights(path: str | Path) -> dict[str, float]:

@@ -261,7 +261,7 @@ def cmd_annotate(args) -> int:
         matrix = annotate.load_annotations(args.annotations_csv, weights)
         consensus = annotate.aggregate(matrix, args.threshold)
         excluded = [{"annotator": a, "rate": rate} for a, rate in consensus.excluded]
-        kappa = annotate.fleiss_kappa(annotate.binarize_scores(consensus.kept), categories=(0, 1))
+        kappa = annotate.fleiss_kappa(annotate.binarize_scores(consensus.kept))
         correlations = annotate.annotator_correlation(matrix)
         consensus_path, summary_path = outdir / "consensus.csv", outdir / "annotation_summary.json"
         summary = {
@@ -269,7 +269,7 @@ def cmd_annotate(args) -> int:
             "kappa": kappa,
             "correlations": {
                 "annotators": list(matrix.annotator_ids),
-                "matrix": [[None if v != v else v for v in row] for row in correlations.tolist()],
+                "matrix": correlations,
             },
             "metadata": {
                 "threshold": args.threshold,
@@ -281,10 +281,8 @@ def cmd_annotate(args) -> int:
             with open(consensus_partial, "w", newline="", encoding="utf-8") as handle:
                 writer = csv.writer(handle)
                 writer.writerow(["item_id", "weighted_mean", "label", "n_scores"])
-                for item_id, mean, label, n in zip(
-                    consensus.item_ids, consensus.means, consensus.labels, consensus.n_scores
-                ):
-                    writer.writerow([item_id, repr(mean), label, n])
+                writer.writerows(zip(consensus.item_ids, map(repr, consensus.means),
+                                     consensus.labels, consensus.n_scores))
             summary_partial.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     print(f"items: {matrix.n_items}, annotators kept: {consensus.kept.n_annotators}/"
           f"{matrix.n_annotators}, kappa: {kappa:.4f}")

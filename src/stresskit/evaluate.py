@@ -1,8 +1,7 @@
 """Confusion-matrix construction and the four classification metrics.
 
 The positive class is 1 (stressed). Zero-denominator metrics are reported
-as 0.0 and flagged as degenerate rather than raising, so reports on tiny
-groups never crash.
+as 0.0 rather than raising, so reports on tiny groups never crash.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ class MetricsReport(NamedTuple):
     recall: float
     f1: float
     matrix: ConfusionMatrix
-    degenerate: frozenset[str] = frozenset()
 
 
 def confusion(predicted: Sequence[int], actual: Sequence[int]) -> ConfusionMatrix:
@@ -55,29 +53,14 @@ def confusion(predicted: Sequence[int], actual: Sequence[int]) -> ConfusionMatri
 def metrics(matrix: ConfusionMatrix) -> MetricsReport:
     if matrix.total <= 0:
         raise StressKitError("confusion matrix has no counts")
-    degenerate = set()
-
-    def ratio(num: int, den: int, name: str) -> float:
-        if den == 0:
-            degenerate.add(name)
-            return 0.0
-        return num / den
-
-    precision = ratio(matrix.tp, matrix.tp + matrix.fp, "precision")
-    recall = ratio(matrix.tp, matrix.tp + matrix.fn, "recall")
-    if precision + recall == 0:
-        degenerate.add("f1")
-        f1 = 0.0
-    else:
-        f1 = 2 * precision * recall / (precision + recall)
-    accuracy = (matrix.tp + matrix.tn) / matrix.total
+    precision = matrix.tp / (matrix.tp + matrix.fp) if matrix.tp + matrix.fp else 0.0
+    recall = matrix.tp / (matrix.tp + matrix.fn) if matrix.tp + matrix.fn else 0.0
     return MetricsReport(
-        accuracy=accuracy,
+        accuracy=(matrix.tp + matrix.tn) / matrix.total,
         precision=precision,
         recall=recall,
-        f1=f1,
+        f1=2 * precision * recall / (precision + recall) if precision + recall else 0.0,
         matrix=matrix,
-        degenerate=frozenset(degenerate),
     )
 
 

@@ -3,17 +3,19 @@
 weighted consensus, the Fleiss count table and kappa, and annotator
 correlation.
 
-`stresskit.annotate` computes the same things with whole-array
-operations over one items x annotators float array. This module keeps
-the loop form only as an oracle: test_annotate.py checks that both give
-identical flags, rates, labels, counts, kappa, correlations and
-bit-identical means. The outlier rule here keeps its float form (numpy's
-population std), so it checks the exact integer rule independently.
+`stresskit.annotate` computes the same things on whole annotator columns.
+This module keeps the per-item loop form only as an oracle:
+test_annotate.py checks that both give identical flags, rates, labels,
+counts, kappa, correlations and bit-identical means. The outlier rule here
+keeps its float form (numpy's population std), so it checks the exact
+integer rule independently, and kappa is computed in exact fractions,
+rounded once.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -93,37 +95,31 @@ def binarize_scores(sheet: Sheet) -> list[list[int | None]]:
     return [[None if s is None else (1 if s < 0 else 0) for s in row] for row in sheet.scores]
 
 
-def fleiss_kappa(ratings, categories) -> float:
+def fleiss_kappa(ratings: list[list[int | None]]) -> float:
+    """Fleiss kappa over items x raters binary ratings, None for a missing one."""
     counts_per_item = [sum(1 for r in row if r is not None) for row in ratings]
     eligible = [c for c in counts_per_item if c >= 2]
     if not eligible:
         raise StressKitError("no item carries at least 2 ratings")
     n = max(sorted(set(eligible)), key=lambda c: (eligible.count(c), c))
-    kept_rows = [row for row, c in zip(ratings, counts_per_item) if c == n]
-    cat_index = {c: k for k, c in enumerate(categories)}
-    table = np.zeros((len(kept_rows), len(categories)))
-    for r, row in enumerate(kept_rows):
-        for rating in row:
-            if rating is None:
-                continue
-            table[r, cat_index[rating]] += 1
-    p_item = (np.square(table).sum(axis=1) - n) / (n * (n - 1))
-    p_bar = float(p_item.mean())
-    p_cat = table.sum(axis=0) / table.sum()
-    p_exp = float(np.square(p_cat).sum())
-    if math.isclose(p_exp, 1.0):
+    table = [[sum(1 for r in row if r == category) for category in (0, 1)]
+             for row, c in zip(ratings, counts_per_item) if c == n]
+    p_bar = sum(Fraction(sum(t * t for t in counts) - n, n * (n - 1))
+                for counts in table) / len(table)
+    p_cat = [Fraction(sum(counts[k] for counts in table), n * len(table)) for k in (0, 1)]
+    p_exp = sum(p * p for p in p_cat)
+    if p_exp == 1:
         return 1.0
-    return (p_bar - p_exp) / (1.0 - p_exp)
+    return float((p_bar - p_exp) / (1 - p_exp))
 
 
-def annotator_correlation(sheet: Sheet) -> np.ndarray:
+def annotator_correlation(sheet: Sheet) -> list[list[float | None]]:
     """Pearson's r from each pair's tallies in Python ints, finished with the
     same three float operations as stresskit.annotate: one multiply, one
-    square root and one division."""
+    square root and one division. None where a pair gets no correlation."""
     k = len(sheet.annotator_ids)
-    out = np.full((k, k), np.nan)
+    out = [[1.0 if a == b else None for b in range(k)] for a in range(k)]
     for a in range(k):
-        out[a, a] = 1.0
         for b in range(a + 1, k):
             pairs = [(row[a], row[b]) for row in sheet.scores
                      if row[a] is not None and row[b] is not None]
@@ -136,5 +132,5 @@ def annotator_correlation(sheet: Sheet) -> np.ndarray:
             if spread_a == 0 or spread_b == 0:
                 continue
             covariance = n * sum(x * y for x, y in pairs) - sa * sb
-            out[a, b] = out[b, a] = covariance / math.sqrt(float(spread_a) * float(spread_b))
+            out[a][b] = out[b][a] = covariance / math.sqrt(float(spread_a) * float(spread_b))
     return out

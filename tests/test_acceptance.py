@@ -154,7 +154,7 @@ def test_criterion_5_annotation_suite():
         ("i",), ("a", "b", "c"), (1.0, 1.0, 1.0), ((5, 5, -5),)
     )
     flags = annotate.detect_outliers(matrix)
-    assert flags.tolist() == [[True, True, True]]
+    assert flags == [[True], [True], [True]]  # one list per annotator
 
     # exclusion thresholds at 41% and 39%
     big = annotate.AnnotationMatrix(
@@ -163,10 +163,10 @@ def test_criterion_5_annotation_suite():
         (1.0, 1.0),
         tuple((1, 1) for _ in range(100)),
     )
-    flags41 = [[False, j < 41] for j in range(100)]
+    flags41 = [[False] * 100, [j < 41 for j in range(100)]]
     kept = annotate.exclude_annotators(big, annotate.outlier_rates(big, flags41), 0.40)
     assert kept.annotator_ids == ("keep",)
-    flags39 = [[False, j < 39] for j in range(100)]
+    flags39 = [[False] * 100, [j < 39 for j in range(100)]]
     kept = annotate.exclude_annotators(big, annotate.outlier_rates(big, flags39), 0.40)
     assert kept.annotator_ids == ("keep", "probe")
 
@@ -179,10 +179,10 @@ def test_criterion_5_annotation_suite():
 
     # Fleiss kappa: hand table and unanimity
     hand = [[0, 0, 0], [0, 0, 1], [0, 1, 1], [1, 1, 1]]
-    kappa = annotate.fleiss_kappa(hand, categories=(0, 1))
+    kappa = annotate.fleiss_kappa(hand)
     assert abs(kappa - 1 / 3) < 1e-9
     unanimous = [[0, 0, 0], [1, 1, 1], [0, 0, 0]]
-    assert annotate.fleiss_kappa(unanimous, categories=(0, 1)) == pytest.approx(1.0)
+    assert annotate.fleiss_kappa(unanimous) == pytest.approx(1.0)
     outcome(5, True, f"outlier flags, 41%/39% exclusion, consensus -7/3, kappa {kappa:.9f}")
 
 

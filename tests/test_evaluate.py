@@ -40,7 +40,6 @@ def test_metrics_hand_example():
     assert rep.recall == pytest.approx(2 / 3, abs=1e-15)
     assert rep.f1 == pytest.approx(2 / 3, abs=1e-15)
     assert rep.accuracy == pytest.approx(0.8, abs=1e-15)
-    assert not rep.degenerate
 
 
 def test_metrics_perfect():
@@ -51,7 +50,6 @@ def test_metrics_perfect():
 def test_metrics_degenerate_convention():
     rep = metrics(ConfusionMatrix(tp=0, fp=0, tn=4, fn=0))
     assert rep.precision == 0.0 and rep.recall == 0.0 and rep.f1 == 0.0
-    assert {"precision", "recall", "f1"} <= set(rep.degenerate)
     assert rep.accuracy == 1.0
 
 
@@ -88,9 +86,8 @@ def test_swapping_roles_transposes_fp_fn(pairs):
 @given(pairs_strategy)
 def test_f1_between_precision_and_recall(pairs):
     rep = metrics(confusion([p for p, _ in pairs], [a for _, a in pairs]))
-    if not rep.degenerate:
-        assert min(rep.precision, rep.recall) - 1e-12 <= rep.f1
-        assert rep.f1 <= max(rep.precision, rep.recall) + 1e-12
+    assert min(rep.precision, rep.recall) - 1e-12 <= rep.f1
+    assert rep.f1 <= max(rep.precision, rep.recall) + 1e-12
 
 
 @given(pairs_strategy)
