@@ -7,22 +7,21 @@ OTHER annotators' scores for that item exceeds the population standard
 deviation of all scores for the item. Annotator weights participate only
 in the consensus mean, never in outlier detection.
 
-Each annotator's scores are one bytes object, a byte per item: 0 if
-missing, s - SCORE_MIN + 1 for the score s. The statistics work on whole
-columns in plain Python: exact integer tallies, and consensus sums added
-in annotator order. No step depends on items repeating each other's scores.
+A sheet has one form: per annotator, one bytes object of a byte per item, 0
+if missing, s - SCORE_MIN + 1 for the score s. The loader writes each cell's
+byte, and every statistic, kappa's tallies included, reads whole columns in
+plain Python. No step builds a per-item row or depends on rows repeating.
 """
 
 from __future__ import annotations
 
-import copy
 import csv
 import logging
 import math
 import sys
 from array import array
 from collections import Counter
-from itertools import chain, repeat
+from itertools import repeat
 from operator import add, attrgetter, contains, lt, truediv
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -37,13 +36,10 @@ SCORE_MIN, SCORE_MAX = -5, 5
 # Annotator pairs sharing fewer items than this get no correlation.
 MIN_OVERLAP = 3
 
-Row = tuple[int | None, ...]  # one item's scores, in annotator order
-
-# The eleven canonical score cells and the blank one, as they parse.
-_CELLS = {str(v): v for v in range(SCORE_MIN, SCORE_MAX + 1)} | {"": None}
 _SCORES = range(SCORE_MIN, SCORE_MAX + 1)
 _CODES = {None: 0} | {s: s - SCORE_MIN + 1 for s in _SCORES}  # a score's byte
-_SCORE_OF = tuple(_CODES)  # a byte's score
+_CELL_CODES = {"": 0} | {str(s): _CODES[s] for s in _SCORES}  # the canonical cells' bytes
+_VALID = bytes(_CODES.values())  # every byte a column may hold
 
 
 def _table(value: Callable[[int], int]) -> bytes:
@@ -54,15 +50,15 @@ def _table(value: Callable[[int], int]) -> bytes:
 _PRESENT = _table(lambda s: 1)
 _SHIFTED = _table(lambda s: s - SCORE_MIN)
 _SQUARES = _table(lambda s: s * s)
-_LABEL_OF = (None, *(int(s < 0) for s in _SCORES))  # a byte's binary stress label
+_STRESSED = _table(lambda s: int(s < 0))  # a score's binary stress label
 # _DIGITS[s] translates bytes to the binary digit 1 where the score is s, 0 elsewhere.
 _DIGITS = {s: b"0" * _CODES[s] + b"1" + b"0" * (255 - _CODES[s]) for s in _SCORES}
 
 
 class AnnotationMatrix:
     def __init__(self, item_ids: tuple[str, ...], annotator_ids: tuple[str, ...],
-                 weights: tuple[float, ...], scores: Iterable[Sequence[int | None]]):
-        """scores: one row per item of integers in [SCORE_MIN, SCORE_MAX], None = missing."""
+                 weights: tuple[float, ...], codes: Iterable[bytes]):
+        """codes: per annotator, a byte per item (see above); each is kept as bytes."""
         for weight in weights:
             if not (math.isfinite(weight) and weight > 0):
                 raise ValueError(f"annotator weight must be finite and positive, got {weight}")
@@ -70,25 +66,11 @@ class AnnotationMatrix:
         self.n_items, self.n_annotators = len(item_ids), len(annotator_ids)
         if self.n_annotators >= 1 << 16:  # _item_sums counts an item's scores in 16 bits
             raise ValueError(f"{self.n_annotators} annotators; at most {(1 << 16) - 1}")
-        rows = list(scores)
-        widths = set(map(len, rows))
-        if len(rows) != self.n_items or widths - {self.n_annotators}:
-            raise ValueError(f"{len(rows)} rows of {sorted(widths)} scores for "
-                             f"{self.n_items} items x {self.n_annotators} annotators")
-        try:
-            cells = bytes(map(_CODES.__getitem__, chain.from_iterable(rows)))
-        except KeyError:  # integers only: every tally is exact
-            first = next(s for row in rows for s in row if s not in _CODES)
-            raise ValueError(
-                f"score {first:g} is not an integer in [{SCORE_MIN}, {SCORE_MAX}]") from None
-        k = self.n_annotators
-        self.codes: tuple[bytes, ...] = tuple(cells[i::k] for i in range(k))  # per annotator
-
-    @property
-    def scores(self) -> tuple[Row, ...]:
-        """One tuple per item of its scores in annotator order, None = missing."""
-        return (tuple(zip(*(map(_SCORE_OF.__getitem__, column) for column in self.codes)))
-                or ((),) * self.n_items)
+        self.codes: tuple[bytes, ...] = tuple(map(bytes, codes))  # per annotator
+        if len(self.codes) != self.n_annotators or any(
+                len(c) != self.n_items or c.translate(None, _VALID) for c in self.codes):
+            raise ValueError(f"{len(self.codes)} columns; need {self.n_annotators} of "
+                             f"{self.n_items} bytes, each in 0-{len(_VALID) - 1}")
 
 
 def _item_sums(codes: Sequence[bytes], tables: Sequence[bytes], size: int) -> list[int]:
@@ -150,22 +132,17 @@ def outlier_rates(matrix: AnnotationMatrix,
 
 def exclude_annotators(matrix: AnnotationMatrix, rates: Mapping[str, float],
                        threshold: float = 0.40) -> AnnotationMatrix:
-    """Remove every annotator whose outlier rate (from outlier_rates) is
-    >= threshold.
-
-    Removal is simultaneous: the given rates are used as they are, with no
+    """Remove every annotator whose outlier rate (from outlier_rates) is >=
+    threshold, all at once: the given rates are used as they are, with no
     recascading."""
     if not 0 < threshold <= 1:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     keep = [i for i, a in enumerate(matrix.annotator_ids) if rates[a] < threshold]
     if not keep:
         raise StressKitError("every annotator is at or above the outlier threshold")
-    kept = copy.copy(matrix)  # columns of a checked matrix need no second check
-    kept.annotator_ids = tuple(matrix.annotator_ids[i] for i in keep)
-    kept.weights = tuple(matrix.weights[i] for i in keep)
-    kept.codes = tuple(matrix.codes[i] for i in keep)
-    kept.n_annotators = len(keep)
-    return kept
+    return AnnotationMatrix(matrix.item_ids, tuple(matrix.annotator_ids[i] for i in keep),
+                            tuple(matrix.weights[i] for i in keep),
+                            [matrix.codes[i] for i in keep])
 
 
 def weighted_consensus(matrix: AnnotationMatrix) -> ConsensusResult:
@@ -194,22 +171,16 @@ def aggregate(matrix: AnnotationMatrix, threshold: float = 0.40) -> ConsensusRes
     return weighted_consensus(surviving)._replace(excluded=removed)
 
 
-def fleiss_kappa(ratings: Iterable[Sequence[int | None]]) -> float:
-    """Standard Fleiss kappa over items x raters binary ratings: 0, 1 or
-    None (missing).
+def fleiss_kappa(tallies: Mapping[tuple[int, int], int]) -> float:
+    """Standard Fleiss kappa over binary ratings, from items per (ratings
+    given, of which 1s), as binarize_scores counts them.
 
     Items must all carry the same number n >= 2 of ratings; items that do
     not are dropped with a warning (n is the most common rating count).
     Returns 1.0 when expected agreement is 1 (all ratings in one category).
     """
-    tallies = Counter()  # (ratings given, of which 1s) -> items
     eligible = Counter()  # rating count -> items
-    for row, count in Counter(map(tuple, ratings)).items():  # at most 3^raters distinct rows
-        bad = [r for r in row if r not in (0, 1, None)]
-        if bad:
-            raise ValueError(f"rating {bad[0]!r} is not 0, 1 or None")
-        given = len(row) - row.count(None)
-        tallies[given, row.count(1)] += count
+    for (given, _), count in tallies.items():
         eligible[given] += count
     # the most common count of 2 or more; ties to the larger
     n = max((c for c in eligible if c >= 2), key=lambda c: (eligible[c], c), default=0)
@@ -260,10 +231,11 @@ def annotator_correlation(matrix: AnnotationMatrix) -> list[list[float | None]]:
     return out
 
 
-def binarize_scores(matrix: AnnotationMatrix) -> list[Row]:
-    """Per-annotator binary stress labels, one row per item: score < 0 -> 1
-    (stressed), 0 otherwise, None where the score is missing."""
-    return list(zip(*(map(_LABEL_OF.__getitem__, column) for column in matrix.codes)))
+def binarize_scores(matrix: AnnotationMatrix) -> Counter[tuple[int, int]]:
+    """Items per (labels given, of which stressed): each present score is
+    the binary label 1 (stressed) if it is < 0, 0 otherwise."""
+    sums = _item_sums(matrix.codes, (_STRESSED, _PRESENT), matrix.n_items)
+    return Counter({(key >> 24, key & 0xFFFFFF): items for key, items in Counter(sums).items()})
 
 
 def _parse_cell(annotator: str, cell: str) -> int | None:
@@ -304,7 +276,7 @@ def load_annotations(
         if unknown:
             raise StressKitError(
                 f"{path}: weights name annotator {unknown[0]!r}, which has no column")
-        item_ids, scores, seen = [], [], set()
+        item_ids, cells, seen = [], bytearray(), set()  # cells: every row's bytes in turn
         with located(path, reader):
             for row in reader:
                 if not row:
@@ -316,12 +288,13 @@ def load_annotations(
                 seen.add(row[0])
                 item_ids.append(row[0])
                 try:
-                    scores.append(tuple(map(_CELLS.__getitem__, row[2:])))
-                except KeyError:  # a cell not in _CELLS
-                    scores.append(tuple(map(_parse_cell, annotators, row[2:])))
-    weights = dict(weights or {})
+                    cells += bytes(map(_CELL_CODES.__getitem__, row[2:]))
+                except KeyError:  # a cell not in _CELL_CODES
+                    cells += bytes(map(_CODES.__getitem__, map(_parse_cell, annotators, row[2:])))
+    weights, k = dict(weights or {}), len(annotators)
     return AnnotationMatrix(tuple(item_ids), annotators,
-                            tuple(float(weights.get(a, 1.0)) for a in annotators), scores)
+                            tuple(float(weights.get(a, 1.0)) for a in annotators),
+                            [cells[i::k] for i in range(k)])
 
 
 def load_weights(path: str | Path) -> dict[str, float]:

@@ -3,32 +3,62 @@
 weighted consensus, the Fleiss count table and kappa, and annotator
 correlation.
 
-`stresskit.annotate` computes the same things on whole annotator columns.
-This module keeps the per-item loop form only as an oracle:
-test_annotate.py checks that both give identical flags, rates, labels,
-counts, kappa, correlations and bit-identical means. The outlier rule here
-keeps its float form (numpy's population std), so it checks the exact
-integer rule independently, and kappa is computed in exact fractions,
-rounded once.
+`stresskit.annotate` holds a sheet only as one byte column per annotator,
+which its loader fills, and computes kappa from those columns' tallies.
+This module keeps the per-item row form as an oracle: test_annotate.py
+checks that both give identical flags, rates, labels, counts, kappa,
+correlations and bit-identical means. The outlier rule here keeps its
+float form (numpy's population std), so it checks the exact integer rule
+independently, and kappa is computed in exact fractions, rounded once.
+
+The tests write sheets as rows, so this module also turns rows into an
+`AnnotationMatrix` (matrix_from_rows), a matrix back into rows (rows_of),
+and rows of binary ratings into kappa's tallies (kappa_tallies).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from stresskit.annotate import MIN_OVERLAP
+from stresskit.annotate import MIN_OVERLAP, SCORE_MIN, AnnotationMatrix
 from stresskit.errors import StressKitError
+
+Row = tuple[int | None, ...]  # one item's scores in annotator order, None = missing
+
+
+def matrix_from_rows(rows, weights=None, annotators=None, item_ids=None) -> AnnotationMatrix:
+    """The AnnotationMatrix of one row of scores per item. Annotators default
+    to a0, a1, ..., items to item0, item1, ... and weights to 1.0."""
+    k = len(annotators or rows[0])
+    codes = [bytes(0 if row[i] is None else row[i] - SCORE_MIN + 1 for row in rows)
+             for i in range(k)]
+    return AnnotationMatrix(tuple(item_ids or (f"item{j}" for j in range(len(rows)))),
+                            tuple(annotators or (f"a{i}" for i in range(k))),
+                            tuple(weights or (1.0,) * k), codes)
+
+
+def rows_of(matrix: AnnotationMatrix) -> tuple[Row, ...]:
+    """The matrix's scores, one row per item."""
+    return tuple(zip(*([None if c == 0 else c + SCORE_MIN - 1 for c in column]
+                       for column in matrix.codes)))
+
+
+def kappa_tallies(ratings) -> Counter:
+    """Items per (ratings given, of which 1s), from one row of 0, 1 or None
+    per item: what stresskit.annotate.binarize_scores counts from a matrix."""
+    return Counter((len(row) - row.count(None), row.count(1)) for row in ratings)
 
 
 class Sheet(NamedTuple):
     item_ids: tuple[str, ...]
     annotator_ids: tuple[str, ...]
     weights: tuple[float, ...]
-    scores: tuple[tuple[int | None, ...], ...]  # [item][annotator], None = missing
+    scores: tuple[Row, ...]  # [item][annotator]
 
 
 def detect_outliers(sheet: Sheet) -> list[list[bool]]:

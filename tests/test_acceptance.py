@@ -24,6 +24,7 @@ import pytest
 from stresskit import (annotate, classify, cli, corpus, emotion, evaluate, porter, report,
                        textprep)
 
+from annotate_reference import kappa_tallies, matrix_from_rows
 from conftest import FIXTURES, REPO_ROOT, load_script
 
 DREADDIT_DIR = Path(os.environ.get("DREADDIT_DIR", REPO_ROOT / "data" / "dreaddit"))
@@ -150,19 +151,13 @@ def test_criterion_4_logistic_gradient_check():
 
 def test_criterion_5_annotation_suite():
     # outlier rule on the hand example
-    matrix = annotate.AnnotationMatrix(
-        ("i",), ("a", "b", "c"), (1.0, 1.0, 1.0), ((5, 5, -5),)
-    )
+    matrix = matrix_from_rows([(5, 5, -5)], annotators=("a", "b", "c"), item_ids=("i",))
     flags = annotate.detect_outliers(matrix)
     assert flags == [[True], [True], [True]]  # one list per annotator
 
     # exclusion thresholds at 41% and 39%
-    big = annotate.AnnotationMatrix(
-        tuple(f"x{j}" for j in range(100)),
-        ("keep", "probe"),
-        (1.0, 1.0),
-        tuple((1, 1) for _ in range(100)),
-    )
+    big = matrix_from_rows([(1, 1)] * 100, annotators=("keep", "probe"),
+                           item_ids=tuple(f"x{j}" for j in range(100)))
     flags41 = [[False] * 100, [j < 41 for j in range(100)]]
     kept = annotate.exclude_annotators(big, annotate.outlier_rates(big, flags41), 0.40)
     assert kept.annotator_ids == ("keep",)
@@ -172,17 +167,17 @@ def test_criterion_5_annotation_suite():
 
     # weighted consensus example
     consensus = annotate.weighted_consensus(
-        annotate.AnnotationMatrix(("i",), ("p", "q"), (2.0, 1.0), ((-4, 1),))
+        matrix_from_rows([(-4, 1)], weights=(2.0, 1.0), annotators=("p", "q"), item_ids=("i",))
     )
     assert consensus.means[0] == pytest.approx(-7 / 3, abs=1e-12)
     assert consensus.labels[0] == 1
 
     # Fleiss kappa: hand table and unanimity
     hand = [[0, 0, 0], [0, 0, 1], [0, 1, 1], [1, 1, 1]]
-    kappa = annotate.fleiss_kappa(hand)
+    kappa = annotate.fleiss_kappa(kappa_tallies(hand))
     assert abs(kappa - 1 / 3) < 1e-9
     unanimous = [[0, 0, 0], [1, 1, 1], [0, 0, 0]]
-    assert annotate.fleiss_kappa(unanimous) == pytest.approx(1.0)
+    assert annotate.fleiss_kappa(kappa_tallies(unanimous)) == pytest.approx(1.0)
     outcome(5, True, f"outlier flags, 41%/39% exclusion, consensus -7/3, kappa {kappa:.9f}")
 
 

@@ -5,6 +5,7 @@ import math
 import random
 import re
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import annotate_reference as reference
+from annotate_reference import kappa_tallies, matrix_from_rows, rows_of
 
 from stresskit.annotate import (
     AnnotationMatrix,
@@ -28,18 +30,6 @@ from stresskit.annotate import (
     weighted_consensus,
 )
 from stresskit.errors import StressKitError
-
-
-def matrix_from_rows(rows, weights=None, annotators=None):
-    n_ann = len(rows[0])
-    annotators = annotators or tuple(f"a{i}" for i in range(n_ann))
-    weights = weights or (1.0,) * n_ann
-    return AnnotationMatrix(
-        item_ids=tuple(f"item{j}" for j in range(len(rows))),
-        annotator_ids=tuple(annotators),
-        weights=tuple(weights),
-        scores=tuple(tuple(row) for row in rows),
-    )
 
 
 def item_flags(matrix):
@@ -205,43 +195,37 @@ def test_scaling_weights_leaves_consensus_unchanged(scores, factor):
 
 def test_kappa_perfect_agreement():
     rows = [[0, 0, 0], [1, 1, 1], [0, 0, 0], [1, 1, 1]]
-    assert fleiss_kappa(rows) == pytest.approx(1.0)
+    assert fleiss_kappa(kappa_tallies(rows)) == pytest.approx(1.0)
 
 
 def test_kappa_hand_table():
     # items x 3 raters, 2 categories; per-item counts (3,0),(2,1),(1,2),(0,3)
     # P_bar = 2/3, Pe = 1/2, kappa = 1/3
     rows = [[0, 0, 0], [0, 0, 1], [0, 1, 1], [1, 1, 1]]
-    assert fleiss_kappa(rows) == pytest.approx(1 / 3, abs=1e-9)
+    assert fleiss_kappa(kappa_tallies(rows)) == pytest.approx(1 / 3, abs=1e-9)
 
 
 def test_kappa_degenerate_single_category():
     rows = [[0, 0], [0, 0]]
-    assert fleiss_kappa(rows) == 1.0
+    assert fleiss_kappa(kappa_tallies(rows)) == 1.0
 
 
 def test_kappa_drops_unbalanced_items():
     rows = [[0, 0, 0], [0, 0, 1], [0, 1, 1], [1, 1, 1], [1, None, None]]
-    assert fleiss_kappa(rows) == pytest.approx(1 / 3, abs=1e-9)
+    assert fleiss_kappa(kappa_tallies(rows)) == pytest.approx(1 / 3, abs=1e-9)
 
 
 def test_kappa_no_valid_items():
     with pytest.raises(StressKitError, match="no item carries at least 2 ratings"):
-        fleiss_kappa([[0, None], [None, 1]])
-
-
-@pytest.mark.parametrize("rating", [2, -1, 0.5, math.nan])
-def test_kappa_rejects_a_rating_that_is_not_binary(rating):
-    with pytest.raises(ValueError, match="is not 0, 1 or None"):
-        fleiss_kappa([[0, 1, 1], [1, rating, 0]])
+        fleiss_kappa(kappa_tallies([[0, None], [None, 1]]))
 
 
 @given(st.lists(st.lists(st.sampled_from([0, 1, None]), min_size=3, max_size=3),
                 min_size=2, max_size=8))
 def test_kappa_invariant_under_category_relabeling(rows):
     swapped = [[None if r is None else 1 - r for r in row] for row in rows]
-    assert outcome(lambda: fleiss_kappa(rows)) == outcome(
-        lambda: fleiss_kappa(swapped))
+    assert outcome(lambda: fleiss_kappa(kappa_tallies(rows))) == outcome(
+        lambda: fleiss_kappa(kappa_tallies(swapped)))
 
 
 # ------------------------------------------------------------- correlation
@@ -297,6 +281,7 @@ def assert_same_consensus_and_kappa(matrix, sheet):
                            list(result.n_scores))
         expected = "ok", ([m.hex() for m in expected[1][0]], *expected[1][1:])
     assert consensus == expected
+    assert binarize_scores(matrix) == kappa_tallies(reference.binarize_scores(sheet))
     kappa = outcome(lambda: fleiss_kappa(binarize_scores(matrix)))
     assert kappa == outcome(lambda: reference.fleiss_kappa(reference.binarize_scores(sheet)))
     return consensus[0] == "ok"
@@ -374,7 +359,7 @@ def test_sheets_of_repeated_rows_match_the_loop_reference(sheet):
                  *([f"x{j}", "t", *row] for j, row in enumerate(cells))])
         matrix = load_annotations(path, dict(zip(annotators, weights)))
     rows = [[SPELLINGS[c] for c in row] for row in cells]
-    assert matrix.scores == tuple(map(tuple, rows)) and matrix.weights == weights
+    assert rows_of(matrix) == tuple(map(tuple, rows)) and matrix.weights == weights
     assert_matches_reference(rows, weights, threshold)
 
 
@@ -454,8 +439,9 @@ def test_load_annotations_and_weights(write_csv):
     matrix = load_annotations(sheet, weights)
     assert matrix.annotator_ids == ("a1", "a2", "psy")
     assert matrix.weights == (1.0, 1.0, 2.0)
-    assert matrix.scores[0] == (3, None, -5)
-    assert matrix.scores == ((3, None, -5), (0, 1, 2))
+    assert rows_of(matrix)[0] == (3, None, -5)
+    assert rows_of(matrix) == ((3, None, -5), (0, 1, 2))
+    assert matrix.codes == (b"\x09\x06", b"\x00\x07", b"\x01\x08")  # a column per annotator
 
 
 @pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf])
@@ -464,26 +450,44 @@ def test_matrix_rejects_weight_that_is_not_finite_and_positive(weight):
         matrix_from_rows([[1, 2]], weights=(1.0, weight))
 
 
-@pytest.mark.parametrize("score", [2.5, -0.5, 6.0, -math.inf])
-def test_matrix_rejects_a_score_that_is_not_an_integer_in_range(score):
-    reason = f"score {score:g} is not an integer in [-5, 5]"
-    with pytest.raises(ValueError, match=re.escape(reason)):
-        matrix_from_rows([[1, score]])
+@pytest.mark.parametrize("cell", ["2.5", "-0.5", "6.0", "-inf"])
+def test_load_annotations_rejects_a_score_that_is_not_an_integer_in_range(write_csv, cell):
+    sheet = write_csv([["item_id", "text", "a1", "a2"], ["x1", "t", "1", cell]], name="cell.csv")
+    reason = f"line 2: score {cell!r} for 'a2' is not an integer"
+    with pytest.raises(StressKitError, match=re.escape(reason)) as err:
+        load_annotations(sheet)
+    assert str(sheet) in str(err.value)
 
 
 def test_matrix_rejects_more_annotators_than_its_item_counts_hold():
     ids = tuple(f"a{i}" for i in range(1 << 16))
     with pytest.raises(ValueError, match="65536 annotators; at most 65535"):
-        AnnotationMatrix(("x1",), ids, (1.0,) * len(ids), [(0,) * len(ids)])
+        AnnotationMatrix(("x1",), ids, (1.0,) * len(ids), [b"\x06"] * len(ids))
+
+
+@pytest.mark.parametrize("codes", [[b"\x01\x02"], [b"\x01\x02"] * 3, [b"\x01\x02", b"\x03"],
+                                   [b"\x01\x02", b"\x03\x04\x05"], [b"\x01\x02", b"\x03\x0c"],
+                                   [b"\xff\x02", b"\x03\x04"]],
+                         ids=["one-column", "three-columns", "short-column", "long-column",
+                              "byte-12", "byte-255"])
+def test_matrix_rejects_columns_that_do_not_fit_its_items_and_annotators(codes):
+    with pytest.raises(ValueError, match=re.escape("need 2 of 2 bytes, each in 0-11")):
+        AnnotationMatrix(("x1", "x2"), ("a1", "a2"), (1.0, 1.0), codes)
+
+
+def test_matrix_takes_every_byte_from_0_to_11():
+    matrix = AnnotationMatrix(tuple(f"x{j}" for j in range(12)), ("a1",), (1.0,),
+                              [bytes(range(12))])
+    assert rows_of(matrix) == ((None,), *((s,) for s in range(-5, 6)))
 
 
 def test_matrix_copies_the_score_array_it_is_given():
-    scores = [[1, 2], [-3, None]]
-    matrix = AnnotationMatrix(("x1", "x2"), ("a1", "a2"), (1.0, 1.0), scores)
-    scores[0][0] = 4
-    assert scores[0] == [4, 2]
-    assert matrix.scores[0][0] == 1
-    assert all(type(row) is tuple for row in matrix.scores)  # rows that cannot be changed
+    codes = [bytearray([6, 7]), bytearray([2, 0])]
+    matrix = AnnotationMatrix(("x1", "x2"), ("a1", "a2"), (1.0, 1.0), codes)
+    codes[0][0] = 10
+    assert codes[0] == bytearray([10, 7])
+    assert rows_of(matrix) == ((0, -4), (1, None))
+    assert all(type(column) is bytes for column in matrix.codes)  # columns that cannot change
 
 
 @pytest.mark.parametrize("cell", ["0", "-1", "nan", "inf", "-inf", "x", ""])
@@ -527,7 +531,7 @@ def test_load_annotations_rejects_a_weights_id_that_names_no_column(write_csv):
 @pytest.mark.parametrize("cell", [" +3 ", "03", "-0", "\u0663", " ", "-5", "5"])
 def test_load_annotations_reads_a_cell_as_int_does(write_csv, cell):
     sheet = write_csv([["item_id", "text", "a1", "a2"], ["x1", "t", cell, "1"]], name="cell.csv")
-    score = load_annotations(sheet).scores[0][0]
+    score = rows_of(load_annotations(sheet))[0][0]
     if cell.strip():
         assert repr(score) == repr(int(cell))  # an int: "-0" is 0
     else:
@@ -554,4 +558,6 @@ def test_load_annotations_rejects_bad_cells(write_csv):
 
 def test_binarize_scores():
     matrix = matrix_from_rows([[-3, 0, 2, None], [-1, 5, 0, None], [4, -5, -5, 1]])
-    assert binarize_scores(matrix) == [(1, 0, 0, None), (1, 0, 0, None), (0, 1, 1, 0)]
+    assert binarize_scores(matrix) == kappa_tallies(
+        [(1, 0, 0, None), (1, 0, 0, None), (0, 1, 1, 0)])
+    assert binarize_scores(matrix) == Counter({(3, 1): 2, (4, 2): 1})

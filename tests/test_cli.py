@@ -986,25 +986,6 @@ def run_in_subprocess(script, cwd, **env):
                           text=True, env={**inherited, "PYTHONPATH": pythonpath, **env})
 
 
-def test_annotate_writes_the_same_bytes_under_every_blas_kernel(tmp_path):
-    """OPENBLAS_CORETYPE forces numpy's OpenBLAS to one CPU's kernels (SkylakeX
-    is left out: on a CPU without AVX-512 it would stop on an illegal
-    instruction). The outputs must not depend on the kernel's summation order."""
-    outputs = set()
-    for kernel in ("Prescott", "Sandybridge", "Haswell"):
-        out = tmp_path / kernel
-        env = {"PYTHONPATH": os.pathsep.join(filter(None, [str(REPO_ROOT / "src"),
-                                                          os.environ.get("PYTHONPATH")])),
-               "OPENBLAS_CORETYPE": kernel}
-        result = subprocess.run(
-            [sys.executable, "-m", "stresskit.cli", "annotate", str(FIXTURES / "annotations.csv"),
-             "--out-dir", str(out)], cwd=tmp_path, capture_output=True, text=True, env=env)
-        assert result.returncode == 0, result.stderr
-        outputs.add(tuple((out / name).read_bytes()
-                          for name in ("consensus.csv", "annotation_summary.json")))
-    assert len(outputs) == 1
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1095,17 +1076,16 @@ def test_the_cli_runs_blas_on_one_thread_unless_told_otherwise(preset, tmp_path)
 
 
 BLAS_COMMANDS = {
-    "annotate": ["annotate", FIXTURES / "annotations.csv", "--out-dir", "annotation"],
-    **{f"train-logistic-{features}": ["train", FIXTURES / "labeled_train.csv", "--classifier",
-                                      "logistic", "--features", features, "--model-out", "m.json"]
-       for features in ("bow", "tfidf")},
+    f"train-logistic-{features}": ["train", FIXTURES / "labeled_train.csv", "--classifier",
+                                   "logistic", "--features", features, "--model-out", "m.json"]
+    for features in ("bow", "tfidf")
 }
 
 
 @pytest.mark.parametrize("command", list(BLAS_COMMANDS))
 def test_outputs_do_not_depend_on_the_blas_thread_count(command, tmp_path):
-    """The commands that compute with numpy write the same bytes on the CLI's
-    one BLAS thread as on two."""
+    """Logistic training, the one command that computes with numpy, writes the
+    same bytes on the CLI's one BLAS thread as on two."""
     argv = [str(a) for a in BLAS_COMMANDS[command]]
     outputs = {}
     for threads in (None, "2"):
