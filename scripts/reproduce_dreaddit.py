@@ -37,13 +37,12 @@ def locate() -> tuple[Path, Path]:
 
 def main() -> None:
     train_path, test_path = locate()
-    config = textprep.PipelineConfig.default()
     train = corpus.load_labeled(train_path)
     test = corpus.load_labeled(test_path)
     print(f"train: {len(train)} examples, test: {len(test)} examples")
 
     started = time.perf_counter()
-    table = textprep.TokenTable(config.stopwords)  # as `stresskit train --eval` reads text
+    table = textprep.TokenTable(textprep.default_stopwords())  # as `stresskit train --eval` does
     train_docs = [table.stems(textprep.surface_tokens(ex.text)) for ex in train]
     test_docs = [table.stems(textprep.surface_tokens(ex.text)) for ex in test]
     labels, actual = [ex.label for ex in train], [ex.label for ex in test]
@@ -52,7 +51,7 @@ def main() -> None:
     for name, hyper in (("Logistic Regression", classify.LogisticHyper()),
                         ("Naive Bayes", classify.NaiveBayesHyper()),
                         ("SVM", classify.SvmHyper())):
-        model = classify.train(train_docs, labels, hyper, fingerprint=config.fingerprint())
+        model = classify.train(train_docs, labels, hyper, fingerprint=table.fingerprint())
         predicted = [classify.predict_stems(model, doc).label for doc in test_docs]
         rows.append(("BoW", name, evaluate.metrics(evaluate.confusion(predicted, actual))))
     print(f"vocabulary: {model.vocabulary.size} tokens")

@@ -149,10 +149,10 @@ def build_parser() -> Parser:
     return parser
 
 
-def _pipeline_config(args) -> textprep.PipelineConfig:
-    if args.stopwords:
-        return textprep.PipelineConfig(stopwords=textprep.load_stopwords(args.stopwords))
-    return textprep.PipelineConfig.default()
+def _token_table(args) -> textprep.TokenTable:
+    """The run's preprocessing, from --stopwords or the vendored list."""
+    return textprep.TokenTable(textprep.load_stopwords(args.stopwords) if args.stopwords
+                               else textprep.default_stopwords())
 
 
 def _lexicon(args) -> emotion.EmotionLexicon:
@@ -162,7 +162,7 @@ def _lexicon(args) -> emotion.EmotionLexicon:
 
 
 def cmd_train(args) -> int:
-    config = _pipeline_config(args)
+    table = _token_table(args)  # one for the training and the eval rows
     examples, summary = corpus.load_labeled_with_summary(args.train_csv)
     if args.summary:
         print(summary.to_json())
@@ -177,12 +177,11 @@ def cmd_train(args) -> int:
         "nb": classify.NaiveBayesHyper(alpha=args.alpha),
         "svm": classify.SvmHyper(lam=args.lam, epochs=args.svm_epochs, seed=args.seed),
     }[args.classifier]
-    table = textprep.TokenTable(config.stopwords)  # one for the training and the eval rows
     docs = [table.stems(textprep.surface_tokens(ex.text)) for ex in examples]
     started = time.perf_counter()
     model = classify.train(docs, [ex.label for ex in examples], hyper,
                            feature_kind=args.features, min_df=args.min_df,
-                           max_size=args.max_vocab, fingerprint=config.fingerprint())
+                           max_size=args.max_vocab, fingerprint=table.fingerprint())
     elapsed = time.perf_counter() - started
     with atomic_outputs(args.model_out) as [partial]:
         classify.save_model(model, partial)
@@ -203,9 +202,8 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = classify.load_model(args.model)
-    config = _pipeline_config(args)
-    report.check_fingerprint(model, config)
-    table = textprep.TokenTable(config.stopwords)
+    table = _token_table(args)
+    report.check_fingerprint(model, table)
     summary = corpus.LoadSummary()
     with corpus.open_rows(args.posts_csv, corpus.POST_COLUMNS) as reader, \
             atomic_outputs(args.out) as [partial], \
@@ -233,15 +231,15 @@ def cmd_analyze(args) -> int:
                      else dict(report.DEFAULT_GROUP_MAP))
         lexicon = _lexicon(args)
         model = classify.load_model(args.model)
-        config = _pipeline_config(args)
-        report.check_fingerprint(model, config)
+        table = _token_table(args)
+        report.check_fingerprint(model, table)
         summary = corpus.LoadSummary()
         with corpus.open_rows(args.posts_csv, corpus.POST_COLUMNS) as reader:
             rows = corpus.iter_post_rows(reader, args.posts_csv, summary)
             posts = (rec for _, _, rec in rows if rec is not None)
             result = report.build_report(
-                report.classified_posts(model, posts, config, lexicon=lexicon), group_map,
-                config=config, lexicon=lexicon, top_n=args.top_n, model_kind=model.kind,
+                report.classified_posts(model, posts, table, lexicon=lexicon), group_map,
+                table=table, lexicon=lexicon, top_n=args.top_n, model_kind=model.kind,
                 model_fingerprint=model.pipeline_fingerprint, seed=args.seed)
         if args.summary:
             print(summary.to_json())
@@ -311,11 +309,11 @@ def cmd_emotions(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    config = _pipeline_config(args)
+    table = _token_table(args)
     summary = corpus.LoadSummary()
     with corpus.open_rows(args.posts_csv, corpus.POST_COLUMNS) as reader:
         rows = corpus.iter_post_rows(reader, args.posts_csv, summary)
-        stats = corpus.corpus_stats((rec for _, _, rec in rows if rec is not None), config)
+        stats = corpus.corpus_stats((rec for _, _, rec in rows if rec is not None), table)
     if args.summary:
         print(summary.to_json())
     print(json.dumps(stats, indent=2))

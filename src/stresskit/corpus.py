@@ -141,7 +141,10 @@ def parse_date(cell: str) -> datetime:
     else:
         if parsed.tzinfo is None:
             parsed = parsed.replace(tzinfo=timezone.utc)
-        return parsed.astimezone(timezone.utc)
+        try:
+            return parsed.astimezone(timezone.utc)
+        except OverflowError:  # a date at either end of the calendar, shifted past it
+            raise StressKitError(f"date {cell!r} is out of range in UTC") from None
     try:
         epoch = int(cell)
     except ValueError:
@@ -169,6 +172,8 @@ def iter_post_rows(reader: csv.DictReader, path: str | Path, summary: LoadSummar
             score = int(raw_score) if raw_score else 0
         except ValueError:
             raise StressKitError(f"score {raw_score!r} is not an integer")
+        if abs(score) >= 2**53:  # every int below this is exact as a float
+            raise StressKitError(f"score {raw_score!r} is outside ±2^53")
         raw_kind = cell(row, "kind").lower()
         if raw_kind and raw_kind not in POST_KINDS:
             raise StressKitError(f"kind {raw_kind!r} not in {POST_KINDS}")
@@ -187,11 +192,10 @@ def load_posts_with_summary(path: str | Path) -> tuple[list[PostRecord], LoadSum
     return records, summary
 
 
-def corpus_stats(records: Iterable[PostRecord], config: textprep.PipelineConfig) -> dict:
+def corpus_stats(records: Iterable[PostRecord], table: textprep.TokenTable) -> dict:
     """The stats JSON document: exact per-community/per-tag counts plus the
     distinct preprocessed token count across all titles and bodies. Reads
     `records` once, so a stream of them is never held."""
-    table = textprep.TokenTable(config.stopwords)
     per_community: dict[str, int] = {}
     per_tag: dict[str, int] = {}
     vocabulary: set[str] = set()

@@ -3,7 +3,7 @@ stress report: per-group stress percentages, academic-year monthly series,
 upvote statistics, top stressed-text words, and emotion summaries.
 
 Each post is tokenized once: its surface tokens feed emotion scoring, and
-one textprep.TokenTable per run gives their stems. classified_posts
+the run's textprep.TokenTable gives their stems. classified_posts
 classifies posts as they are read, and build_report reads them once,
 folding each into its group's GroupTally, so no post outlives its row.
 
@@ -62,9 +62,9 @@ def month_index(when: datetime) -> int:
     return (when.month - 9) % 12
 
 
-def check_fingerprint(model: classify.LinearModel, config: textprep.PipelineConfig) -> None:
+def check_fingerprint(model: classify.LinearModel, table: textprep.TokenTable) -> None:
     """Warn when the model was trained under another preprocessing configuration."""
-    if model.pipeline_fingerprint and model.pipeline_fingerprint != config.fingerprint():
+    if model.pipeline_fingerprint and model.pipeline_fingerprint != table.fingerprint():
         warnings.warn(
             "model preprocessing fingerprint does not match current configuration",
             stacklevel=3,
@@ -74,16 +74,15 @@ def check_fingerprint(model: classify.LinearModel, config: textprep.PipelineConf
 def classified_posts(
     model: classify.LinearModel,
     posts: Iterable[PostRecord],
-    config: textprep.PipelineConfig,
+    table: textprep.TokenTable,
     *,
     lexicon: emotion.EmotionLexicon,
 ) -> Iterator[ClassifiedPost]:
     """One ClassifiedPost per input, in order, as each post is read.
     Classification input text is the title and body joined with one space,
-    tokenized once and read through one token table: the kept tokens' stems
-    are classified and kept on the result (posts share the table's strings),
-    and the surface tokens of a stressed post are emotion-scored."""
-    table = textprep.TokenTable(config.stopwords)
+    tokenized once and read through the run's token table: the kept tokens'
+    stems are classified and kept on the result (posts share the table's
+    strings), and the surface tokens of a stressed post are emotion-scored."""
     for post in posts:
         tokens = textprep.surface_tokens(post.text)
         stems = table.stems(tokens)
@@ -93,11 +92,11 @@ def classified_posts(
 
 
 def classify_corpus(model: classify.LinearModel, posts: Iterable[PostRecord],
-                    config: textprep.PipelineConfig, *,
+                    table: textprep.TokenTable, *,
                     lexicon: emotion.EmotionLexicon) -> list[ClassifiedPost]:
     """classified_posts as a list, after the fingerprint check."""
-    check_fingerprint(model, config)
-    return list(classified_posts(model, posts, config, lexicon=lexicon))
+    check_fingerprint(model, table)
+    return list(classified_posts(model, posts, table, lexicon=lexicon))
 
 
 class GroupTally:
@@ -236,7 +235,7 @@ def build_report(
     classified: Iterable[ClassifiedPost],
     group_map: Mapping[str, str],
     *,
-    config: textprep.PipelineConfig,
+    table: textprep.TokenTable,
     lexicon: emotion.EmotionLexicon,
     top_n: int = 10,
     model_kind: str = "",
@@ -263,7 +262,7 @@ def build_report(
         "monthly_order": "Sep..Aug",
         "binarization": "stressed iff weighted mean < 0",
         "lexicon_version": lexicon.version,
-        "preprocessing_fingerprint": config.fingerprint(),
+        "preprocessing_fingerprint": table.fingerprint(),
     }
     if seed is not None:
         metadata["seed"] = seed

@@ -8,9 +8,10 @@ apostrophes and turns everything else (including HTML tags, '@' and '_')
 into single spaces. The first three stages give a post's surface tokens
 (`surface_tokens`, one split of the stripped text).
 
-Every command turns text into stems one way: its surface tokens are looked
-up in one `TokenTable` per run, which drops stopwords and stems each
-distinct token once.
+Every command turns text into stems one way: one `TokenTable` per run is
+its preprocessing. The table holds the stopwords, drops them from the surface
+tokens and stems each distinct token once, and its fingerprint ties a saved
+model to that chain. The reference composition takes the stopword set alone.
 """
 
 from __future__ import annotations
@@ -51,34 +52,6 @@ def default_stopwords() -> frozenset[str]:
     return load_stopwords(text.splitlines())
 
 
-class PipelineConfig:
-    """Immutable preprocessing configuration: the stopword list. The Porter
-    stemmer and the removal-class version string take part in the
-    fingerprint, so a change to either invalidates saved models.
-    """
-
-    def __init__(self, stopwords: frozenset[str]):
-        for word in stopwords:
-            if word != word.lower():
-                raise ValueError(f"stopword not lowercase: {word!r}")
-        self.stopwords = stopwords
-
-    @staticmethod
-    def default() -> "PipelineConfig":
-        return PipelineConfig(stopwords=default_stopwords())
-
-    def fingerprint(self) -> str:
-        """Stable hash of (stopword content, stemmer, removal class)."""
-        import hashlib  # here: annotate, emotions and stats never hash
-        h = hashlib.sha256()
-        for word in sorted(self.stopwords):
-            h.update(word.encode("utf-8"))
-            h.update(b"\n")
-        h.update(b"\x00porter")
-        h.update(b"\x00" + REMOVAL_CLASS_VERSION.encode("utf-8"))
-        return h.hexdigest()
-
-
 def lowercase(text: str) -> str:
     return text.lower()
 
@@ -98,8 +71,8 @@ def surface_tokens(text: str) -> TokenList:
     return _NONCHAR_RE.sub(" ", text.lower()).split()
 
 
-def remove_stopwords(tokens: TokenList, config: PipelineConfig) -> TokenList:
-    return [t for t in tokens if t not in config.stopwords]
+def remove_stopwords(tokens: TokenList, stopwords: frozenset[str]) -> TokenList:
+    return [t for t in tokens if t not in stopwords]
 
 
 def stem(tokens: TokenList) -> TokenList:
@@ -110,8 +83,22 @@ class TokenTable(dict):
     """surface token -> None for a stopword, otherwise its Porter stem; a token is
     stemmed on its first lookup, so once per table."""
 
-    def __init__(self, stopwords: Iterable[str]):
+    def __init__(self, stopwords: frozenset[str]):
+        for word in stopwords:
+            if word != word.lower():
+                raise ValueError(f"stopword not lowercase: {word!r}")
         super().__init__(dict.fromkeys(stopwords))
+        self.stopwords = stopwords
+
+    def fingerprint(self) -> str:
+        """Stable hash of (stopword content, stemmer, removal class)."""
+        import hashlib  # here: annotate, emotions and stats never hash
+        h = hashlib.sha256()
+        for word in sorted(self.stopwords):
+            h.update(word.encode("utf-8") + b"\n")
+        h.update(b"\x00porter")
+        h.update(b"\x00" + REMOVAL_CLASS_VERSION.encode("utf-8"))
+        return h.hexdigest()
 
     def __missing__(self, token: str) -> str:
         stemmed = self[token] = porter.stem_word(token)
@@ -122,12 +109,12 @@ class TokenTable(dict):
         return [s for s in map(self.__getitem__, tokens) if s is not None]
 
 
-def preprocess_stages(text: str, config: PipelineConfig) -> dict[str, object]:
+def preprocess_stages(text: str, stopwords: frozenset[str]) -> dict[str, object]:
     """Run the pipeline keeping the token-level intermediates: the surface
     `tokens`, the tokens `without_stopwords`, their `stemmed` forms, and the
     joined `text`."""
     tokens = surface_tokens(text)
-    kept = remove_stopwords(tokens, config)
+    kept = remove_stopwords(tokens, stopwords)
     stemmed = stem(kept)
     return {
         "tokens": tokens,
@@ -137,7 +124,7 @@ def preprocess_stages(text: str, config: PipelineConfig) -> dict[str, object]:
     }
 
 
-def preprocess(text: str, config: PipelineConfig) -> str:
+def preprocess(text: str, stopwords: frozenset[str]) -> str:
     """stem . remove_stopwords . tokenize . strip_noncharacters . lowercase,
     joined with single spaces."""
-    return preprocess_stages(text, config)["text"]  # type: ignore[return-value]
+    return preprocess_stages(text, stopwords)["text"]  # type: ignore[return-value]

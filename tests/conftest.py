@@ -24,8 +24,10 @@ def fixtures_dir() -> Path:
 
 
 @pytest.fixture(scope="session")
-def config() -> textprep.PipelineConfig:
-    return textprep.PipelineConfig.default()
+def stopwords() -> frozenset[str]:
+    """The vendored stopword list. A test that needs a token table builds its
+    own, so no stem memo is shared across tests."""
+    return textprep.default_stopwords()
 
 
 @pytest.fixture

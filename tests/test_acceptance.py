@@ -41,14 +41,14 @@ def outcome(criterion: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-def dreaddit_pipeline(config, *hypers):
+def dreaddit_pipeline(stopwords, *hypers):
     """One test-split metrics report per hyper, each model trained on the
     train split by classify.train."""
     train = corpus.load_labeled(DREADDIT_DIR / "dreaddit-train.csv")
     test = corpus.load_labeled(DREADDIT_DIR / "dreaddit-test.csv")
     assert len(train) == 2838, f"expected 2838 training rows, got {len(train)}"
     assert len(test) == 715, f"expected 715 test rows, got {len(test)}"
-    table = textprep.TokenTable(config.stopwords)  # as `stresskit train --eval` reads text
+    table = textprep.TokenTable(stopwords)  # as `stresskit train --eval` reads text
     train_docs = [table.stems(textprep.surface_tokens(ex.text)) for ex in train]
     test_docs = [table.stems(textprep.surface_tokens(ex.text)) for ex in test]
     actual = [ex.label for ex in test]
@@ -63,12 +63,12 @@ def dreaddit_pipeline(config, *hypers):
 
 
 @pytest.mark.dreaddit
-def test_criterion_1_dreaddit_logistic_reproduction(config):
+def test_criterion_1_dreaddit_logistic_reproduction(stopwords):
     if not (DREADDIT_DIR / "dreaddit-train.csv").exists():
         outcome(1, False, "Dreaddit corpus unavailable")
         pytest.fail(MISSING_DREADDIT)
     started = time.perf_counter()
-    [rep] = dreaddit_pipeline(config, classify.LogisticHyper())
+    [rep] = dreaddit_pipeline(stopwords, classify.LogisticHyper())
     elapsed = time.perf_counter() - started
     accuracy_pct = 100 * rep.accuracy
     ok = abs(accuracy_pct - 77.78) <= 3.0 and abs(rep.f1 - 0.79) <= 0.05 and elapsed < 180
@@ -80,11 +80,11 @@ def test_criterion_1_dreaddit_logistic_reproduction(config):
 
 
 @pytest.mark.dreaddit
-def test_criterion_2_dreaddit_secondary_classifiers(config):
+def test_criterion_2_dreaddit_secondary_classifiers(stopwords):
     if not (DREADDIT_DIR / "dreaddit-train.csv").exists():
         outcome(2, False, "Dreaddit corpus unavailable")
         pytest.fail(MISSING_DREADDIT)
-    nb, svm = dreaddit_pipeline(config, classify.NaiveBayesHyper(), classify.SvmHyper())
+    nb, svm = dreaddit_pipeline(stopwords, classify.NaiveBayesHyper(), classify.SvmHyper())
     nb_acc, svm_acc = 100 * nb.accuracy, 100 * svm.accuracy
     ok = abs(nb_acc - 71.31) <= 3.0 and abs(svm_acc - 69.90) <= 4.0
     outcome(2, ok, f"naive bayes {nb_acc:.2f}% (71.31 +/- 3.0), svm {svm_acc:.2f}% (69.90 +/- 4.0)")
@@ -236,7 +236,7 @@ def test_criterion_6_preprocessing_oracle():
     outcome(6, True, f"{checked} published stemmer pairs exact; idempotence on 10,000 strings")
 
 
-def test_criterion_7_report_arithmetic(config):
+def test_criterion_7_report_arithmetic(stopwords):
     posts = corpus.load_posts_with_summary(FIXTURES / "posts_100.csv")[0]
     assert len(posts) == 100
     group_map = report.load_group_map(FIXTURES / "communities.csv")
@@ -244,7 +244,7 @@ def test_criterion_7_report_arithmetic(config):
     lexicon = emotion.default_lexicon()
     classified = [
         report.ClassifiedPost(post=p, label=1 if i % 2 == 0 else 0,
-                              tokens=tuple(textprep.preprocess(p.text, config).split()),
+                              tokens=tuple(textprep.preprocess(p.text, stopwords).split()),
                               emotions=emotion.score_emotions(textprep.surface_tokens(p.text),
                                                               lexicon) if i % 2 == 0 else None)
         for i, p in enumerate(posts)
@@ -296,7 +296,7 @@ def test_criterion_7_report_arithmetic(config):
     words = Counter()
     for item in classified:
         if item.label == 1:
-            words.update(textprep.preprocess(item.post.text, config).split())
+            words.update(textprep.preprocess(item.post.text, stopwords).split())
     expected = sorted(words.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
     assert report.top_words(whole, 10) == expected
 
@@ -375,7 +375,7 @@ def test_criterion_10_bow_logistic_on_human_annotated_data(tmp_path):
     consensus = annotate.aggregate(annotate.load_annotations(FIXTURES / "annotations.csv"))
     with open(FIXTURES / "annotations.csv", newline="", encoding="utf-8") as handle:
         texts = {row["item_id"]: row["text"] for row in csv.DictReader(handle)}
-    table = textprep.TokenTable(textprep.PipelineConfig.default().stopwords)
+    table = textprep.TokenTable(textprep.default_stopwords())
     predicted = [
         classify.predict_stems(model, table.stems(textprep.surface_tokens(texts[item]))).label
         for item in consensus.item_ids]

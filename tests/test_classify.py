@@ -387,7 +387,7 @@ def test_scaled_svm_matches_the_direct_numpy_form(rows, features, lam, tmp_path)
         gen = load_script("perfbench/gen.py")
         path = tmp_path / "labeled.csv"
         gen.write_labeled(path, gen.Vocabulary(), rows, random.Random(7), gen.TextStats())
-    table = textprep.TokenTable(textprep.PipelineConfig.default().stopwords)
+    table = textprep.TokenTable(textprep.default_stopwords())
     examples = corpus.load_labeled(path)
     docs = [table.stems(textprep.surface_tokens(ex.text)) for ex in examples]
     vocab = fit_vocabulary(docs)
@@ -535,11 +535,11 @@ EDGE_TEXTS = {
 
 
 @pytest.fixture(scope="module")
-def read_models(config):
+def read_models(stopwords):
     """The three golden models, and tf-idf logistic and NB models trained here."""
     models = {name: load_model(GOLDEN / f"model_{name}.json") for name in ("logistic", "nb", "svm")}
     examples = corpus.load_labeled(FIXTURES / "labeled_train.csv")
-    docs = [textprep.preprocess(ex.text, config).split() for ex in examples]
+    docs = [textprep.preprocess(ex.text, stopwords).split() for ex in examples]
     labels = [ex.label for ex in examples]
     for name, hyper in (("logistic tfidf", LogisticHyper(epochs=50)),
                         ("nb tfidf", NaiveBayesHyper())):
@@ -547,25 +547,26 @@ def read_models(config):
     return models
 
 
-def test_edge_texts_are_what_they_say(read_models, config):
+def test_edge_texts_are_what_they_say(read_models, stopwords):
     index = read_models["logistic"].vocabulary.index
     tokens = textprep.surface_tokens(EDGE_TEXTS["stopwords only"])
-    assert tokens and all(t in config.stopwords for t in tokens)
+    assert tokens and all(t in stopwords for t in tokens)
     assert textprep.surface_tokens(EDGE_TEXTS["empty after strip"]) == []
-    stems = textprep.preprocess(EDGE_TEXTS["out of vocabulary only"], config).split()
+    stems = textprep.preprocess(EDGE_TEXTS["out of vocabulary only"], stopwords).split()
     assert stems and not any(s in index for s in stems)
-    stems = textprep.preprocess(EDGE_TEXTS["repeated tokens"], config).split()
+    stems = textprep.preprocess(EDGE_TEXTS["repeated tokens"], stopwords).split()
     assert len(set(stems)) < len(stems) and any(s in index for s in stems)
 
 
 @pytest.mark.parametrize("name", ["logistic", "nb", "svm", "logistic tfidf", "nb tfidf"])
-def test_table_prediction_is_bit_identical_to_vectorize_and_predict(name, read_models, config):
+def test_table_prediction_is_bit_identical_to_vectorize_and_predict(name, read_models,
+                                                                     stopwords):
     model = read_models[name]
     posts = corpus.load_posts_with_summary(FIXTURES / "posts_100.csv")[0]
     texts = [post.text for post in posts] + list(EDGE_TEXTS.values())
-    table = textprep.TokenTable(config.stopwords)
+    table = textprep.TokenTable(stopwords)
     for text in texts:
-        doc = textprep.preprocess(text, config)
+        doc = textprep.preprocess(text, stopwords)
         expected = predict(model, vectorize(doc, model.vocabulary, model.feature_kind))
         got = classify.predict_stems(model, table.stems(textprep.surface_tokens(text)))
         assert got.score.hex() == expected.score.hex(), text

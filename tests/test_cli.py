@@ -56,7 +56,7 @@ def test_train_with_eval_prints_table(tmp_path, capsys):
     assert document["hyperparameters"]["seed"] == 42
 
 
-def test_train_eval_stems_each_distinct_token_once(tmp_path, monkeypatch, config):
+def test_train_eval_stems_each_distinct_token_once(tmp_path, monkeypatch, stopwords):
     """Training and evaluation read through one token table: every distinct
     non-stopword surface token of both files is stemmed exactly once."""
     real, calls = porter.stem_word, Counter()
@@ -65,7 +65,7 @@ def test_train_eval_stems_each_distinct_token_once(tmp_path, monkeypatch, config
     assert run(["train", paths[0], "--eval", paths[1], "--classifier", "nb",
                 "--model-out", tmp_path / "model.json"]) == 0
     texts = [ex.text for path in paths for ex in corpus.load_labeled(path)]
-    distinct = {t for text in texts for t in textprep.surface_tokens(text)} - config.stopwords
+    distinct = {t for text in texts for t in textprep.surface_tokens(text)} - stopwords
     assert set(calls) == distinct
     assert set(calls.values()) == {1}
 
@@ -728,6 +728,35 @@ def test_epoch_date_out_of_range_is_data_error(argv, output, write_csv, tmp_path
     assert "line 3" in err and "out of range" in err
     if output is not None:
         assert not out.exists()
+
+
+def test_iso_date_outside_utc_is_data_error(write_csv, tmp_path, capsys):
+    """An ISO date that holds in its own offset but not in UTC is refused
+    with its line, and predict writes no output."""
+    posts = write_csv([["id", "date", "title", "text", "score", "community"],
+                       ["p1", "2023-06-02", "", "calm day", "1", "r/PhD"],
+                       ["p2", "9999-12-31T23:59:59-01:00", "", "deadline panic", "2", "r/PhD"]],
+                      name="posts.csv")
+    out = tmp_path / "p.csv"
+    assert run(["predict", GOLDEN_MODEL, posts, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {posts}: line 3: date '9999-12-31T23:59:59-01:00' is out of range in UTC" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_score_a_float_cannot_hold_is_data_error(write_csv, tmp_path, capsys):
+    """Two scores of 10**308 would overflow the upvote mean; analyze refuses
+    the first with its line and leaves no report directory."""
+    posts = write_csv([["id", "date", "title", "text", "score", "community"],
+                       *(["p", "2023-06-02", "", "deadline panic", 10**308, "r/PhD"]
+                         for _ in range(2))], name="posts.csv")
+    out = tmp_path / "reports"
+    assert run(["analyze", GOLDEN_MODEL, posts, "--out-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {posts}: line 2: score '1{'0' * 308}' is outside ±2^53" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def with_latin1_byte(src, dst):

@@ -17,6 +17,7 @@ from stresskit.corpus import (
     parse_date,
 )
 from stresskit.errors import StressKitError
+from stresskit.textprep import TokenTable
 
 from conftest import REPO_ROOT
 
@@ -90,9 +91,10 @@ def test_parse_date_forms():
         parse_date("not-a-date")
 
 
-@pytest.mark.parametrize("cell", ["99999999999999", "-99999999999999", str(10**30)])
+@pytest.mark.parametrize("cell", ["99999999999999", "-99999999999999", str(10**30),
+                                  "9999-12-31T23:59:59-01:00", "0001-01-01T00:00:00+01:00"])
 def test_parse_date_epoch_out_of_range_is_bad_date(cell):
-    with pytest.raises(StressKitError, match=f"epoch seconds {cell!r} out of range"):
+    with pytest.raises(StressKitError, match=re.escape(repr(cell)) + " (is )?out of range"):
         parse_date(cell)
 
 
@@ -132,6 +134,13 @@ def test_load_posts_bad_kind_and_score(write_csv):
     with pytest.raises(StressKitError, match="line 2: community is empty"):
         load_posts_with_summary(
             write_csv([header, ["p", "2023-01-01", "t", "b", "1", "", " ", "post"]]))[0]
+    for score in (2**53, -2**53, 10**400):  # a float cannot hold each int from 2^53 up
+        with pytest.raises(StressKitError, match=rf"line 2: score '{score}' is outside ±2\^53"):
+            load_posts_with_summary(
+                write_csv([header, ["p", "2023-01-01", "t", "b", score, "", "c", "post"]]))[0]
+    edge = 2**53 - 1
+    rows = [header, *(["p", "2023-01-01", "t", "b", s, "", "c", "post"] for s in (edge, -edge))]
+    assert [r.score for r in load_posts_with_summary(write_csv(rows))[0]] == [edge, -edge]
 
 
 def test_load_posts_order_preserved(fixtures_dir):
@@ -166,7 +175,7 @@ def test_round_trip_posts(fixtures_dir, write_csv):
     assert load_posts_with_summary(out)[0] == records
 
 
-def test_corpus_stats_counts(config):
+def test_corpus_stats_counts(stopwords):
     def post(community, tag=None):
         return PostRecord(
             date=datetime(2023, 1, 1, tzinfo=timezone.utc),
@@ -176,7 +185,7 @@ def test_corpus_stats_counts(config):
             tag=tag,
         )
 
-    stats = corpus_stats([post("a"), post("a", "t"), post("b")], config)
+    stats = corpus_stats([post("a"), post("a", "t"), post("b")], TokenTable(stopwords))
     assert stats["record_count"] == 3
     assert stats["per_community"] == {"a": 2, "b": 1}
     assert stats["per_tag"] == {"t": 1}
@@ -184,8 +193,8 @@ def test_corpus_stats_counts(config):
     assert sum(stats["per_community"].values()) == stats["record_count"]
 
 
-def test_corpus_stats_empty(config):
-    stats = corpus_stats([], config)
+def test_corpus_stats_empty(stopwords):
+    stats = corpus_stats([], TokenTable(stopwords))
     assert stats["record_count"] == 0
     assert stats["per_community"] == {}
     assert stats["unique_words"] == 0
@@ -248,6 +257,12 @@ def test_posts_are_read_through_one_path():
     assert _in_sources(_named("classify_corpus")) == []
     assert _in_sources(_named("iter_post_rows")) == [
         "cli.cmd_predict", "cli.cmd_analyze", "cli.cmd_stats", "corpus.load_posts_with_summary"]
+
+
+def test_one_place_builds_the_token_table():
+    """A run's preprocessing is its one textprep.TokenTable: only the command
+    line builds it, and each library function reads the table it is given."""
+    assert _in_sources(_named("TokenTable")) == ["cli._token_table"]
 
 
 def test_one_place_locates_a_data_row():

@@ -81,11 +81,11 @@ def read_json(path: Path):
 
 
 def eval_scores(model) -> list[tuple[int, float]]:
-    config = textprep.PipelineConfig.default()
+    stopwords = textprep.default_stopwords()
     out = []
     for ex in corpus.load_labeled(FIXTURES / "labeled_eval.csv"):
         vec = features.vectorize(
-            textprep.preprocess(ex.text, config), model.vocabulary, model.feature_kind
+            textprep.preprocess(ex.text, stopwords), model.vocabulary, model.feature_kind
         )
         pred = classify.predict(model, vec)
         out.append((pred.label, pred.score))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from stresskit import classify, corpus, emotion, report, textprep
 from stresskit.corpus import PostRecord
 from stresskit.errors import StressKitError
+from stresskit.textprep import TokenTable
 from stresskit.report import (
     MONTHS,
     ClassifiedPost,
@@ -40,7 +41,7 @@ def post(community="r/PhD", score=0, month=9, text="text body", year=2022):
     )
 
 
-CONFIG = textprep.PipelineConfig.default()
+STOPWORDS = textprep.default_stopwords()
 LEXICON = emotion.default_lexicon()
 
 
@@ -49,7 +50,7 @@ def cp(label, lexicon=LEXICON, **kwargs):
     p = post(**kwargs)
     profile = emotion.score_emotions(textprep.surface_tokens(p.text), lexicon) if label else None
     return ClassifiedPost(post=p, label=label,
-                          tokens=tuple(textprep.preprocess(p.text, CONFIG).split()),
+                          tokens=tuple(textprep.preprocess(p.text, STOPWORDS).split()),
                           emotions=profile)
 
 
@@ -73,47 +74,51 @@ def tally(classified):
 
 # -------------------------------------------------------- classify_corpus
 
-def toy_model(config):
+def toy_model(table):
     return classify.train([["stress", "deadline"], ["calm", "garden"]], [1, 0],
-                          classify.LogisticHyper(epochs=200), fingerprint=config.fingerprint())
+                          classify.LogisticHyper(epochs=200), fingerprint=table.fingerprint())
 
 
-def test_classify_corpus_empty(config):
-    assert classify_corpus(toy_model(config), [], config, lexicon=LEXICON) == []
+def test_classify_corpus_empty(stopwords):
+    table = TokenTable(stopwords)
+    assert classify_corpus(toy_model(table), [], table, lexicon=LEXICON) == []
 
 
-def test_classify_corpus_oov_post_gets_bias_probability(config):
-    model = toy_model(config)
-    out = classify_corpus(model, [post(text="zebra xylophone")], config, lexicon=LEXICON)
+def test_classify_corpus_oov_post_gets_bias_probability(stopwords):
+    table = TokenTable(stopwords)
+    model = toy_model(table)
+    out = classify_corpus(model, [post(text="zebra xylophone")], table, lexicon=LEXICON)
     pred = classify.predict_stems(model, out[0].tokens)
     assert pred.score == pytest.approx(classify.sigmoid(model.bias), abs=1e-12)
     assert out[0].label == pred.label
 
 
-def test_classify_corpus_partition_and_order(config):
-    model = toy_model(config)
+def test_classify_corpus_partition_and_order(stopwords):
+    table = TokenTable(stopwords)
+    model = toy_model(table)
     posts = [post(text="stress deadline" if i % 3 else "calm garden") for i in range(9)]
-    out = classify_corpus(model, posts, config, lexicon=LEXICON)
+    out = classify_corpus(model, posts, table, lexicon=LEXICON)
     assert [c.post for c in out] == posts
     ones = sum(c.label for c in out)
     zeros = sum(1 - c.label for c in out)
     assert ones + zeros == len(posts)
 
 
-def test_classify_corpus_title_joined_with_body(config, write_csv):
-    model = toy_model(config)
+def test_classify_corpus_title_joined_with_body(stopwords, write_csv):
+    table = TokenTable(stopwords)
+    model = toy_model(table)
     path = write_csv([["date", "title", "text", "community"],
                       ["2023-01-01", "stress", "deadline", "r/PhD"],
                       ["2023-01-01", "", "stress deadline", "r/PhD"]])
     posts = corpus.load_posts_with_summary(path)[0]
-    split_across, joined = classify_corpus(model, posts, config, lexicon=LEXICON)
+    split_across, joined = classify_corpus(model, posts, table, lexicon=LEXICON)
     assert split_across.tokens == joined.tokens == ("stress", "deadlin")
     assert split_across.label == joined.label
 
 
-def test_fingerprint_mismatch_warns(config):
-    model = toy_model(config)
-    other = textprep.PipelineConfig(stopwords=config.stopwords - {"the"})
+def test_fingerprint_mismatch_warns(stopwords):
+    model = toy_model(TokenTable(stopwords))
+    other = TokenTable(stopwords - {"the"})
     with pytest.warns(UserWarning, match="fingerprint does not match current configuration"):
         classify_corpus(model, [post()], other, lexicon=LEXICON)
 
@@ -162,7 +167,7 @@ def test_monthly_all_unstressed_is_zero():
     assert series == {"monthly": [0] * 12, "monthly_unknown": 0}
 
 
-def test_monthly_sums_to_stressed_count(fixtures_dir, config):
+def test_monthly_sums_to_stressed_count(fixtures_dir):
     classified = [cp(i % 2, month=(i % 12) + 1) for i in range(50)]
     series = monthly_distribution(tally(classified))
     assert sum(series["monthly"]) + series["monthly_unknown"] == sum(c.label for c in classified)
@@ -183,7 +188,7 @@ def test_upvote_median_mean_of_two_convention():
     assert upvote_stats(tally(classified))["stressed"] is None
 
 
-def test_top_words_counting(config):
+def test_top_words_counting():
     classified = tally([
         cp(1, text="work work time"),
         cp(1, text="work"),
@@ -195,28 +200,28 @@ def test_top_words_counting(config):
         top_words(classified, 0)
 
 
-def test_top_words_tie_alphabetical(config):
+def test_top_words_tie_alphabetical():
     classified = tally([cp(1, text="zebra apple")])
     assert top_words(classified, 5) == [("appl", 1), ("zebra", 1)]
 
 
-def test_top_words_shuffle_invariant(config):
+def test_top_words_shuffle_invariant():
     items = [cp(1, text=f"word{i % 3} filler") for i in range(9)]
     a = top_words(tally(items), 5)
     b = top_words(tally(reversed(items)), 5)
     assert a == b
 
 
-def test_classify_corpus_carries_the_one_pass_tokens_and_profiles(fixtures_dir, config):
+def test_classify_corpus_carries_the_one_pass_tokens_and_profiles(fixtures_dir, stopwords):
     model = classify.load_model(REPO_ROOT / "tests" / "golden" / "model_logistic.json")
     posts = corpus.load_posts_with_summary(fixtures_dir / "posts_100.csv")[0]
-    classified = classify_corpus(model, posts, config, lexicon=LEXICON)
+    classified = classify_corpus(model, posts, TokenTable(stopwords), lexicon=LEXICON)
     assert 0 < sum(item.label for item in classified) < len(classified)
     recount = Counter()
     for item in classified:
-        assert list(item.tokens) == textprep.preprocess(item.post.text, config).split()
+        assert list(item.tokens) == textprep.preprocess(item.post.text, stopwords).split()
         if item.label == 1:
-            recount.update(textprep.preprocess(item.post.text, config).split())
+            recount.update(textprep.preprocess(item.post.text, stopwords).split())
             expected_profile = emotion.score_emotions(
                 textprep.surface_tokens(item.post.text), LEXICON)
             assert item.emotions == expected_profile
@@ -226,38 +231,41 @@ def test_classify_corpus_carries_the_one_pass_tokens_and_profiles(fixtures_dir, 
     assert top_words(tally(classified), len(expected)) == expected
 
 
-def test_classify_corpus_strips_each_post_once(fixtures_dir, config, monkeypatch):
+def test_classify_corpus_strips_each_post_once(fixtures_dir, stopwords, monkeypatch):
     model = classify.load_model(REPO_ROOT / "tests" / "golden" / "model_logistic.json")
     posts = corpus.load_posts_with_summary(fixtures_dir / "posts_100.csv")[0]
     real, calls = textprep.surface_tokens, []
     monkeypatch.setattr(textprep, "surface_tokens",
                         lambda text: calls.append(text) or real(text))
-    classified = classify_corpus(model, posts, config, lexicon=LEXICON)
+    classified = classify_corpus(model, posts, TokenTable(stopwords), lexicon=LEXICON)
     assert any(item.emotions is not None for item in classified)
     assert len(calls) == len(posts)
 
 
-def test_build_report_reads_its_input_once_and_holds_no_post(fixtures_dir, config, caplog):
+def test_build_report_reads_its_input_once_and_holds_no_post(fixtures_dir, stopwords, caplog):
     """A one-shot stream of classified posts gives the report a list gives,
     and each post and classified post is gone once a later one is read."""
     model = classify.load_model(REPO_ROOT / "tests" / "golden" / "model_logistic.json")
     path = fixtures_dir / "posts_100.csv"
     posts = corpus.load_posts_with_summary(path)[0]
-    from_list = build_report(classify_corpus(model, posts, config, lexicon=LEXICON), GROUP_MAP,
-                             config=config, lexicon=LEXICON)
+    table = TokenTable(stopwords)
+    from_list = build_report(classify_corpus(model, posts, table, lexicon=LEXICON), GROUP_MAP,
+                             table=table, lexicon=LEXICON)
     refs = []
 
     def one_shot():
         with corpus.open_rows(path, corpus.POST_COLUMNS) as reader:
             rows = corpus.iter_post_rows(reader, path, corpus.LoadSummary())
             streamed = (record for _, _, record in rows if record is not None)
-            for item in report.classified_posts(model, streamed, config, lexicon=LEXICON):
+            table = TokenTable(stopwords)  # a fresh one, as a second run builds
+            for item in report.classified_posts(model, streamed, table, lexicon=LEXICON):
                 # the reader's loop variable may still hold the item yielded before
                 assert all(ref() is None for ref in refs[:-2])
                 refs.extend((weakref.ref(item), weakref.ref(item.post)))
                 yield item
 
-    from_stream = build_report(one_shot(), GROUP_MAP, config=config, lexicon=LEXICON)
+    from_stream = build_report(one_shot(), GROUP_MAP, table=TokenTable(stopwords),
+                               lexicon=LEXICON)
     assert len(refs) == 2 * len(posts)
     assert all(ref() is None for ref in refs)
     unmapped = "unmapped communities routed to 'other': " \
@@ -270,7 +278,7 @@ def test_build_report_reads_its_input_once_and_holds_no_post(fixtures_dir, confi
 
 # ----------------------------------------------------------------- emotion
 
-def test_emotion_summary_single_item(config):
+def test_emotion_summary_single_item():
     lex = emotion.parse_lexicon(["died\tsadness\t1", "died\tfear\t1"])
     classified = [cp(1, lexicon=lex, month=10, text="he died")]
     summary = report.emotion_summary(tally(classified))
@@ -278,7 +286,7 @@ def test_emotion_summary_single_item(config):
     assert summary["monthly"]["sadness"][0] is None  # no September items
 
 
-def test_emotion_summary_counts_an_undated_item_in_the_whisker_only(config):
+def test_emotion_summary_counts_an_undated_item_in_the_whisker_only():
     lex = emotion.parse_lexicon(["died\tsadness\t1"])
     dated = cp(1, lexicon=lex, month=10, text="he died")
     undated = cp(1, lexicon=lex, text="calm words")
@@ -289,7 +297,7 @@ def test_emotion_summary_counts_an_undated_item_in_the_whisker_only(config):
     assert (summary["whisker"]["sadness"]["min"], summary["whisker"]["sadness"]["max"]) == (0.0, 1.0)
 
 
-def test_emotion_whisker_outlier_flagging(config):
+def test_emotion_whisker_outlier_flagging():
     lex = emotion.parse_lexicon(["panic\tfear\t1"])
     bodies = ["calm words"] * 4 + ["panic"]
     classified = [cp(1, lexicon=lex, text=b) for b in bodies]
@@ -301,7 +309,7 @@ def test_emotion_whisker_outlier_flagging(config):
 
 # -------------------------------------------------------------- emit/report
 
-def full_report(config):
+def full_report(stopwords):
     classified = [
         cp(i % 2, community="r/PhD" if i % 3 else "r/GradSchool",
            score=i - 5, month=(i % 12) + 1,
@@ -309,21 +317,21 @@ def full_report(config):
         for i in range(40)
     ]
     return build_report(
-        classified, GROUP_MAP, config=config, lexicon=LEXICON,
+        classified, GROUP_MAP, table=TokenTable(stopwords), lexicon=LEXICON,
         model_kind="logistic", model_fingerprint="fp",
     )
 
 
-def test_report_partition_invariant(config):
-    rep = full_report(config)
+def test_report_partition_invariant(stopwords):
+    rep = full_report(stopwords)
     for group in rep["groups"]:
         assert group["stressed"] <= group["total"]
         assert group["stressed_pct"] + group["not_stressed_pct"] == pytest.approx(100.0, abs=0.1)
         assert sum(group["monthly"]) + group["monthly_unknown"] == group["stressed"]
 
 
-def test_emit_json_round_trip(config, tmp_path):
-    rep = full_report(config)
+def test_emit_json_round_trip(stopwords, tmp_path):
+    rep = full_report(stopwords)
     assert emit_report(rep, "json", tmp_path) == [tmp_path / "report.json"]
     assert json.loads((tmp_path / "report.json").read_text()) == rep
     assert list(rep) == ["schema_version", "model", "groups", "overall", "metadata"]
@@ -346,7 +354,7 @@ VARIED_BODIES = ("deadline panic work", "afraid angry alone exam", "awful argume
                  "calm garden work", "alone again", "astonished afraid abuse")
 
 
-def varied_report(config):
+def varied_report(stopwords):
     """Uneven stressed shares, spread affect values and a group with no
     stressed post (no stressed upvote stats, no whiskers) and one undated
     stressed post."""
@@ -360,11 +368,11 @@ def varied_report(config):
     undated = cp(1, community="r/PhD", score=1, text=VARIED_BODIES[0])
     classified.append(without_date(undated))
     return build_report(classified, {**GROUP_MAP, "r/Professors": "Professors"},
-                        config=config, lexicon=LEXICON, top_n=5)
+                        table=TokenTable(stopwords), lexicon=LEXICON, top_n=5)
 
 
-def test_emit_csv_consistent_with_json(config, tmp_path):
-    rep = varied_report(config)
+def test_emit_csv_consistent_with_json(stopwords, tmp_path):
+    rep = varied_report(stopwords)
     groups = rep["groups"]
     assert any(g["stressed_pct"] != g["not_stressed_pct"] for g in groups)
     assert any(stats is None for g in groups for stats in g["upvotes"].values())
@@ -415,15 +423,15 @@ def _check_csv_tables(rep, directory):
             for r in _read_csv(directory / "emotions.csv")] == expected
 
 
-def test_unknown_format_rejected_before_write(config, tmp_path):
-    rep = full_report(config)
+def test_unknown_format_rejected_before_write(stopwords, tmp_path):
+    rep = full_report(stopwords)
     with pytest.raises(StressKitError, match="unknown report format 'xml'"):
         emit_report(rep, "xml", tmp_path)
     assert list(tmp_path.iterdir()) == []
 
 
-def test_report_numbers_round_trip_at_full_precision(config, tmp_path):
-    rep = full_report(config)
+def test_report_numbers_round_trip_at_full_precision(stopwords, tmp_path):
+    rep = full_report(stopwords)
     emit_report(rep, "json", tmp_path)
     parsed = json.loads((tmp_path / "report.json").read_text())
     group = parsed["groups"][0]

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from stresskit import porter, textprep
 from stresskit.textprep import (
-    PipelineConfig,
+    TokenTable,
+    default_stopwords,
     lowercase,
     preprocess,
     preprocess_stages,
@@ -89,14 +90,14 @@ def test_surface_tokens_is_the_stage_composition(text):
 def test_token_table_entries(monkeypatch):
     real, calls = porter.stem_word, []
     monkeypatch.setattr(porter, "stem_word", lambda word: calls.append(word) or real(word))
-    table = textprep.TokenTable({"the", "and"})
+    table = TokenTable({"the", "and"})
     tokens = ["the", "hitting", "city", "and", "cats", "hitting", "the", "city"]
     assert table.stems(tokens) == ["hit", "citi", "cat", "hit", "citi"]
     assert table["the"] is None and table["and"] is None
     assert table["hitting"] == "hit" and table["cats"] == "cat"
     assert calls == ["hitting", "city", "cats"]  # once per distinct kept token
-    assert textprep.TokenTable({"the"}).stems(["the", "cats"]) == ["cat"]
-    assert textprep.TokenTable(set()).stems([]) == []
+    assert TokenTable({"the"}).stems(["the", "cats"]) == ["cat"]
+    assert TokenTable(set()).stems([]) == []
 
 
 @settings(max_examples=300)
@@ -105,9 +106,9 @@ def test_token_table_entries(monkeypatch):
 @example("")
 @example("The the THE")
 @example("<b>Running</b> runners ran; don't @stop_now")
-def test_token_table_stems_are_preprocess_stems(config, text):
-    stems = textprep.TokenTable(config.stopwords).stems(surface_tokens(text))
-    assert stems == preprocess(text, config).split()
+def test_token_table_stems_are_preprocess_stems(stopwords, text):
+    stems = TokenTable(stopwords).stems(surface_tokens(text))
+    assert stems == preprocess(text, stopwords).split()
     # so a list of stems and its whitespace-joined string are the same document
     assert all(s and not any(c.isspace() for c in s) for s in stems)
 
@@ -118,13 +119,13 @@ def test_tokenize_examples():
     assert tokenize(" a  b ") == ["a", "b"]
 
 
-def test_remove_stopwords_examples(config):
-    assert remove_stopwords(["the", "dog", "and", "the", "cat"], config) == ["dog", "cat"]
-    assert remove_stopwords([], config) == []
-    assert remove_stopwords(["the", "and", "in"], config) == []
+def test_remove_stopwords_examples(stopwords):
+    assert remove_stopwords(["the", "dog", "and", "the", "cat"], stopwords) == ["dog", "cat"]
+    assert remove_stopwords([], stopwords) == []
+    assert remove_stopwords(["the", "and", "in"], stopwords) == []
 
 
-def test_stem_examples(config):
+def test_stem_examples():
     assert stem(["hitting"]) == ["hit"]
     assert stem(["shocked"]) == ["shock"]
 
@@ -144,41 +145,44 @@ def test_token_table_matches_porter_cold_and_warm(monkeypatch):
     assert stem(tokens) == expected  # the reference composition: one call per token
     assert len(calls) == len(tokens)
     calls.clear()
-    table = textprep.TokenTable(())
+    table = TokenTable(())
     assert table.stems(tokens) == expected  # cold: every stem computed
     assert table.stems(tokens) == expected  # warm: every stem from the table
     assert sorted(calls) == sorted(set(REFERENCE_VOC))  # once per distinct token
 
 
-def test_preprocess_examples(config):
-    assert preprocess("No place in my city has shelter space for us", config) == (
+def test_preprocess_examples(stopwords):
+    assert preprocess("No place in my city has shelter space for us", stopwords) == (
         "place citi shelter space us"
     )
-    assert preprocess("", config) == ""
-    assert preprocess("<p>The THE the</p>", config) == ""
+    assert preprocess("", stopwords) == ""
+    assert preprocess("<p>The THE the</p>", stopwords) == ""
 
 
-def test_preprocess_is_the_stage_composition(config):
+def test_preprocess_is_the_stage_composition(stopwords):
     text = "My mom then HIT me with the <b>newspaper</b>!"
-    stages = preprocess_stages(text, config)
+    stages = preprocess_stages(text, stopwords)
     manual = " ".join(
-        stem(remove_stopwords(tokenize(strip_noncharacters(lowercase(text))), config))
+        stem(remove_stopwords(tokenize(strip_noncharacters(lowercase(text))), stopwords))
     )
-    assert stages["text"] == manual == preprocess(text, config)
+    assert stages["text"] == manual == preprocess(text, stopwords)
     assert stages["tokens"] == surface_tokens(text)
 
 
-def test_stopword_vendored_list_size(config):
-    assert len(config.stopwords) == 179
+def test_stopword_vendored_list_size(stopwords):
+    assert len(stopwords) == 179
 
 
-def test_fingerprint_stability_and_sensitivity(config):
-    assert config.fingerprint() == PipelineConfig.default().fingerprint()
-    smaller = PipelineConfig(stopwords=frozenset(list(config.stopwords)[:50]))
-    assert smaller.fingerprint() != config.fingerprint()
+def test_fingerprint_stability_and_sensitivity(stopwords):
+    table = TokenTable(stopwords)
+    assert table.fingerprint() == TokenTable(default_stopwords()).fingerprint()
+    smaller = TokenTable(frozenset(list(stopwords)[:50]))
+    assert smaller.fingerprint() != table.fingerprint()
     # the stemmer and removal class are hashed as fixed strings: every model
     # trained on the default stopwords carries this fingerprint
-    assert config.fingerprint() == GOLDEN_FINGERPRINT
+    assert table.fingerprint() == GOLDEN_FINGERPRINT
+    table.stems(["running", "cats"])  # a stem held in the table is not a stopword
+    assert table.fingerprint() == GOLDEN_FINGERPRINT
 
 
 def test_stopword_file_comments(tmp_path):
@@ -187,9 +191,9 @@ def test_stopword_file_comments(tmp_path):
     assert textprep.load_stopwords(path) == frozenset({"the", "and"})
 
 
-def test_config_rejects_uppercase_stopwords():
+def test_token_table_rejects_uppercase_stopwords():
     with pytest.raises(ValueError):
-        PipelineConfig(stopwords=frozenset({"The"}))
+        TokenTable(frozenset({"The"}))
 
 
 @given(text_strategy)
@@ -219,25 +223,24 @@ def test_tokens_have_no_whitespace_or_empties(text):
 @settings(max_examples=200)
 @given(text_strategy)
 def test_preprocess_invariants(text):
-    config = PipelineConfig.default()
-    stages = preprocess_stages(text, config)
+    stopwords = default_stopwords()
+    stages = preprocess_stages(text, stopwords)
     out = stages["text"]
     assert out == out.lower()
     assert strip_noncharacters(out) == out
     # no configured stopword survives as a token before stemming
-    assert not set(stages["without_stopwords"]) & config.stopwords
+    assert not set(stages["without_stopwords"]) & stopwords
 
 
 @given(text_strategy)
 def test_preprocess_deterministic(text):
-    config = PipelineConfig.default()
-    assert preprocess(text, config) == preprocess(text, config)
+    stopwords = default_stopwords()
+    assert preprocess(text, stopwords) == preprocess(text, stopwords)
 
 
 @given(st.lists(st.sampled_from(["the", "dog", "cat", "and", "ran"]), max_size=30))
 def test_remove_stopwords_never_grows_and_preserves_order(tokens):
-    config = PipelineConfig.default()
-    kept = remove_stopwords(tokens, config)
+    kept = remove_stopwords(tokens, default_stopwords())
     assert len(kept) <= len(tokens)
     it = iter(tokens)
     assert all(any(token == t for t in it) for token in kept)  # subsequence
