@@ -159,7 +159,8 @@ def logistic_gradient(
     z: np.ndarray, coef: np.ndarray, X: _SparseRows, y: np.ndarray, l2: float
 ) -> tuple[float, np.ndarray]:
     import numpy as np
-    p = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+    # pow, not np.exp: numpy's exp kernel, and so its last bits, depend on the CPU
+    p = 1.0 / (1.0 + np.float_power(math.e, -np.clip(z, -500, 500)))
     residual = p - y
     grad_coef = X.tdot(residual) / len(y) + l2 * coef
     grad_bias = float(np.mean(residual))

@@ -1128,6 +1128,29 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(command, tmp_path):
     assert outputs[None] == outputs["2"] and outputs[None]
 
 
+# NPY_DISABLE_CPU_FEATURES values: none, then without AVX-512, then without
+# AVX2 too. numpy ignores a feature the CPU lacks, so on a smaller CPU some
+# settings run the same kernels.
+SIMD_SETTINGS = ("", "X86_V4 AVX512_ICL AVX512_SPR", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
+
+
+@pytest.mark.parametrize("command", list(BLAS_COMMANDS))
+def test_logistic_training_writes_the_same_bytes_under_every_simd_kernel(command, tmp_path):
+    """numpy picks a SIMD kernel for its math functions by CPU; logistic
+    training writes the same model bytes whichever kernels it is given."""
+    argv = [str(a) for a in BLAS_COMMANDS[command]]
+    outputs = set()
+    for n, setting in enumerate(SIMD_SETTINGS):
+        cwd = tmp_path / f"simd-{n}"
+        cwd.mkdir()
+        result = run_in_subprocess(
+            f"import sys\nfrom stresskit import cli\nsys.exit(cli.main({argv!r}))\n", cwd,
+            NPY_DISABLE_CPU_FEATURES=setting)
+        assert result.returncode == 0, result.stderr
+        outputs.add(tuple(_tree(cwd).items()))
+    assert len(outputs) == 1
+
+
 NUMPY_FREE_TRAINING = {
     f"train-{classifier}-{features}": ["train", FIXTURES / "labeled_train.csv", "--classifier",
                                        classifier, "--features", features, "--model-out", "m.json"]
