@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -27,6 +28,8 @@ from .features import FeatureVector, Vocabulary, fit_vocabulary, vector
 
 if TYPE_CHECKING:  # numpy loads only where logistic training computes with it
     import numpy as np
+
+    from .textprep import TokenTable
 
 MODEL_FORMAT_VERSION = 2
 
@@ -415,6 +418,13 @@ def predict(model: LinearModel, x: FeatureVector) -> Prediction:
 def predict_stems(model: LinearModel, stems: Iterable[str]) -> Prediction:
     """Predict a document from its stems (textprep.TokenTable.stems)."""
     return predict(model, vector(stems, model.vocabulary, model.feature_kind))
+
+
+def check_fingerprint(model: LinearModel, table: TokenTable) -> None:
+    """Warn when the model was trained under another preprocessing configuration."""
+    if model.pipeline_fingerprint and model.pipeline_fingerprint != table.fingerprint():
+        warnings.warn("model preprocessing fingerprint does not match current configuration",
+                      stacklevel=3)
 
 
 def save_model(model: LinearModel, path: str | Path) -> None:

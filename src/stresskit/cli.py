@@ -1,5 +1,5 @@
 """Command-line entry point: train, predict, analyze, annotate, emotions,
-stats.
+stats. Each command loads only the package modules it reads.
 
 Exit codes are a stable contract: 0 success, 2 data error, 64 usage error.
 All randomness is seeded via --seed (default 42) and recorded in outputs.
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import json
 import logging
 import math
@@ -17,8 +18,27 @@ import sys
 import time
 import warnings
 
-from . import annotate, classify, corpus, emotion, evaluate, report, textprep
 from .errors import StressKitError, atomic_outputs, output_directory
+
+# The package modules but this one and errors, registered in sys.modules and on the
+# package unexecuted (`from . import name` then binds it); each runs on first access.
+LAZY_MODULES = ("annotate", "classify", "corpus", "emotion", "evaluate", "features", "porter",
+                "report", "textprep")
+
+
+def _register_lazily() -> None:
+    for name in LAZY_MODULES:
+        qualified = f"{__package__}.{name}"
+        if qualified not in sys.modules:  # one imported already is bound as it is
+            spec = importlib.util.find_spec(qualified)
+            spec.loader = importlib.util.LazyLoader(spec.loader)
+            sys.modules[qualified] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(sys.modules[qualified])
+        setattr(sys.modules[__package__], name, sys.modules[qualified])
+
+
+_register_lazily()
+from . import annotate, classify, corpus, emotion, evaluate, report, textprep  # noqa: E402
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -203,7 +223,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model = classify.load_model(args.model)
     table = _token_table(args)
-    report.check_fingerprint(model, table)
+    classify.check_fingerprint(model, table)
     summary = corpus.LoadSummary()
     with corpus.open_rows(args.posts_csv, corpus.POST_COLUMNS) as reader, \
             atomic_outputs(args.out) as [partial], \
@@ -232,7 +252,7 @@ def cmd_analyze(args) -> int:
         lexicon = _lexicon(args)
         model = classify.load_model(args.model)
         table = _token_table(args)
-        report.check_fingerprint(model, table)
+        classify.check_fingerprint(model, table)
         summary = corpus.LoadSummary()
         with corpus.open_rows(args.posts_csv, corpus.POST_COLUMNS) as reader:
             rows = corpus.iter_post_rows(reader, args.posts_csv, summary)

@@ -23,7 +23,6 @@ import csv
 import io
 import json
 import logging
-import warnings
 from collections import Counter, defaultdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -62,15 +61,6 @@ def month_index(when: datetime) -> int:
     return (when.month - 9) % 12
 
 
-def check_fingerprint(model: classify.LinearModel, table: textprep.TokenTable) -> None:
-    """Warn when the model was trained under another preprocessing configuration."""
-    if model.pipeline_fingerprint and model.pipeline_fingerprint != table.fingerprint():
-        warnings.warn(
-            "model preprocessing fingerprint does not match current configuration",
-            stacklevel=3,
-        )
-
-
 def classified_posts(
     model: classify.LinearModel,
     posts: Iterable[PostRecord],
@@ -95,7 +85,7 @@ def classify_corpus(model: classify.LinearModel, posts: Iterable[PostRecord],
                     table: textprep.TokenTable, *,
                     lexicon: emotion.EmotionLexicon) -> list[ClassifiedPost]:
     """classified_posts as a list, after the fingerprint check."""
-    check_fingerprint(model, table)
+    classify.check_fingerprint(model, table)
     return list(classified_posts(model, posts, table, lexicon=lexicon))
 
 

@@ -5,6 +5,7 @@ import errno
 import io
 import json
 import os
+import pkgutil
 import random
 import re
 import subprocess
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import stresskit
 from stresskit import cli, corpus, porter, textprep
 
 from conftest import FIXTURES, REPO_ROOT
@@ -1192,7 +1194,8 @@ def test_failure_on_a_later_output_leaves_no_new_file(argv, blocker, tmp_path, c
 
 def test_traced_layers_exist_after_importing_the_cli(tmp_path):
     """perfbench/tracer.py imports stresskit.cli, then wraps every function in
-    its LAYERS table by module attribute; each must exist by then."""
+    its LAYERS table by module attribute; each must exist by then (its module
+    registered at import, executed on first access)."""
     tree = ast.parse((REPO_ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
     layers = next(
         ast.literal_eval(node.value) for node in tree.body
@@ -1226,3 +1229,63 @@ def test_importing_the_cli_loads_no_dataclasses_statistics_or_numpy(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+_STARTED = {"stresskit", "stresskit.cli", "stresskit.errors"}
+_READ_PATH = {"stresskit.classify", "stresskit.corpus", "stresskit.data", "stresskit.features",
+              "stresskit.porter", "stresskit.textprep"}
+
+
+@pytest.mark.parametrize("argv,executed", [
+    (None, _STARTED),
+    (["train", FIXTURES / "labeled_train.csv", "--eval", FIXTURES / "labeled_eval.csv",
+      "--classifier", "nb", "--model-out", "m.json"],
+     _STARTED | _READ_PATH | {"stresskit.evaluate"}),
+    (READ_COMMANDS["predict"], _STARTED | _READ_PATH),
+    (READ_COMMANDS["analyze"], _STARTED | _READ_PATH | {"stresskit.emotion", "stresskit.report"}),
+    (READ_COMMANDS["annotate"], _STARTED | {"stresskit.annotate", "stresskit.corpus"}),
+    (READ_COMMANDS["emotions"], _STARTED | {"stresskit.corpus", "stresskit.data",
+                                            "stresskit.emotion", "stresskit.textprep"}),
+    (READ_COMMANDS["stats"], _STARTED | {"stresskit.corpus", "stresskit.data",
+                                         "stresskit.porter", "stresskit.textprep"}),
+], ids=["import", "train-eval", "predict", "analyze", "annotate", "emotions", "stats"])
+def test_each_command_executes_only_the_modules_it_reads(argv, executed, tmp_path):
+    """A command compiles and runs only the package modules it reads; the
+    others stay registered and unexecuted. type() is no attribute access: a
+    lazy module's type is not types.ModuleType until its first one."""
+    result = run_in_subprocess(
+        "import sys, types\n"
+        "from stresskit import cli\n"
+        + (f"assert cli.main({[str(a) for a in argv]!r}) == 0\n" if argv else "")
+        + "print(sorted(n for n, m in list(sys.modules.items())\n"
+        "             if n.partition('.')[0] == 'stresskit' and type(m) is types.ModuleType))\n",
+        tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == str(sorted(executed))
+
+
+def test_every_package_module_but_cli_and_errors_is_registered_lazily():
+    """perfbench/tracer.py reads each layer from sys.modules after importing
+    the CLI, so no package module may fall outside the registration."""
+    modules = {m.name for m in pkgutil.iter_modules(stresskit.__path__)}
+    assert sorted(cli.LAZY_MODULES) == sorted(modules - {"cli", "errors", "data"})
+
+
+def test_a_module_imported_before_the_cli_is_bound_as_it_is(tmp_path):
+    result = run_in_subprocess(
+        "import os, sys, types\n"
+        "runs = []\n"
+        "target = os.path.join('stresskit', 'report.py')\n"
+        "sys.addaudithook(lambda event, args: event == 'exec'\n"
+        "                 and getattr(args[0], 'co_filename', '').endswith(target)\n"
+        "                 and runs.append(event))\n"
+        "import stresskit.report\n"
+        "from stresskit import cli\n"
+        "assert cli.report is sys.modules['stresskit.report']\n"
+        "assert type(cli.report) is types.ModuleType and callable(cli.report.build_report)\n"
+        "print(len(runs))\n",
+        tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "1"
